@@ -20,16 +20,12 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .combinat import IndexSet, inv_word, subsets
 from .errors import ParityError, RingMismatchError, ShapeError, SkewSymmetryError
 from .matrix import (
     Matrix,
-    _bareiss_generic,
-    _bareiss_int,
-    _cof_generic,
-    _cof_int,
     all_ones,
     augment_hat,
     concat_columns,
@@ -41,7 +37,7 @@ from .matrix import (
     pfaffian_matchings,
     upper_ones,
 )
-from .ring import IntegerRing, Ring
+from .ring import Ring
 
 IDENTITY_IDS = (
     "okada",
@@ -108,18 +104,77 @@ def _apply_sign(ring: Ring, sign: int, x):
     return ring.neg(x) if sign < 0 else x
 
 
-def _det_rows(ring: Ring, rows):
-    """Determinant of a list-of-rows without building a Matrix; Bareiss
-    with an integer fast path.  An exhausted pivot column means the leading
-    columns are rank-deficient over these integral domains, so the value is
-    0 without needing the cofactor fallback the public entry point keeps."""
+def _minor_walk(ring: Ring, rows, nxt, base: int = 0):
+    """Yield (path, det) for each column path with a nonzero determinant.
+
+    `rows` hold the columns at positions base, base + 1, ...; a path picks
+    len(rows) of them, in order.  `nxt(path)` gives the positions the next
+    column may take and the first position any later column may take.
+    Paths are walked depth first, and pushing a column does one Bareiss
+    step on the residual rows, so paths sharing a prefix share its
+    elimination (Sylvester's identity); the last residual row holds the
+    leaf determinants.  A pushed column with no nonzero residual entry
+    depends on the prefix, so every path through it is skipped."""
     if not rows:
-        return ring.one
-    if isinstance(ring, IntegerRing):
-        res = _bareiss_int([list(r) for r in rows])
-        return 0 if res is None else res
-    res = _bareiss_generic([list(r) for r in rows], ring)
-    return ring.zero if res is None else res
+        yield (), ring.one
+        return
+    is_zero, div = ring.is_zero, ring.exact_divide
+    cand, keep = nxt(())
+    # one frame per pushed prefix: (candidates left, residual rows, position
+    # of their first entry, prefix, sign flipped, last pivot)
+    stack = [(iter(cand), rows, base, (), False, ring.one)]
+    while stack:
+        todo, res, base, path, negative, prev = stack[-1]
+        if len(res) == 1:
+            last = res[0]
+            for t in todo:
+                v = last[t - base]
+                if not is_zero(v):
+                    yield path + (t,), -v if negative else v
+            stack.pop()
+            continue
+        for t in todo:
+            k = t - base
+            for r, prow in enumerate(res):
+                piv = prow[k]
+                if not is_zero(piv):
+                    break
+            else:
+                continue
+            child = path + (t,)
+            cand, keep = nxt(child)
+            cut = keep - base
+            ptail = prow[cut:]
+            reduced = [
+                [div(piv * x - row[k] * y, prev) for x, y in zip(row[cut:], ptail)]
+                for i, row in enumerate(res)
+                if i != r
+            ]
+            # the pivot row moves to the front past r rows
+            stack.append((iter(cand), reduced, keep, child, negative ^ (r % 2 == 1), piv))
+            break
+        else:
+            stack.pop()
+
+
+def _increasing(floors, ceils):
+    """Walk rule for strictly increasing paths whose depth-d column lies in
+    [floors[d], ceils[d]]."""
+
+    def nxt(path):
+        d = len(path)
+        lo = floors[d]
+        if path and path[-1] >= lo:
+            lo = path[-1] + 1
+        return range(lo, ceils[d] + 1), lo
+
+    return nxt
+
+
+def _maximal(m: int, n: int):
+    """Walk rule for the maximal minors of an m x n block: increasing
+    m-subsets of its columns."""
+    return _increasing([0] * m, [n - m + d for d in range(m)])
 
 
 def _check_abx(A: Matrix, B: Matrix, X: Matrix):
@@ -138,71 +193,58 @@ def _check_abx(A: Matrix, B: Matrix, X: Matrix):
 
 def minor_sum(A: Matrix):
     """Sum of all maximal minors det(A^I), |I| = row count; 0 when m > n."""
+    walk = _minor_walk(A.ring, A._rows, _maximal(A.nrows, A.ncols))
+    return sum((d for _, d in walk), A.ring.zero)
+
+
+def _double_minor_sum(A: Matrix, B: Matrix, X: Matrix, p: int, border: bool):
+    """Sum over |I| = p, |J| = m - p of det(X_IJ) * det(A^I B^J), with a
+    ones column in front of X_IJ when `border`.
+
+    The det(A^I B^J) come from one walk over [A | B]; for each I in turn,
+    the nonzero minors of X_I come from a walk over its rows, which number
+    X's columns as the B block of [A | B] (the ones column just before)."""
     m, n = A.nrows, A.ncols
     ring = A.ring
+    q = m - p
+    # depth-wise bounds: A^I on [0, n), then J on [n, 2n) in both walks
+    j_floors, j_ceils = [n] * q, [2 * n - q + d for d in range(q)]
+    ab_rule = _increasing([0] * p + j_floors, [n - p + d for d in range(p)] + j_ceils)
+    lead = [n - 1] if border else []
+    x_rule = _increasing(lead + j_floors, lead + j_ceils)
+    xrows = [(ring.one,) + r for r in X._rows] if border else X._rows
+    stacked = [a + b for a, b in zip(A._rows, B._rows)]
     total = ring.zero
-    rows = A._rows
-    for combo in combinations(range(n), m):
-        sub = [[row[c] for c in combo] for row in rows]
-        total = ring.add(total, _det_rows(ring, sub))
+    I = None
+    for path, dAB in _minor_walk(ring, stacked, ab_rule):
+        if path[:p] != I:
+            I = path[:p]
+            walk = _minor_walk(ring, [xrows[i] for i in I], x_rule, n - len(lead))
+            dX_of = {J[len(lead):]: d for J, d in walk}
+        dX = dX_of.get(path[p:])
+        if dX is not None:
+            total = total + dX * dAB
     return total
 
 
 def f_AB(A: Matrix, B: Matrix, X: Matrix):
     """Even-order evaluator:
-    sum over |I| = |J| = m/2 of det(X_IJ) * det(A^I B^J)."""
+    sum over |I| = |J| = m/2 of det(X_IJ) * det(A^I B^J), walked with
+    prefix-shared elimination (see _double_minor_sum)."""
     _check_abx(A, B, X)
-    m, n = A.nrows, A.ncols
-    if m % 2:
-        raise ParityError(f"f_AB needs even m, got {m}")
-    ring = A.ring
-    p = m // 2
-    total = ring.zero
-    arows, brows, xrows = A._rows, B._rows, X._rows
-    combos = list(combinations(range(n), p))
-    fast = isinstance(ring, IntegerRing)
-    is_zero, add, mul = ring.is_zero, ring.add, ring.mul
-    for I in combos:
-        xrows_I = [xrows[i] for i in I]
-        a_part = [[row[c] for c in I] for row in arows]
-        for J in combos:
-            dX = _det_rows(ring, [[xr[c] for c in J] for xr in xrows_I])
-            if (not dX) if fast else is_zero(dX):
-                continue
-            cat = [a_part[r] + [brows[r][c] for c in J] for r in range(m)]
-            dAB = _det_rows(ring, cat)
-            total = add(total, mul(dX, dAB))
-    return total
+    if A.nrows % 2:
+        raise ParityError(f"f_AB needs even m, got {A.nrows}")
+    return _double_minor_sum(A, B, X, A.nrows // 2, border=False)
 
 
 def g_AB(A: Matrix, B: Matrix, X: Matrix):
     """Odd-order evaluator: sum over |I| = (m+1)/2, |J| = (m-1)/2 of
     det(1 X_IJ) * det(A^I B^J), the bordered minor taking an all-ones
-    first column."""
+    first column; walked as f_AB is."""
     _check_abx(A, B, X)
-    m, n = A.nrows, A.ncols
-    if m % 2 == 0:
-        raise ParityError(f"g_AB needs odd m, got {m}")
-    ring = A.ring
-    p = (m + 1) // 2
-    q = p - 1
-    one = ring.one
-    total = ring.zero
-    arows, brows, xrows = A._rows, B._rows, X._rows
-    fast = isinstance(ring, IntegerRing)
-    is_zero, add, mul = ring.is_zero, ring.add, ring.mul
-    for I in combinations(range(n), p):
-        xrows_I = [xrows[i] for i in I]
-        a_part = [[row[c] for c in I] for row in arows]
-        for J in combinations(range(n), q):
-            bordered = [[one] + [xr[c] for c in J] for xr in xrows_I]
-            dX = _det_rows(ring, bordered)
-            if (not dX) if fast else is_zero(dX):
-                continue
-            cat = [a_part[r] + [brows[r][c] for c in J] for r in range(m)]
-            dAB = _det_rows(ring, cat)
-            total = add(total, mul(dX, dAB))
-    return total
+    if A.nrows % 2 == 0:
+        raise ParityError(f"g_AB needs odd m, got {A.nrows}")
+    return _double_minor_sum(A, B, X, (A.nrows + 1) // 2, border=True)
 
 
 # -- closed forms for near-triangular minors ---------------------------------
@@ -292,31 +334,28 @@ def _chain_sum(first: Matrix, second: Matrix, weak_within: bool):
     weak_within=True:  c1 <= c2 < c3 <= c4 < ...  (weak inside a pair,
                        strict between pairs)
     weak_within=False: c1 < c2 <= c3 < c4 <= ...
-    """
+
+    Walked over first and second with their columns interleaved (position
+    2c + s is column c of first for s = 0, of second for s = 1), so the
+    chains continuing a prefix draw from the suffix from its last column."""
     m, n = first.nrows, first.ncols
     ring = first.ring
-    srcs = [first._rows if t % 2 == 0 else second._rows for t in range(m)]
-    total = ring.zero
-    add = ring.add
+    rows = [
+        [x for pair in zip(fr, sr) for x in pair]
+        for fr, sr in zip(first._rows, second._rows)
+    ]
+    # weak[d]: may the depth-d column repeat the previous one's index;
+    # room[d]: strict steps still to come after depth d
+    weak = [weak_within if d % 2 else not weak_within for d in range(m)]
+    room = [sum(not w for w in weak[d + 1:]) for d in range(m)]
 
-    def chains(pos: int, prev: int):
-        if pos == m:
-            yield ()
-            return
-        if pos == 0:
-            lo = 0
-        else:
-            within = pos % 2 == 1
-            weak = weak_within if within else not weak_within
-            lo = prev if weak else prev + 1
-        for c in range(lo, n):
-            for tail in chains(pos + 1, c):
-                yield (c,) + tail
+    def nxt(path):
+        d = len(path)
+        lo = 0 if not path else path[-1] // 2 + (0 if weak[d] else 1)
+        s = d % 2
+        return range(2 * lo + s, 2 * (n - 1 - room[d]) + s + 1, 2), 2 * lo
 
-    for chain in chains(0, 0):
-        rows = [[srcs[t][r][chain[t]] for t in range(m)] for r in range(m)]
-        total = add(total, _det_rows(ring, rows))
-    return total
+    return sum((d for _, d in _minor_walk(ring, rows, nxt)), ring.zero)
 
 
 # -- checkers -----------------------------------------------------------------
@@ -526,16 +565,13 @@ def check_iswa(A: Matrix, Y: Matrix) -> IdentityReport:
         raise RingMismatchError("A and Y must share a ring")
     if Y.nrows != n or Y.ncols != n:
         raise ShapeError(f"Y must be {n}x{n}")
+    if not Y.is_skew_symmetric():
+        raise SkewSymmetryError("iswa needs a skew-symmetric Y")
     ring = A.ring
-    arows = A._rows
     lhs = ring.zero
-    for I in subsets(n, m):
-        pf_part = pfaffian_matchings(Y.submatrix(I, I))
-        if ring.is_zero(pf_part):
-            continue
-        cols = [i - 1 for i in I]
-        d = _det_rows(ring, [[row[c] for c in cols] for row in arows])
-        lhs = ring.add(lhs, ring.mul(pf_part, d))
+    for path, d in _minor_walk(ring, A._rows, _maximal(m, n)):
+        I = [c + 1 for c in path]
+        lhs = lhs + pfaffian_matchings(Y.submatrix(I, I)) * d
     rhs = pfaffian_matchings(A @ Y @ A.T)
     return _report(
         "iswa", _digest_of(A=A, Y=Y), ring, lhs, rhs, lhs == rhs, t0

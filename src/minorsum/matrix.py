@@ -5,9 +5,9 @@ Public index arguments (entry, row, column, submatrix, delete_rc, IndexSet)
 are 1-based throughout, matching the determinant/Pfaffian notation the
 package verifies.  Internal storage is a 0-based tuple of row tuples.
 
-The integer ring gets dedicated inner loops for the determinant kernels
-(same algorithm, no ring-method indirection); tests cross-check them
-against the generic path.
+The Bareiss determinant is one loop over the ring's operators and
+`exact_divide` for every ring; the cofactor expansion, kept as the
+reference oracle, has a dedicated integer inner loop.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 from .combinat import IndexSet, crossing_number, perfect_matchings
 from .errors import (
     IndexRangeError,
-    InexactDivisionError,
     RingMismatchError,
     ShapeError,
     SkewSymmetryError,
@@ -385,41 +384,20 @@ def det_cofactor(M: Matrix):
     return _cof_generic(M._rows, cols, 0, M.ring)
 
 
-def _bareiss_int(a) -> int | None:
-    """Destructive fraction-free elimination; None when a pivot column is
-    entirely zero.  Callers either fall back to the cofactor oracle or use
-    the rank argument (zero column of bordered minors means singular)."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return None
-        ak = a[k]
-        akk = ak[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                q, rem = divmod(akk * ai[j] - aik * ak[j], prev)
-                if rem:
-                    raise InexactDivisionError("Bareiss step not exact")
-                ai[j] = q
-        prev = akk
-    return sign * a[n - 1][n - 1]
-
-
-def _bareiss_generic(a, ring):
-    n = len(a)
+def det_bareiss(M: Matrix):
+    """Fraction-free Bareiss determinant with swap-and-negate row pivoting.
+    When a pivot column has no nonzero entry left, the leading columns are
+    linearly dependent, which over these integral domains means the
+    determinant is 0."""
+    _require_square(M, "det_bareiss")
+    ring = M.ring
+    n = M.nrows
+    if n == 0:
+        return ring.one
+    a = [list(r) for r in M._rows]
+    is_zero, div = ring.is_zero, ring.exact_divide
     negative = False
     prev = ring.one
-    is_zero, mul, sub, div = ring.is_zero, ring.mul, ring.sub, ring.exact_divide
     for k in range(n - 1):
         if is_zero(a[k][k]):
             for r in range(k + 1, n):
@@ -428,31 +406,17 @@ def _bareiss_generic(a, ring):
                     negative = not negative
                     break
             else:
-                return None
+                return ring.zero
         ak = a[k]
         akk = ak[k]
         for i in range(k + 1, n):
             ai = a[i]
             aik = ai[k]
             for j in range(k + 1, n):
-                ai[j] = div(sub(mul(akk, ai[j]), mul(aik, ak[j])), prev)
+                ai[j] = div(akk * ai[j] - aik * ak[j], prev)
         prev = akk
     result = a[n - 1][n - 1]
-    return ring.neg(result) if negative else result
-
-
-def det_bareiss(M: Matrix):
-    """Fraction-free Bareiss determinant with swap-and-negate row pivoting;
-    falls back to det_cofactor when a pivot column is entirely zero."""
-    _require_square(M, "det_bareiss")
-    if M.nrows == 0:
-        return M.ring.one
-    work = [list(r) for r in M._rows]
-    if isinstance(M.ring, IntegerRing):
-        res = _bareiss_int(work)
-    else:
-        res = _bareiss_generic(work, M.ring)
-    return det_cofactor(M) if res is None else res
+    return -result if negative else result
 
 
 # -- Pfaffians --------------------------------------------------------------

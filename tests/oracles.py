@@ -5,6 +5,7 @@ Everything in this module is deliberately written from first principles
 library implementations it is used to check.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -133,6 +134,89 @@ def count_free_families(starts, candidate_ends, steps=((1, 0), (0, 1))):
     total = 0
     for combo in itertools.combinations(candidate_ends, m):
         total += count_disjoint_families(starts, list(combo), steps)
+    return total
+
+
+# -- determinant sums by the Leibniz formula ---------------------------------
+# Entries only need +, * and comparison with 0, so these work for int,
+# Fraction and Poly entries alike.
+
+
+@functools.lru_cache(maxsize=None)
+def _permutations_with_sign(n):
+    out = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
+        )
+        out.append((tuple(enumerate(perm)), -1 if inversions % 2 else 1))
+    return tuple(out)
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations; 1 for 0 x 0."""
+    total = 0
+    for cells, sign in _permutations_with_sign(len(rows)):
+        term = sign
+        for r, c in cells:
+            term = term * rows[r][c]
+        total = total + term
+    return total
+
+
+def _pick(rows, cols):
+    return [[row[c] for c in cols] for row in rows]
+
+
+def ref_minor_sum(rows, ncols):
+    """Sum of det(A^I) over the len(rows)-subsets I of the columns."""
+    total = 0
+    for I in itertools.combinations(range(ncols), len(rows)):
+        total = total + leibniz_det(_pick(rows, I))
+    return total
+
+
+def _double_sum(a, b, x, p, q, border):
+    n = len(x)
+    total = 0
+    for I in itertools.combinations(range(n), p):
+        for J in itertools.combinations(range(n), q):
+            minor = [([1] if border else []) + [x[i][j] for j in J] for i in I]
+            stacked = [[ra[i] for i in I] + [rb[j] for j in J] for ra, rb in zip(a, b)]
+            total = total + leibniz_det(minor) * leibniz_det(stacked)
+    return total
+
+
+def ref_f(a, b, x):
+    """Sum over |I| = |J| = m/2 of det(X_IJ) det(A^I B^J)."""
+    p = len(a) // 2
+    return _double_sum(a, b, x, p, p, border=False)
+
+
+def ref_g(a, b, x):
+    """Sum over |I| = (m+1)/2, |J| = (m-1)/2 of det(1 X_IJ) det(A^I B^J)."""
+    p = (len(a) + 1) // 2
+    return _double_sum(a, b, x, p, p - 1, border=True)
+
+
+def ref_chain_sum(first, second, weak_within):
+    """Sum of det(first^{c1} second^{c2} first^{c3} ...) over the chains
+    c1 <= c2 < c3 <= ... (weak_within) or c1 < c2 <= c3 < ... (not)."""
+    m, n = len(first), len(first[0])
+    total = 0
+    for chain in itertools.product(range(n), repeat=m):
+        ok = True
+        for t in range(1, m):
+            weak = weak_within if t % 2 else not weak_within
+            if chain[t] < chain[t - 1] or (not weak and chain[t] == chain[t - 1]):
+                ok = False
+                break
+        if ok:
+            square = [
+                [(first if t % 2 == 0 else second)[r][c] for t, c in enumerate(chain)]
+                for r in range(m)
+            ]
+            total = total + leibniz_det(square)
     return total
 
 

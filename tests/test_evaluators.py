@@ -1,0 +1,99 @@
+"""The minor-sum evaluators against sums of Leibniz determinants.
+
+The references in oracles.py expand every determinant over permutations
+and enumerate the index sets and chains directly, so they share nothing
+with the prefix-sharing elimination the evaluators use.  The rank-deficient
+inputs make whole subtrees of that elimination vanish, which is where it
+prunes.
+"""
+
+import random
+
+import pytest
+from oracles import ref_chain_sum, ref_f, ref_g, ref_minor_sum
+
+from minorsum import ZZ, Matrix, PolynomialRing, f_AB, g_AB, minor_sum
+from minorsum.identities import _chain_sum
+
+
+def assert_evaluators_match(ring, a, b, x):
+    A, B, X = (Matrix(ring, rows) for rows in (a, b, x))
+    assert minor_sum(A) == ref_minor_sum(a, len(x))
+    if len(a) % 2 == 0:
+        assert f_AB(A, B, X) == ref_f(a, b, x)
+    else:
+        assert g_AB(A, B, X) == ref_g(a, b, x)
+    for weak_within in (True, False):
+        assert _chain_sum(A, B, weak_within) == ref_chain_sum(a, b, weak_within)
+
+
+def rand_rows(rng, m, n, bound=5):
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+
+
+SHAPES = [(m, n) for m in range(1, 7) for n in range(m, 9)]
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_random_int_inputs_match_leibniz(m, n):
+    rng = random.Random(1000 * m + n)
+    a, b, x = rand_rows(rng, m, n), rand_rows(rng, m, n), rand_rows(rng, n, n)
+    assert_evaluators_match(ZZ, a, b, x)
+
+
+RANK_DEFICIENT = [(2, 4), (3, 5), (4, 5), (5, 6), (6, 7)]
+
+
+@pytest.mark.parametrize("m,n", RANK_DEFICIENT)
+def test_zero_column_in_A(m, n):
+    rng = random.Random(2000 * m + n)
+    a, b, x = rand_rows(rng, m, n), rand_rows(rng, m, n), rand_rows(rng, n, n)
+    for row in a:
+        row[1] = 0
+    assert_evaluators_match(ZZ, a, b, x)
+
+
+@pytest.mark.parametrize("m,n", RANK_DEFICIENT)
+def test_A_equals_B(m, n):
+    rng = random.Random(3000 * m + n)
+    a, x = rand_rows(rng, m, n), rand_rows(rng, n, n)
+    assert_evaluators_match(ZZ, a, [row[:] for row in a], x)
+
+
+@pytest.mark.parametrize("m,n", RANK_DEFICIENT)
+def test_repeated_columns(m, n):
+    rng = random.Random(4000 * m + n)
+    a, b, x = rand_rows(rng, m, n), rand_rows(rng, m, n), rand_rows(rng, n, n)
+    for row in a:
+        row[2] = row[0]
+    for row in b:
+        row[n - 1] = row[0]
+        row[1] = -2 * row[3 % n]
+    assert_evaluators_match(ZZ, a, b, x)
+
+
+@pytest.mark.parametrize("m,n", RANK_DEFICIENT)
+def test_singular_X(m, n):
+    rng = random.Random(5000 * m + n)
+    a, b, x = rand_rows(rng, m, n), rand_rows(rng, m, n), rand_rows(rng, n, n)
+    # row 1 of X is the sum of rows 0 and 2, so det(X) = 0
+    x[1] = [u + v for u, v in zip(x[0], x[2])]
+    assert_evaluators_match(ZZ, a, b, x)
+
+
+def test_rank_one_inputs_vanish_beyond_order_one():
+    a = [[1, 2, 3, 4]] * 3
+    assert minor_sum(Matrix(ZZ, a)) == ref_minor_sum(a, 4) == 0
+    assert_evaluators_match(ZZ, a, [[2, 4, 6, 8]] * 3, [[1, 1, 1, 1]] * 4)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3)])
+def test_generic_poly_inputs_match_leibniz(m, n):
+    names = [f"{t}{i}_{j}" for t, (r, c) in (("a", (m, n)), ("b", (m, n)), ("x", (n, n)))
+             for i in range(1, r + 1) for j in range(1, c + 1)]
+    ring = PolynomialRing(names)
+
+    def generic(t, r, c):
+        return [[ring.gen(f"{t}{i}_{j}") for j in range(1, c + 1)] for i in range(1, r + 1)]
+
+    assert_evaluators_match(ring, generic("a", m, n), generic("b", m, n), generic("x", n, n))

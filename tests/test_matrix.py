@@ -197,6 +197,26 @@ def test_bareiss_matches_cofactor_singular_heavy():
     assert det_bareiss(col0) == 0
 
 
+def test_bareiss_exhausted_pivot_column_is_zero_without_cofactor(monkeypatch):
+    import minorsum.matrix
+
+    def refuse(M):
+        raise AssertionError("det_bareiss expanded cofactors")
+
+    monkeypatch.setattr(minorsum.matrix, "det_cofactor", refuse)
+    rng = random.Random(16)
+    # zero first column; the cofactor expansion of this 11x11 took seconds
+    rows = [[0] + [rng.randint(1, 9) for _ in range(10)] for _ in range(11)]
+    assert det_bareiss(Matrix(ZZ, rows)) == 0
+    # third column = first + second: exhausted after two elimination steps
+    rows = [[u, v, u + v, w] for u, v, w in ([1, 2, 5], [3, -1, 2], [0, 4, 1], [2, 2, 7])]
+    assert det_bareiss(Matrix(ZZ, rows)) == 0
+    ring = PolynomialRing(("a", "b"))
+    a, b = ring.gens()
+    S = Matrix(ring, [[a, a * b, ring.one], [b, b * b, a], [ring.one, b, b]])
+    assert det_bareiss(S) == ring.zero
+
+
 def test_bareiss_matches_cofactor_polynomial():
     ring = PolynomialRing(("a", "b", "c", "d"))
     a, b, c, d = ring.gens()
