@@ -124,10 +124,6 @@ def crossing_number(matching: PerfectMatching) -> int:
     return count
 
 
-def matching_sign(matching: PerfectMatching) -> int:
-    return -1 if crossing_number(matching) % 2 else 1
-
-
 def inv_word(J: Iterable[int], K: Iterable[int]) -> int:
     """Inversions of the concatenated word JK: pairs (j, k) with j in J,
     k in K and j > k."""
@@ -144,15 +140,6 @@ def lambda_of(I: Sequence[int]) -> tuple:
         if a >= b:
             raise IndexRangeError(f"index tuple {idx} not strictly increasing")
     return tuple(idx[k - 1 - a] - (k - a) for a in range(k))
-
-
-def index_of_lambda(lam: Sequence[int], k: int, n: int) -> IndexSet:
-    """Inverse of lambda_of: the k-subset of [n] whose partition is lam."""
-    lam = tuple(lam) + (0,) * (k - len(lam))
-    if len(lam) > k:
-        raise IndexRangeError(f"partition {lam} has more than {k} parts")
-    idx = tuple(lam[k - 1 - (a - 1)] + a for a in range(1, k + 1))
-    return IndexSet(n, idx)
 
 
 def as_partition(parts: Sequence[int]) -> tuple:

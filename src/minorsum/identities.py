@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .combinat import IndexSet, inv_word, subsets
-from .errors import ParityError, RingMismatchError, ShapeError, SkewSymmetryError
+from .errors import ParityError, RingMismatchError, ShapeError
 from .matrix import (
     Matrix,
     all_ones,
@@ -35,6 +35,7 @@ from .matrix import (
     matrix_to_json_dict,
     outer_product,
     pfaffian_matchings,
+    require_skew,
     upper_ones,
 )
 from .ring import Ring
@@ -100,8 +101,8 @@ def sign_from_binom2(k: int) -> int:
     return -1 if k % 4 in (2, 3) else 1
 
 
-def _apply_sign(ring: Ring, sign: int, x):
-    return ring.neg(x) if sign < 0 else x
+def _apply_sign(sign: int, x):
+    return -x if sign < 0 else x
 
 
 def _minor_walk(ring: Ring, rows, nxt, base: int = 0):
@@ -118,7 +119,7 @@ def _minor_walk(ring: Ring, rows, nxt, base: int = 0):
     if not rows:
         yield (), ring.one
         return
-    is_zero, div = ring.is_zero, ring.exact_divide
+    div = ring.exact_divide
     cand, keep = nxt(())
     # one frame per pushed prefix: (candidates left, residual rows, position
     # of their first entry, prefix, sign flipped, last pivot)
@@ -129,7 +130,7 @@ def _minor_walk(ring: Ring, rows, nxt, base: int = 0):
             last = res[0]
             for t in todo:
                 v = last[t - base]
-                if not is_zero(v):
+                if v:
                     yield path + (t,), -v if negative else v
             stack.pop()
             continue
@@ -137,7 +138,7 @@ def _minor_walk(ring: Ring, rows, nxt, base: int = 0):
             k = t - base
             for r, prow in enumerate(res):
                 piv = prow[k]
-                if not is_zero(piv):
+                if piv:
                     break
             else:
                 continue
@@ -177,11 +178,17 @@ def _maximal(m: int, n: int):
     return _increasing([0] * m, [n - m + d for d in range(m)])
 
 
-def _check_abx(A: Matrix, B: Matrix, X: Matrix):
-    if A.ring != B.ring or A.ring != X.ring:
-        raise RingMismatchError("A, B, X must share a ring")
+def _check_ab(A: Matrix, B: Matrix):
+    if A.ring != B.ring:
+        raise RingMismatchError("A and B must share a ring")
     if (A.nrows, A.ncols) != (B.nrows, B.ncols):
         raise ShapeError("A and B must have equal shape")
+
+
+def _check_abx(A: Matrix, B: Matrix, X: Matrix):
+    if A.ring != X.ring:
+        raise RingMismatchError("A, B, X must share a ring")
+    _check_ab(A, B)
     if X.nrows != A.ncols or X.ncols != A.ncols:
         raise ShapeError(f"X must be {A.ncols}x{A.ncols}")
     if A.nrows < 1:
@@ -274,9 +281,9 @@ def x1_closed_form(ring: Ring, diag: Sequence, I, J):
     prev_j = 0
     for k, i in enumerate(idx_i):
         if i == idx_j[k]:
-            val = ring.mul(val, d[i - 1])
+            val = val * d[i - 1]
         if prev_j == i:
-            val = ring.mul(val, ring.sub(ring.one, d[i - 1]))
+            val = val * (ring.one - d[i - 1])
         prev_j = idx_j[k]
     return val
 
@@ -293,12 +300,12 @@ def x2_closed_form(ring: Ring, diag: Sequence, I, J):
         if not (idx_i[k] <= idx_j[k] <= idx_i[k + 1]):
             return ring.zero
     d = [ring.coerce(x) for x in diag]
-    val = ring.one if ell % 2 == 0 else ring.neg(ring.one)
+    val = ring.one if ell % 2 == 0 else -ring.one
     for k in range(ell):
         if idx_i[k] == idx_j[k]:
-            val = ring.mul(val, d[idx_i[k] - 1])
+            val = val * d[idx_i[k] - 1]
         if idx_j[k] == idx_i[k + 1]:
-            val = ring.mul(val, ring.sub(ring.one, d[idx_i[k + 1] - 1]))
+            val = val * (ring.one - d[idx_i[k + 1] - 1])
     return val
 
 
@@ -397,7 +404,7 @@ def check_okada(A: Matrix) -> IdentityReport:
     passed = passed and lhs == rhs
     if A.nrows > A.ncols:
         # empty minor sum: both sides are required to vanish
-        passed = passed and ring.is_zero(lhs) and ring.is_zero(rhs)
+        passed = passed and not lhs and not rhs
         details["overdetermined"] = True
     return _report(
         "okada", _digest_of(A=A), ring, lhs, rhs, passed, t0, details
@@ -411,8 +418,8 @@ def check_byun(A: Matrix) -> IdentityReport:
         raise ShapeError("need at least one row")
     ring = A.ring
     s = minor_sum(A)
-    lhs = ring.mul(s, s)
-    core = upper_ones(A.ncols, ring).scale(ring.from_int(2)) + identity(A.ncols, ring)
+    lhs = s * s
+    core = upper_ones(A.ncols, ring).scale(2) + identity(A.ncols, ring)
     rhs = det_bareiss(A @ core @ A.T)
     details = {"minor_sum": ring.format(s)}
     if A.nrows > A.ncols:
@@ -432,7 +439,7 @@ def check_main2(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
         raise ParityError(f"main2 needs even m, got {m}")
     ring = A.ring
     lhs = pfaffian_matchings(A @ X @ B.T - B @ X.T @ A.T)
-    rhs = _apply_sign(ring, sign_from_binom2(m // 2), f_AB(A, B, X))
+    rhs = _apply_sign(sign_from_binom2(m // 2), f_AB(A, B, X))
     return _report(
         "main2", _digest_of(A=A, B=B, X=X), ring, lhs, rhs, lhs == rhs, t0
     )
@@ -451,16 +458,12 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     lhs = det_bareiss(A @ X @ B.T + B @ (J_n - X.T) @ A.T)
     details = {}
     if m % 2 == 0:
-        rhs = ring.mul(f_AB(A, B, X), f_AB(B, A, J_n - X.T))
+        rhs = f_AB(A, B, X) * f_AB(B, A, J_n - X.T)
         passed = lhs == rhs
     else:
         gx = g_AB(A, B, X)
-        rhs = ring.mul(gx, g_AB(B, A, J_n - X.T))
-        alt = _apply_sign(
-            ring,
-            -1 if ((m - 1) // 2) % 2 else 1,
-            ring.mul(gx, g_AB(B, A, X.T)),
-        )
+        rhs = gx * g_AB(B, A, J_n - X.T)
+        alt = _apply_sign(-1 if ((m - 1) // 2) % 2 else 1, gx * g_AB(B, A, X.T))
         details["alt_rhs"] = ring.format(alt)
         passed = lhs == rhs and rhs == alt
     return _report(
@@ -475,8 +478,7 @@ def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
     t0 = time.perf_counter()
     ring = Y.ring
     m = Y.nrows
-    if not Y.is_skew_symmetric():
-        raise SkewSymmetryError("rank1 needs a skew-symmetric Y")
+    require_skew(Y, "rank1")
     av = [ring.coerce(x) for x in a]
     bv = [ring.coerce(x) for x in b]
     if len(av) != m or len(bv) != m:
@@ -489,35 +491,30 @@ def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
         acc = ring.zero
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
-                w = ring.sub(
-                    ring.mul(av[i - 1], bv[j - 1]), ring.mul(av[j - 1], bv[i - 1])
-                )
-                if ring.is_zero(w):
+                w = av[i - 1] * bv[j - 1] - av[j - 1] * bv[i - 1]
+                if not w:
                     continue
-                term = ring.mul(w, pfaffian_matchings(Y.delete_rc((i, j))))
+                term = w * pfaffian_matchings(Y.delete_rc((i, j)))
                 if (i + j - 1) % 2:
-                    term = ring.neg(term)
-                acc = ring.add(acc, term)
-        rhs = ring.mul(pf, ring.add(pf, acc))
+                    acc -= term
+                else:
+                    acc += term
+        rhs = pf * (pf + acc)
         passed = lhs == rhs
         if av == bv:
             dy = det_bareiss(Y)
             details["symmetric_det_Y"] = ring.format(dy)
             passed = passed and lhs == dy and rhs == dy
     else:
-        # pfaffian_matchings(delete_rc) validates skewness of Y on the way
         fa = ring.zero
         fb = ring.zero
         for i in range(1, m + 1):
             pf_i = pfaffian_matchings(Y.delete_rc((i,)))
-            ta = ring.mul(av[i - 1], pf_i)
-            tb = ring.mul(bv[i - 1], pf_i)
             if (i - 1) % 2:
-                ta = ring.neg(ta)
-                tb = ring.neg(tb)
-            fa = ring.add(fa, ta)
-            fb = ring.add(fb, tb)
-        rhs = ring.mul(fa, fb)
+                pf_i = -pf_i
+            fa += av[i - 1] * pf_i
+            fb += bv[i - 1] * pf_i
+        rhs = fa * fb
         passed = lhs == rhs
         if av == bv:
             details["symmetric_square_root"] = ring.format(fa)
@@ -541,14 +538,12 @@ def check_lemma_aux(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     Y = A @ X @ B.T - B @ X.T @ A.T
     lhs = ring.zero
     for i in range(1, m + 1):
-        row_total = ring.zero
-        for v in A.row(i):
-            row_total = ring.add(row_total, v)
-        term = ring.mul(row_total, pfaffian_matchings(Y.delete_rc((i,))))
+        term = sum(A.row(i), ring.zero) * pfaffian_matchings(Y.delete_rc((i,)))
         if (i - 1) % 2:
-            term = ring.neg(term)
-        lhs = ring.add(lhs, term)
-    rhs = _apply_sign(ring, sign_from_binom2((m - 1) // 2), g_AB(A, B, X))
+            lhs -= term
+        else:
+            lhs += term
+    rhs = _apply_sign(sign_from_binom2((m - 1) // 2), g_AB(A, B, X))
     return _report(
         "lemma-aux", _digest_of(A=A, B=B, X=X), ring, lhs, rhs, lhs == rhs, t0
     )
@@ -565,8 +560,7 @@ def check_iswa(A: Matrix, Y: Matrix) -> IdentityReport:
         raise RingMismatchError("A and Y must share a ring")
     if Y.nrows != n or Y.ncols != n:
         raise ShapeError(f"Y must be {n}x{n}")
-    if not Y.is_skew_symmetric():
-        raise SkewSymmetryError("iswa needs a skew-symmetric Y")
+    require_skew(Y, "iswa")
     ring = A.ring
     lhs = ring.zero
     for path, d in _minor_walk(ring, A._rows, _maximal(m, n)):
@@ -596,10 +590,10 @@ def check_lemma_iswa(Y: Matrix, I) -> IdentityReport:
     for J in combinations(members, m // 2):
         K = tuple(v for v in members if v not in J)
         d = det_bareiss(X.submatrix(J, K))
-        if ring.is_zero(d):
+        if not d:
             continue
         sign = base if inv_word(J, K) % 2 == 0 else -base
-        lhs = ring.add(lhs, _apply_sign(ring, sign, d))
+        lhs += _apply_sign(sign, d)
     rhs = pfaffian_matchings(Y.submatrix(I, I))
     digest = _digest_of(Y=Y, I=list(I.indices))
     return _report("lemma-iswa", digest, ring, lhs, rhs, lhs == rhs, t0)
@@ -611,10 +605,7 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
     B leading).  Each factor is also cross-checked against the f/g
     evaluators at X = U + Id and X = U."""
     t0 = time.perf_counter()
-    if A.ring != B.ring:
-        raise RingMismatchError("A and B must share a ring")
-    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
-        raise ShapeError("A and B must have equal shape")
+    _check_ab(A, B)
     m, n = A.nrows, A.ncols
     if m < 1:
         raise ShapeError("need at least one row")
@@ -623,18 +614,18 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
     lhs = det_bareiss(A @ U @ B.T + B @ U @ A.T + A @ B.T)
     factor1 = _chain_sum(A, B, weak_within=True)
     factor2 = _chain_sum(B, A, weak_within=False)
-    rhs = ring.mul(factor1, factor2)
+    rhs = factor1 * factor2
     passed = lhs == rhs
     UI = U + identity(n, ring)
     if m % 2 == 0:
         s = sign_from_binom2(m // 2)
-        c1 = _apply_sign(ring, s, f_AB(A, B, UI)) == factor1
-        c2 = _apply_sign(ring, s, f_AB(B, A, U)) == factor2
+        c1 = _apply_sign(s, f_AB(A, B, UI)) == factor1
+        c2 = _apply_sign(s, f_AB(B, A, U)) == factor2
     else:
         p = (m + 1) // 2
         s = sign_from_binom2(p) * (-1 if ((m - 1) // 2) % 2 else 1)
-        c1 = _apply_sign(ring, s, g_AB(A, B, UI)) == factor1
-        c2 = _apply_sign(ring, s, g_AB(B, A, U)) == factor2
+        c1 = _apply_sign(s, g_AB(A, B, UI)) == factor1
+        c2 = _apply_sign(s, g_AB(B, A, U)) == factor2
     passed = passed and c1 and c2
     details = {
         "factor1": ring.format(factor1),
@@ -652,10 +643,7 @@ def check_ab2(A: Matrix, B: Matrix) -> IdentityReport:
     Pf(AUB^t - BU^tA^t) and the weak-within chain sum equals
     Pf(A(U+Id)B^t - B(U^t+Id)A^t)."""
     t0 = time.perf_counter()
-    if A.ring != B.ring:
-        raise RingMismatchError("A and B must share a ring")
-    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
-        raise ShapeError("A and B must have equal shape")
+    _check_ab(A, B)
     m, n = A.nrows, A.ncols
     if m % 2:
         raise ParityError(f"ab2 needs even m, got {m}")
@@ -694,7 +682,7 @@ def check_cor7(A: Matrix, X: Matrix) -> IdentityReport:
     d1 = det_bareiss(A @ (X + J_n - X.T) @ A.T)
     d2 = det_bareiss(A @ (X - X.T) @ A.T)
     fa = f_AB(A, A, X)
-    sq = ring.mul(fa, fa)
+    sq = fa * fa
     passed = d1 == d2 == sq
     details = {"det_skew_part": ring.format(d2), "f_AA": ring.format(fa)}
     return _report(
@@ -772,7 +760,7 @@ def check_det_pf_square(Y: Matrix) -> IdentityReport:
     ring = Y.ring
     lhs = det_cofactor(Y)
     pf = pfaffian_matchings(Y)
-    rhs = ring.mul(pf, pf)
+    rhs = pf * pf
     return _report(
         "det-pf-square",
         _digest_of(Y=Y),
@@ -789,10 +777,7 @@ def check_cauchy_binet_pf(A: Matrix, B: Matrix) -> IdentityReport:
     """Specialization X = Id: Pf(AB^t - BA^t) equals
     (-1)^binom(m/2,2) * sum over |I| = m/2 of det(A^I B^I)."""
     t0 = time.perf_counter()
-    if A.ring != B.ring:
-        raise RingMismatchError("A and B must share a ring")
-    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
-        raise ShapeError("A and B must have equal shape")
+    _check_ab(A, B)
     m, n = A.nrows, A.ncols
     if m % 2:
         raise ParityError(f"cauchy-binet-pf needs even m, got {m}")
@@ -800,9 +785,8 @@ def check_cauchy_binet_pf(A: Matrix, B: Matrix) -> IdentityReport:
     lhs = pfaffian_matchings(A @ B.T - B @ A.T)
     acc = ring.zero
     for I in combinations(range(1, n + 1), m // 2):
-        d = det_bareiss(concat_columns([A.columns_at(I), B.columns_at(I)]))
-        acc = ring.add(acc, d)
-    rhs = _apply_sign(ring, sign_from_binom2(m // 2), acc)
+        acc += det_bareiss(concat_columns([A.columns_at(I), B.columns_at(I)]))
+    rhs = _apply_sign(sign_from_binom2(m // 2), acc)
     return _report(
         "cauchy-binet-pf", _digest_of(A=A, B=B), ring, lhs, rhs, lhs == rhs, t0
     )

@@ -5,14 +5,14 @@ Public index arguments (entry, row, column, submatrix, delete_rc, IndexSet)
 are 1-based throughout, matching the determinant/Pfaffian notation the
 package verifies.  Internal storage is a 0-based tuple of row tuples.
 
-The Bareiss determinant is one loop over the ring's operators and
-`exact_divide` for every ring; the cofactor expansion, kept as the
-reference oracle, has a dedicated integer inner loop.
+Every kernel is one loop for every ring: arithmetic is the entries' own
+operators, zero tests are `not x`, and the Bareiss determinant divides
+with the ring's `exact_divide`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .combinat import IndexSet, crossing_number, perfect_matchings
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     ShapeError,
     SkewSymmetryError,
 )
-from .ring import IntegerRing, Ring, ring_from_json_tag
+from .ring import Ring, ring_from_json_tag
 
 
 def _as_positions(dim: int, which) -> tuple:
@@ -84,9 +84,6 @@ class Matrix:
             raise IndexRangeError(f"column {j} outside 1..{self.ncols}")
         return tuple(r[j - 1] for r in self._rows)
 
-    def rows_as_lists(self) -> list:
-        return [list(r) for r in self._rows]
-
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
@@ -118,11 +115,10 @@ class Matrix:
         self._check_same_ring(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("size mismatch in matrix addition")
-        add = self.ring.add
         out = Matrix.__new__(Matrix)
         out.ring, out.nrows, out.ncols = self.ring, self.nrows, self.ncols
         out._rows = tuple(
-            tuple(add(a, b) for a, b in zip(r1, r2))
+            tuple(a + b for a, b in zip(r1, r2))
             for r1, r2 in zip(self._rows, other._rows)
         )
         return out
@@ -131,20 +127,18 @@ class Matrix:
         self._check_same_ring(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("size mismatch in matrix subtraction")
-        sub = self.ring.sub
         out = Matrix.__new__(Matrix)
         out.ring, out.nrows, out.ncols = self.ring, self.nrows, self.ncols
         out._rows = tuple(
-            tuple(sub(a, b) for a, b in zip(r1, r2))
+            tuple(a - b for a, b in zip(r1, r2))
             for r1, r2 in zip(self._rows, other._rows)
         )
         return out
 
     def __neg__(self) -> "Matrix":
-        neg = self.ring.neg
         out = Matrix.__new__(Matrix)
         out.ring, out.nrows, out.ncols = self.ring, self.nrows, self.ncols
-        out._rows = tuple(tuple(neg(a) for a in r) for r in self._rows)
+        out._rows = tuple(tuple(-a for a in r) for r in self._rows)
         return out
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -153,36 +147,21 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        ring = self.ring
+        zero = self.ring.zero
         bt = list(zip(*other._rows)) if other._rows else [()] * other.ncols
-        if isinstance(ring, IntegerRing):
-            rows = tuple(
-                tuple(sum(a * b for a, b in zip(r, col)) for col in bt)
-                for r in self._rows
-            )
-        else:
-            add, mul, zero = ring.add, ring.mul, ring.zero
-            rows = []
-            for r in self._rows:
-                out_row = []
-                for col in bt:
-                    acc = zero
-                    for a, b in zip(r, col):
-                        acc = add(acc, mul(a, b))
-                    out_row.append(acc)
-                rows.append(tuple(out_row))
-            rows = tuple(rows)
         out = Matrix.__new__(Matrix)
-        out.ring, out.nrows, out.ncols = ring, self.nrows, other.ncols
-        out._rows = rows
+        out.ring, out.nrows, out.ncols = self.ring, self.nrows, other.ncols
+        out._rows = tuple(
+            tuple(sum((a * b for a, b in zip(r, col)), zero) for col in bt)
+            for r in self._rows
+        )
         return out
 
     def scale(self, scalar) -> "Matrix":
         c = self.ring.coerce(scalar)
-        mul = self.ring.mul
         out = Matrix.__new__(Matrix)
         out.ring, out.nrows, out.ncols = self.ring, self.nrows, self.ncols
-        out._rows = tuple(tuple(mul(c, a) for a in r) for r in self._rows)
+        out._rows = tuple(tuple(c * a for a in r) for r in self._rows)
         return out
 
     def transpose(self) -> "Matrix":
@@ -226,29 +205,26 @@ class Matrix:
     # -- predicates -----------------------------------------------------
 
     def is_skew_symmetric(self) -> bool:
-        if not self.is_square():
-            return False
-        ring = self.ring
-        rows = self._rows
-        for i in range(self.nrows):
-            for j in range(i, self.nrows):
-                if not ring.is_zero(ring.add(rows[i][j], rows[j][i])):
-                    return False
-        return True
+        return _skew_defect(self) is None
 
-    # -- kernels (delegate to module functions) --------------------------
 
-    def det_cofactor(self):
-        return det_cofactor(self)
+def _skew_defect(M: Matrix):
+    """None when M is skew-symmetric, else where it fails to be."""
+    if not M.is_square():
+        return f"Y is {M.nrows}x{M.ncols}, not square"
+    rows = M._rows
+    for i in range(M.nrows):
+        for j in range(i, M.nrows):
+            if rows[i][j] + rows[j][i]:
+                return f"Y + Y^t is nonzero at ({i + 1}, {j + 1})"
+    return None
 
-    def det_bareiss(self):
-        return det_bareiss(self)
 
-    def pfaffian_matchings(self):
-        return pfaffian_matchings(self)
-
-    def pfaffian_laplace(self):
-        return pfaffian_laplace(self)
+def require_skew(Y: Matrix, what: str) -> None:
+    """Raise SkewSymmetryError unless Y is skew-symmetric."""
+    defect = _skew_defect(Y)
+    if defect is not None:
+        raise SkewSymmetryError(f"{what} needs a skew-symmetric matrix: {defect}")
 
 
 # -- structured matrices -------------------------------------------------
@@ -273,17 +249,6 @@ def all_ones(n: int, ring: Ring) -> Matrix:
 def identity(n: int, ring: Ring) -> Matrix:
     one, zero = ring.one, ring.zero
     return Matrix(ring, [[one if i == j else zero for j in range(n)] for i in range(n)], ncols=n)
-
-
-_STRUCTURED = {"U": upper_ones, "L": lower_ones, "J": all_ones, "Id": identity}
-
-
-def structured(kind: str, n: int, ring: Ring) -> Matrix:
-    try:
-        builder = _STRUCTURED[kind]
-    except KeyError:
-        raise ShapeError(f"unknown structured kind {kind!r}; use U, L, J, Id") from None
-    return builder(n, ring)
 
 
 def concat_columns(blocks: Sequence[Matrix]) -> Matrix:
@@ -325,10 +290,9 @@ def outer_product(ring: Ring, a: Sequence, b: Sequence) -> Matrix:
     """Rank-one matrix (a_i * b_j)."""
     av = [ring.coerce(x) for x in a]
     bv = [ring.coerce(x) for x in b]
-    mul = ring.mul
     out = Matrix.__new__(Matrix)
     out.ring, out.nrows, out.ncols = ring, len(av), len(bv)
-    out._rows = tuple(tuple(mul(x, y) for y in bv) for x in av)
+    out._rows = tuple(tuple(x * y for y in bv) for x in av)
     return out
 
 
@@ -340,16 +304,16 @@ def _require_square(M: Matrix, what: str):
         raise ShapeError(f"{what} needs a square matrix, got {M.nrows}x{M.ncols}")
 
 
-def _cof_int(rows, cols, r) -> int:
+def _cof(rows, cols, r, ring):
     if not cols:
-        return 1
+        return ring.one
     row = rows[r]
-    total = 0
+    total = ring.zero
     for t, c in enumerate(cols):
         a = row[c]
         if not a:
             continue
-        d = _cof_int(rows, cols[:t] + cols[t + 1:], r + 1)
+        d = _cof(rows, cols[:t] + cols[t + 1:], r + 1, ring)
         if t % 2:
             total -= a * d
         else:
@@ -357,31 +321,11 @@ def _cof_int(rows, cols, r) -> int:
     return total
 
 
-def _cof_generic(rows, cols, r, ring):
-    if not cols:
-        return ring.one
-    row = rows[r]
-    total = ring.zero
-    for t, c in enumerate(cols):
-        a = row[c]
-        if ring.is_zero(a):
-            continue
-        d = _cof_generic(rows, cols[:t] + cols[t + 1:], r + 1, ring)
-        term = ring.mul(a, d)
-        if t % 2:
-            term = ring.neg(term)
-        total = ring.add(total, term)
-    return total
-
-
 def det_cofactor(M: Matrix):
     """Determinant by cofactor expansion along the first row; det of the
     empty matrix is 1.  Reference oracle for everything else."""
     _require_square(M, "det_cofactor")
-    cols = tuple(range(M.ncols))
-    if isinstance(M.ring, IntegerRing):
-        return _cof_int(M._rows, cols, 0)
-    return _cof_generic(M._rows, cols, 0, M.ring)
+    return _cof(M._rows, tuple(range(M.ncols)), 0, M.ring)
 
 
 def det_bareiss(M: Matrix):
@@ -395,13 +339,13 @@ def det_bareiss(M: Matrix):
     if n == 0:
         return ring.one
     a = [list(r) for r in M._rows]
-    is_zero, div = ring.is_zero, ring.exact_divide
+    div = ring.exact_divide
     negative = False
     prev = ring.one
     for k in range(n - 1):
-        if is_zero(a[k][k]):
+        if not a[k][k]:
             for r in range(k + 1, n):
-                if not is_zero(a[r][k]):
+                if a[r][k]:
                     a[k], a[r] = a[r], a[k]
                     negative = not negative
                     break
@@ -426,14 +370,7 @@ def _assert_pfaffian_input(Y: Matrix):
     _require_square(Y, "pfaffian")
     if Y.nrows % 2:
         raise SkewSymmetryError(f"Pfaffian needs even size, got {Y.nrows}")
-    ring = Y.ring
-    rows = Y._rows
-    for i in range(Y.nrows):
-        for j in range(i, Y.nrows):
-            if not ring.is_zero(ring.add(rows[i][j], rows[j][i])):
-                raise SkewSymmetryError(
-                    f"not skew-symmetric at ({i + 1}, {j + 1})"
-                )
+    require_skew(Y, "Pfaffian")
 
 
 def pfaffian_matchings(Y: Matrix):
@@ -443,22 +380,19 @@ def pfaffian_matchings(Y: Matrix):
     n = Y.nrows
     ring = Y.ring
     rows = Y._rows
-    is_zero, mul = ring.is_zero, ring.mul
     total = ring.zero
     for matching in perfect_matchings(n):
         prod = ring.one
-        dead = False
         for i, j in matching.pairs:
             v = rows[i - 1][j - 1]
-            if is_zero(v):
-                dead = True
+            if not v:
                 break
-            prod = mul(prod, v)
-        if dead:
-            continue
-        if crossing_number(matching) % 2:
-            prod = ring.neg(prod)
-        total = ring.add(total, prod)
+            prod = prod * v
+        else:
+            if crossing_number(matching) % 2:
+                total -= prod
+            else:
+                total += prod
     return total
 
 
@@ -468,7 +402,6 @@ def pfaffian_laplace(Y: Matrix):
     _assert_pfaffian_input(Y)
     ring = Y.ring
     rows = Y._rows
-    is_zero, mul, add, neg = ring.is_zero, ring.mul, ring.add, ring.neg
     memo = {}
 
     def pf(idx: tuple, mask: int):
@@ -482,13 +415,14 @@ def pfaffian_laplace(Y: Matrix):
         total = ring.zero
         for t, j in enumerate(rest):
             v = rows[j][last]
-            if is_zero(v):
+            if not v:
                 continue
             sub_idx = rest[:t] + rest[t + 1:]
-            term = mul(v, pf(sub_idx, mask & ~(1 << j) & ~(1 << last)))
+            term = v * pf(sub_idx, mask & ~(1 << j) & ~(1 << last))
             if t % 2:
-                term = neg(term)
-            total = add(total, term)
+                total -= term
+            else:
+                total += term
         memo[mask] = total
         return total
 

@@ -216,16 +216,33 @@ def brute_force_nonintersecting(
     return disjoint_tuples(0, frozenset())
 
 
-def count_free(p: PathProblem) -> int:
-    """Non-intersecting path families with free endpoints: the sum of
-    count_fixed over all endpoint selections, computed three independent
-    ways that must agree:
+def _most_tuples(mat: Matrix) -> int:
+    """Largest product mat[1][c_1] * ... * mat[m][c_m] over columns
+    c_1 < ... < c_m: the most path tuples the exhaustive route enumerates
+    for one endpoint selection."""
+    # best[j]: the largest product over the rows so far within columns < j
+    best = [1] * (mat.ncols + 1)
+    for row in mat._rows:
+        nxt = [0]
+        for j, x in enumerate(row):
+            nxt.append(max(nxt[j], best[j] * x))
+        best = nxt
+    return best[-1]
 
-    - brute: exhaustive vertex-disjoint enumeration summed over selections;
+
+def count_free_routes(p: PathProblem) -> dict:
+    """Non-intersecting path families with free endpoints, the sum of
+    count_fixed over all endpoint selections, by each route that ran:
+
     - okada: the Pfaffian compression of the minor sum (hat augmentation
       when the number of starts is odd);
     - byun: integer square root of the determinant whose value is the
-      squared minor sum, validated to be a perfect square.
+      squared minor sum, validated to be a perfect square;
+    - brute: exhaustive vertex-disjoint enumeration summed over
+      selections, run only when no selection exceeds ENUMERATION_GUARD
+      path tuples.
+
+    Raises RouteMismatchError unless every route that ran agrees.
     """
     m, n = len(p.starts), len(p.candidate_ends)
     if m > n:
@@ -233,11 +250,6 @@ def count_free(p: PathProblem) -> int:
     _require_staircase(p.starts, "starts")
     _require_staircase(p.candidate_ends, "candidate endpoints")
     mat = lindstrom_matrix(p)
-
-    brute = sum(
-        brute_force_nonintersecting(p, IndexSet(n, combo))
-        for combo in combinations(range(1, n + 1), m)
-    )
 
     work = mat if m % 2 == 0 else augment_hat(mat)
     k = work.ncols
@@ -253,14 +265,25 @@ def count_free(p: PathProblem) -> int:
         if root * root == byun_det:
             byun = root
 
-    routes = {"brute": brute, "okada": okada, "byun": byun}
+    routes = {"okada": okada, "byun": byun}
+    if _most_tuples(mat) <= ENUMERATION_GUARD:
+        routes["brute"] = sum(
+            brute_force_nonintersecting(p, IndexSet(n, combo))
+            for combo in combinations(range(1, n + 1), m)
+        )
     if byun is None:
         raise RouteMismatchError(
             f"squared-minor-sum determinant {byun_det} is not a perfect square",
             routes,
         )
-    if not (brute == okada == byun):
+    if len(set(routes.values())) != 1:
         raise RouteMismatchError(
             "free-endpoint counting routes disagree", routes
         )
-    return brute
+    return routes
+
+
+def count_free(p: PathProblem) -> int:
+    """Non-intersecting path families with free endpoints, checked by
+    every route of count_free_routes."""
+    return count_free_routes(p)["okada"]

@@ -1,9 +1,11 @@
 """Exact scalar arithmetic over the integers, the rationals, and sparse
 multivariate integer polynomials.
 
-Matrix and identity code stays ring-generic by going through a Ring object
-(add/mul/neg/exact_divide/parse/format).  Elements themselves are plain
-values: Python int, fractions.Fraction, or Poly.  fractions.Fraction already
+Elements are plain values: Python int, fractions.Fraction, or Poly.  All
+three overload +, -, * and unary -, and are false exactly when zero, so
+matrix and identity code does its arithmetic with operators.  A Ring object
+holds only what differs between the rings: zero and one, coercion,
+exact division, and parsing and formatting.  fractions.Fraction already
 keeps rationals reduced with a positive denominator, which is exactly the
 canonical form required here.
 """
@@ -14,7 +16,7 @@ import heapq
 import re
 from fractions import Fraction
 from operator import add as _pairwise_add
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import InexactDivisionError, RingMismatchError, ScalarParseError
 
@@ -57,8 +59,8 @@ class Poly:
         exps = tuple(1 if k == idx else 0 for k in range(len(vars)))
         return cls(vars, {exps: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def total_degree(self) -> int:
         # degree of the zero polynomial reported as -1
@@ -155,9 +157,9 @@ class Poly:
     def exact_div(self, other: "Poly") -> "Poly":
         """Exact quotient self/other; raises InexactDivisionError otherwise."""
         other = self._coerce_other(other)
-        if other.is_zero():
+        if not other:
             raise InexactDivisionError("polynomial division by zero")
-        if self.is_zero():
+        if not self:
             return Poly(self.vars, {})
         oterms = other.terms
         if len(oterms) == 1:
@@ -355,32 +357,16 @@ class _PolyParser:
 
 
 class Ring:
-    """Abstract exact ring interface.  Concrete rings are value-comparable."""
+    """Abstract exact ring interface: `zero` and `one` (set by each concrete
+    ring), coercion, exact division, parsing and formatting.  Arithmetic is
+    the elements' own operators.  Concrete rings are value-comparable."""
 
     name = "?"
 
     def coerce(self, x) -> Scalar:
         raise NotImplementedError
 
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
-
-    def is_zero(self, x) -> bool:
-        return not x
-
     def exact_divide(self, x, y):
-        raise NotImplementedError
-
-    def from_int(self, k: int):
         raise NotImplementedError
 
     def parse(self, text: str) -> Scalar:
@@ -418,9 +404,6 @@ class IntegerRing(Ring):
             raise InexactDivisionError(f"{x} is not divisible by {y}")
         return q
 
-    def from_int(self, k):
-        return k
-
     def parse(self, text):
         text = text.strip()
         if not _INT_RE.match(text):
@@ -455,9 +438,6 @@ class RationalRing(Ring):
         if y == 0:
             raise InexactDivisionError("rational division by zero")
         return x / y
-
-    def from_int(self, k):
-        return Fraction(k)
 
     def parse(self, text):
         text = text.strip()
@@ -517,14 +497,8 @@ class PolynomialRing(Ring):
             return x
         raise RingMismatchError(f"not a polynomial: {x!r}")
 
-    def is_zero(self, x):
-        return x.is_zero()
-
     def exact_divide(self, x, y):
         return x.exact_div(y)
-
-    def from_int(self, k):
-        return Poly.constant(self.vars, k)
 
     def parse(self, text):
         return _PolyParser(self, text).parse()

@@ -70,8 +70,8 @@ def tableau_schur(ring, lam, mu, block):
         term = ring.one
         for var, k in zip(block, weight):
             if k:
-                term = ring.mul(term, var**k)
-        total = ring.add(total, term)
+                term = term * var**k
+        total = total + term
     return total
 
 

@@ -291,6 +291,29 @@ def test_paths_command(tmp_path):
     assert payload["routes"] == {"brute": expect, "okada": expect, "byun": expect}
 
 
+def test_paths_command_prints_the_routes_that_ran(tmp_path):
+    runner = CliRunner()
+    readme = tmp_path / "readme.json"
+    readme.write_text(
+        json.dumps(
+            {"starts": [[0, 0], [1, -1]], "ends": [[1, 2], [2, 1], [3, 0], [3, -1]], "choose": 2}
+        )
+    )
+    result = runner.invoke(main, ["paths", str(readme)])
+    assert result.exit_code == 0, result.output
+    assert result.output == '{"count":27,"routes":{"brute":27,"byun":27,"okada":27}}\n'
+    # beyond the enumeration guard the brute-force route is skipped, not fatal
+    wide = tmp_path / "wide.json"
+    wide.write_text(
+        json.dumps(
+            {"starts": [[0, 0], [1, -1], [2, -2]], "ends": [[6 + k, 6 - k] for k in range(8)]}
+        )
+    )
+    result = runner.invoke(main, ["paths", str(wide)])
+    assert result.exit_code == 0, result.output
+    assert result.output == '{"count":546514904,"routes":{"byun":546514904,"okada":546514904}}\n'
+
+
 def test_paths_command_rejects_non_staircase(tmp_path):
     problem = tmp_path / "problem.json"
     problem.write_text(

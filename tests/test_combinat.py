@@ -9,11 +9,9 @@ from minorsum import (
     PerfectMatching,
     as_partition,
     crossing_number,
-    index_of_lambda,
     inv_word,
     is_horizontal_strip,
     lambda_of,
-    matching_sign,
     perfect_matchings,
     subsets,
 )
@@ -84,9 +82,9 @@ def test_crossing_number_and_sign():
     # nested pairs do not cross
     assert crossing_number(PerfectMatching(((1, 4), (2, 3)))) == 0
     assert crossing_number(PerfectMatching(((1, 4), (2, 5), (3, 6)))) == 3
-    assert matching_sign(PerfectMatching(((1, 3), (2, 4)))) == -1
-    assert matching_sign(PerfectMatching(((1, 4), (2, 5), (3, 6)))) == -1
-    assert matching_sign(PerfectMatching(((1, 2), (3, 4)))) == 1
+    assert crossing_number(PerfectMatching(((1, 3), (2, 4)))) % 2 == 1
+    assert crossing_number(PerfectMatching(((1, 4), (2, 5), (3, 6)))) % 2 == 1
+    assert crossing_number(PerfectMatching(((1, 2), (3, 4)))) % 2 == 0
 
 
 def test_inv_word():
@@ -106,15 +104,14 @@ def test_lambda_of():
         lambda_of((5, 2))
 
 
-def test_index_of_lambda_round_trip():
+def test_lambda_of_is_injective():
     n = 6
     for k in range(n + 1):
-        for combo in combinations(range(1, n + 1), k):
-            lam = lambda_of(combo)
-            back = index_of_lambda(lam, k, n)
-            assert back.indices == combo
-    with pytest.raises(IndexRangeError):
-        index_of_lambda((2, 1, 1), 2, 6)
+        combos = list(combinations(range(1, n + 1), k))
+        lams = {lambda_of(combo) for combo in combos}
+        assert len(lams) == len(combos)
+        # parts fit a k x (n - k) box
+        assert all(len(lam) == k and (not lam or lam[0] <= n - k) for lam in lams)
 
 
 def test_as_partition():

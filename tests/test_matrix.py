@@ -23,7 +23,6 @@ from minorsum import (
     outer_product,
     pfaffian_laplace,
     pfaffian_matchings,
-    structured,
 )
 from minorsum.matrix import all_ones, identity, lower_ones, upper_ones
 
@@ -123,10 +122,6 @@ def test_structured_builders():
     assert lower_ones(3, ZZ) == upper_ones(3, ZZ).T
     assert all_ones(2, ZZ) == Matrix(ZZ, [[1, 1], [1, 1]])
     assert identity(3, ZZ).entry(2, 2) == 1
-    assert structured("U", 3, ZZ) == upper_ones(3, ZZ)
-    assert structured("Id", 2, ZZ) == identity(2, ZZ)
-    with pytest.raises(ShapeError):
-        structured("V", 3, ZZ)
 
 
 def test_concat_augment_outer():
@@ -187,7 +182,7 @@ def test_bareiss_matches_cofactor_singular_heavy():
     for _ in range(80):
         n = rng.randint(2, 6)
         M = rand_int_matrix(rng, n, n, bound=3)
-        rows = M.rows_as_lists()
+        rows = [list(r) for r in M._rows]
         i, j = rng.sample(range(n), 2)
         rows[i] = rows[j][:]
         S = Matrix(ZZ, rows)
@@ -242,7 +237,7 @@ def test_det_row_swap_antisymmetry():
     for _ in range(40):
         n = rng.randint(2, 5)
         M = rand_int_matrix(rng, n, n)
-        rows = M.rows_as_lists()
+        rows = [list(r) for r in M._rows]
         i, j = rng.sample(range(n), 2)
         rows[i], rows[j] = rows[j], rows[i]
         S = Matrix(ZZ, rows)
@@ -310,6 +305,54 @@ def test_odd_skew_determinant_vanishes():
             Y = rand_skew(rng, n)
             assert det_bareiss(Y) == 0
             assert det_cofactor(Y) == 0
+
+
+# -- every kernel is one loop for every ring ----------------------------------
+
+KERNEL_POLY = PolynomialRing(("a", "b"))
+
+
+def rand_element(rng, ring):
+    k = rng.randint(-3, 3)
+    if ring == QQ:
+        return Fraction(k, rng.randint(1, 3))
+    if ring == KERNEL_POLY:
+        a, b = ring.gens()
+        return rng.choice([k * ring.one, k * a, a - b, a * b + k, ring.zero])
+    return k
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, KERNEL_POLY], ids=["int", "rat", "poly"])
+def test_kernels_agree_over_every_ring(ring):
+    rng = random.Random(17)
+    for _ in range(25):
+        n = rng.randint(1, 5)
+        M = Matrix(ring, [[rand_element(rng, ring) for _ in range(n)] for _ in range(n)])
+        assert det_cofactor(M) == det_bareiss(M)
+        k = rng.randint(0, 3)
+        N = Matrix(
+            ring, [[rand_element(rng, ring) for _ in range(k)] for _ in range(n)], ncols=k
+        )
+        expect = [[ring.zero] * k for _ in range(n)]
+        for i in range(n):
+            for j in range(k):
+                for t in range(n):
+                    expect[i][j] = expect[i][j] + M.entry(i + 1, t + 1) * N.entry(t + 1, j + 1)
+        assert M @ N == Matrix(ring, expect, ncols=k)
+    for _ in range(15):
+        n = 2 * rng.randint(0, 3)
+        rows = [[ring.zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rand_element(rng, ring)
+                rows[j][i] = -rows[i][j]
+        Y = Matrix(ring, rows, ncols=n)
+        assert pfaffian_laplace(Y) == pfaffian_matchings(Y)
+    # `not x` is the zero test of every kernel: false only for zero
+    for _ in range(40):
+        x = rand_element(rng, ring)
+        assert bool(x) == (x != ring.zero)
+    assert not (ring.one * 2 - ring.one - ring.one)
 
 
 # -- JSON interchange ---------------------------------------------------------

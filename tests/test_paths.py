@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from minorsum import (
     EnumerationGuardError,
     IndexSet,
     PathProblem,
+    RouteMismatchError,
     ShapeError,
     StaircaseError,
     brute_force_nonintersecting,
@@ -16,6 +18,7 @@ from minorsum import (
     count_paths,
     lindstrom_matrix,
 )
+from minorsum.paths import count_free_routes
 
 STARTS = ((0, 0), (1, -1))
 CANDIDATES = ((1, 1), (2, 0), (2, 2))
@@ -84,7 +87,7 @@ def test_path_problem_validation():
 def test_lindstrom_matrix_frozen_example():
     p = PathProblem(starts=STARTS, candidate_ends=CANDIDATES)
     M = lindstrom_matrix(p)
-    assert M.rows_as_lists() == [[2, 1, 6], [1, 2, 4]]
+    assert [list(r) for r in M._rows] == [[2, 1, 6], [1, 2, 4]]
 
 
 def test_lindstrom_matrix_against_enumeration():
@@ -159,6 +162,33 @@ def test_count_free_shape_and_staircase_errors():
         count_free(
             PathProblem(starts=((0, 0), (1, 1)), candidate_ends=((2, 2), (3, 1)))
         )
+
+
+# three starts on a diagonal, eight ends on the next: the largest endpoint
+# selection has 788889024 path tuples, far beyond the enumeration guard
+BEYOND_GUARD = PathProblem(
+    starts=((0, 0), (1, -1), (2, -2)),
+    candidate_ends=tuple((6 + k, 6 - k) for k in range(8)),
+)
+
+
+def test_count_free_beyond_the_enumeration_guard():
+    expect = sum(count_fixed(BEYOND_GUARD, c) for c in combinations(range(1, 9), 3))
+    assert expect == 546514904
+    assert count_free(BEYOND_GUARD) == expect
+    assert count_free_routes(BEYOND_GUARD) == {"okada": expect, "byun": expect}
+    # within the guard the brute-force route still runs
+    small = PathProblem(starts=STARTS, candidate_ends=((1, 2), (2, 1), (3, 0), (3, -1)))
+    assert set(count_free_routes(small)) == {"brute", "okada", "byun"}
+
+
+def test_count_free_routes_disagreeing_without_brute(monkeypatch):
+    import minorsum.paths
+
+    monkeypatch.setattr(minorsum.paths, "pfaffian_laplace", lambda Y: 1)
+    with pytest.raises(RouteMismatchError) as info:
+        count_free(BEYOND_GUARD)
+    assert info.value.routes == {"okada": 1, "byun": 546514904}
 
 
 def test_count_free_random_staircases_three_routes():
