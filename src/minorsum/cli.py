@@ -52,7 +52,7 @@ from .matrix import (
     det_bareiss,
     matrix_from_json_dict,
     matrix_to_json_dict,
-    pfaffian_laplace,
+    pfaffian_bareiss,
 )
 from .paths import PathProblem, count_free_routes
 from .ring import PolynomialRing, ZZ
@@ -585,7 +585,7 @@ def eval_cmd(operation, files):
     mats = [_load_matrix(path) for path in files]
     try:
         if operation == "pf":
-            value = pfaffian_laplace(mats[0])
+            value = pfaffian_bareiss(mats[0])
         elif operation == "det":
             value = det_bareiss(mats[0])
         elif operation == "minorsum":

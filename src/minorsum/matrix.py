@@ -6,8 +6,12 @@ are 1-based throughout, matching the determinant/Pfaffian notation the
 package verifies.  Internal storage is a 0-based tuple of row tuples.
 
 Every kernel is one loop for every ring: arithmetic is the entries' own
-operators, zero tests are `not x`, and the Bareiss determinant divides
-with the ring's `exact_divide`.
+operators, zero tests are `not x`, and the two fraction-free eliminations
+(the Bareiss determinant and its skew analogue for the Pfaffian, both
+O(n^3)) divide with the ring's `exact_divide`.  The cofactor determinant
+and the perfect-matching Pfaffian are the reference definitions; the
+Pfaffian elimination never calls a determinant, so Pf^2 = det compares
+two independent kernels.
 """
 
 from __future__ import annotations
@@ -396,38 +400,50 @@ def pfaffian_matchings(Y: Matrix):
     return total
 
 
-def pfaffian_laplace(Y: Matrix):
-    """Pfaffian by expansion along the last surviving index, memoized on the
-    bitmask of surviving 0-based indices."""
+def pfaffian_bareiss(Y: Matrix):
+    """Fraction-free skew elimination, O(n^3): the Pfaffian analogue of
+    Bareiss.  With 0-based indices, after the step on pivot pair
+    (p, q) = (2k, 2k+1), entry (i, j) of the remaining block is the
+    sub-Pfaffian Pf(Y[0..2k+1, i, j]) of the pivoted matrix, so each
+    division by the previous pivot is exact (Knuth's overlapping-Pfaffian
+    identity).  A zero pivot is replaced by swapping index q with a later
+    one, which negates the Pfaffian; when row p has no nonzero entry left,
+    the reduced matrix has a zero row and the Pfaffian is 0.  Pf of the
+    empty matrix is 1."""
     _assert_pfaffian_input(Y)
     ring = Y.ring
-    rows = Y._rows
-    memo = {}
-
-    def pf(idx: tuple, mask: int):
-        if not idx:
-            return ring.one
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        last = idx[-1]
-        rest = idx[:-1]
-        total = ring.zero
-        for t, j in enumerate(rest):
-            v = rows[j][last]
-            if not v:
-                continue
-            sub_idx = rest[:t] + rest[t + 1:]
-            term = v * pf(sub_idx, mask & ~(1 << j) & ~(1 << last))
-            if t % 2:
-                total -= term
-            else:
-                total += term
-        memo[mask] = total
-        return total
-
     n = Y.nrows
-    return pf(tuple(range(n)), (1 << n) - 1)
+    if n == 0:
+        return ring.one
+    a = [list(r) for r in Y._rows]
+    div = ring.exact_divide
+    negative = False
+    prev = ring.one
+    for p in range(0, n - 2, 2):
+        q = p + 1
+        ap = a[p]
+        if not ap[q]:
+            for s in range(q + 1, n):
+                if ap[s]:
+                    break
+            else:
+                return ring.zero
+            a[q], a[s] = a[s], a[q]
+            for r in a:
+                r[q], r[s] = r[s], r[q]
+            negative = not negative
+        aq = a[q]
+        piv = ap[q]
+        for i in range(q + 1, n):
+            ai = a[i]
+            api, aqi = ap[i], aq[i]
+            for j in range(i + 1, n):
+                v = div(piv * ai[j] - api * aq[j] + ap[j] * aqi, prev)
+                ai[j] = v
+                a[j][i] = -v
+        prev = piv
+    result = a[n - 2][n - 1]
+    return -result if negative else result
 
 
 # -- JSON interchange --------------------------------------------------------

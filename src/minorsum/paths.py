@@ -29,7 +29,7 @@ from .matrix import (
     augment_hat,
     det_bareiss,
     identity,
-    pfaffian_laplace,
+    pfaffian_bareiss,
     upper_ones,
 )
 from .ring import ZZ
@@ -254,7 +254,7 @@ def count_free_routes(p: PathProblem) -> dict:
     work = mat if m % 2 == 0 else augment_hat(mat)
     k = work.ncols
     upper = upper_ones(k, ZZ)
-    okada = pfaffian_laplace(work @ upper @ work.T - work @ upper.T @ work.T)
+    okada = pfaffian_bareiss(work @ upper @ work.T - work @ upper.T @ work.T)
 
     byun_det = det_bareiss(
         mat @ (upper_ones(n, ZZ).scale(2) + identity(n, ZZ)) @ mat.T

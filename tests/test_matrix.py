@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minorsum import (
     ZZ,
@@ -21,7 +22,7 @@ from minorsum import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     outer_product,
-    pfaffian_laplace,
+    pfaffian_bareiss,
     pfaffian_matchings,
 )
 from minorsum.matrix import all_ones, identity, lower_ones, upper_ones
@@ -53,6 +54,9 @@ def symbolic_skew(n, prefix="y"):
             rows[i][j] = g
             rows[j][i] = -g
     return ring, Matrix(ring, rows)
+
+
+KERNEL_POLY = PolynomialRing(("a", "b"))
 
 
 # -- construction and accessors -------------------------------------------
@@ -258,10 +262,10 @@ def test_det_transpose_invariance():
 
 def test_pfaffian_empty_and_2x2():
     assert pfaffian_matchings(Matrix(ZZ, [], ncols=0)) == 1
-    assert pfaffian_laplace(Matrix(ZZ, [], ncols=0)) == 1
+    assert pfaffian_bareiss(Matrix(ZZ, [], ncols=0)) == 1
     assert pfaffian_matchings(Matrix(ZZ, [[0, 5], [-5, 0]])) == 5
     ring, Y = symbolic_skew(2)
-    assert ring.format(pfaffian_laplace(Y)) == "y12"
+    assert ring.format(pfaffian_bareiss(Y)) == "y12"
 
 
 def test_pfaffian_4x4_symbolic_formula():
@@ -269,14 +273,14 @@ def test_pfaffian_4x4_symbolic_formula():
     g = ring.gen
     expect = g("y12") * g("y34") - g("y13") * g("y24") + g("y14") * g("y23")
     assert pfaffian_matchings(Y) == expect
-    assert pfaffian_laplace(Y) == expect
+    assert pfaffian_bareiss(Y) == expect
 
 
 def test_pfaffian_input_validation():
     with pytest.raises(SkewSymmetryError):
         pfaffian_matchings(Matrix(ZZ, [[0]]))
     with pytest.raises(SkewSymmetryError):
-        pfaffian_laplace(Matrix(ZZ, [[0, 1], [1, 0]]))
+        pfaffian_bareiss(Matrix(ZZ, [[0, 1], [1, 0]]))
     with pytest.raises(ShapeError):
         pfaffian_matchings(Matrix(ZZ, [[0, 1]]))
 
@@ -286,7 +290,7 @@ def test_pfaffian_two_algorithms_agree_up_to_10():
     for n in range(0, 11, 2):
         for _ in range(12):
             Y = rand_skew(rng, n)
-            assert pfaffian_matchings(Y) == pfaffian_laplace(Y)
+            assert pfaffian_matchings(Y) == pfaffian_bareiss(Y)
 
 
 def test_pfaffian_square_is_determinant():
@@ -294,8 +298,95 @@ def test_pfaffian_square_is_determinant():
     for n in range(0, 9, 2):
         for _ in range(12):
             Y = rand_skew(rng, n)
-            pf = pfaffian_laplace(Y)
+            pf = pfaffian_bareiss(Y)
             assert pf * pf == det_bareiss(Y)
+
+
+def skew_from_pairs(n, values):
+    """n x n skew matrix with Y[i][j] = v, Y[j][i] = -v for (i, j) -> v
+    (0-based), zero elsewhere."""
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), v in values.items():
+        rows[i][j] = v
+        rows[j][i] = -v
+    return Matrix(ZZ, rows)
+
+
+def pair_form(n):
+    """J = diag([[0, 1], [-1, 0]], ...), with Pf(J) = 1."""
+    return skew_from_pairs(n, {(i, i + 1): 1 for i in range(0, n, 2)})
+
+
+def test_pfaffian_bareiss_pivot_swaps():
+    # y12 = 0: one swap (index 2 with 3), Pf = -y13 y24 + y14 y23
+    Y = skew_from_pairs(4, {(0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5})
+    assert pfaffian_bareiss(Y) == 2 == pfaffian_matchings(Y)
+    # the matching {1,6}, {2,4}, {3,5}, with one crossing: a swap with the
+    # last index, then a second swap at the next step
+    Y = skew_from_pairs(6, {(0, 5): 2, (1, 3): 3, (2, 4): 5})
+    assert pfaffian_bareiss(Y) == -30 == pfaffian_matchings(Y)
+    # {1,8}, {2,3}, {4,6}, {5,7}: three swaps, two of them with the last
+    # index, so a dropped swap sign shows
+    Y = skew_from_pairs(8, {(0, 7): 2, (1, 2): 3, (3, 5): 5, (4, 6): 7})
+    assert pfaffian_bareiss(Y) == -210 == pfaffian_matchings(Y)
+    # a pivot row with no nonzero entry at the first step
+    Y = skew_from_pairs(6, {(1, 2): 1, (3, 4): 1, (2, 5): 1})
+    assert pfaffian_bareiss(Y) == 0 == pfaffian_matchings(Y)
+
+
+def test_pfaffian_bareiss_zero_row_at_a_later_step():
+    # row 3 of M is the sum of rows 1 and 2, so in Y = M J M^t the
+    # sub-Pfaffians Pf(Y[1, 2, 3, x]) all vanish: the reduced matrix has a
+    # zero row at the second step although no row of Y is zero, and one
+    # more elimination step would follow it
+    rng = random.Random(19)
+    n = 8
+    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    rows[2] = [x + y for x, y in zip(rows[0], rows[1])]
+    M = Matrix(ZZ, rows)
+    Y = M @ pair_form(n) @ M.T
+    assert Y.entry(1, 2) != 0
+    assert all(any(r) for r in Y._rows)
+    assert pfaffian_bareiss(Y) == 0 == pfaffian_matchings(Y)
+
+
+@pytest.mark.parametrize(
+    "ring, x",
+    [(ZZ, -7), (QQ, Fraction(-7, 2)), (KERNEL_POLY, KERNEL_POLY.gen("a") - 3)],
+    ids=["int", "rat", "poly"],
+)
+def test_pfaffian_bareiss_sizes_0_and_2(ring, x):
+    assert pfaffian_bareiss(Matrix(ring, [], ncols=0)) == ring.one
+    assert pfaffian_bareiss(Matrix(ring, [[0, x], [-x, 0]])) == x
+    assert pfaffian_bareiss(Matrix(ring, [[0, 0], [0, 0]])) == ring.zero
+
+
+def test_pfaffian_bareiss_generic_6x6():
+    ring, Y = symbolic_skew(6)
+    assert pfaffian_bareiss(Y) == pfaffian_matchings(Y)
+
+
+@st.composite
+def sparse_skew(draw):
+    n = draw(st.sampled_from((0, 2, 4, 6, 8)))
+    # about two entries in three are zero, so pivots vanish and swaps happen
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+    values = {(i, j): draw(entry) for i in range(n) for j in range(i + 1, n)}
+    return skew_from_pairs(n, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_skew())
+def test_pfaffian_bareiss_matches_definition_on_sparse_matrices(Y):
+    assert pfaffian_bareiss(Y) == pfaffian_matchings(Y)
+
+
+@pytest.mark.parametrize("n", [40, 60])
+def test_pfaffian_bareiss_large_congruence(n):
+    # Pf(M J M^t) = det(M) Pf(J) = det(M)
+    rng = random.Random(n)
+    M = rand_int_matrix(rng, n, n, bound=3)
+    assert pfaffian_bareiss(M @ pair_form(n) @ M.T) == det_bareiss(M)
 
 
 def test_odd_skew_determinant_vanishes():
@@ -308,9 +399,6 @@ def test_odd_skew_determinant_vanishes():
 
 
 # -- every kernel is one loop for every ring ----------------------------------
-
-KERNEL_POLY = PolynomialRing(("a", "b"))
-
 
 def rand_element(rng, ring):
     k = rng.randint(-3, 3)
@@ -347,7 +435,7 @@ def test_kernels_agree_over_every_ring(ring):
                 rows[i][j] = rand_element(rng, ring)
                 rows[j][i] = -rows[i][j]
         Y = Matrix(ring, rows, ncols=n)
-        assert pfaffian_laplace(Y) == pfaffian_matchings(Y)
+        assert pfaffian_bareiss(Y) == pfaffian_matchings(Y)
     # `not x` is the zero test of every kernel: false only for zero
     for _ in range(40):
         x = rand_element(rng, ring)

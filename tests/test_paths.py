@@ -182,10 +182,21 @@ def test_count_free_beyond_the_enumeration_guard():
     assert set(count_free_routes(small)) == {"brute", "okada", "byun"}
 
 
+def test_count_free_routes_at_scale():
+    # ten starts, sixty candidate ends: Okada's Pfaffian is only 10 x 10
+    p = PathProblem(
+        starts=tuple((i, -i) for i in range(10)),
+        candidate_ends=tuple((30 + k, 30 - k) for k in range(60)),
+    )
+    routes = count_free_routes(p)
+    assert set(routes) == {"okada", "byun"}
+    assert routes["okada"] == routes["byun"] > 0
+
+
 def test_count_free_routes_disagreeing_without_brute(monkeypatch):
     import minorsum.paths
 
-    monkeypatch.setattr(minorsum.paths, "pfaffian_laplace", lambda Y: 1)
+    monkeypatch.setattr(minorsum.paths, "pfaffian_bareiss", lambda Y: 1)
     with pytest.raises(RouteMismatchError) as info:
         count_free(BEYOND_GUARD)
     assert info.value.routes == {"okada": 1, "byun": 546514904}

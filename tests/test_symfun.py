@@ -10,7 +10,7 @@ from minorsum import (
     check_ab2,
     check_cauchy,
     h_complete,
-    pfaffian_laplace,
+    pfaffian_bareiss,
     skew_schur,
     xy_ring,
 )
@@ -172,7 +172,7 @@ def test_cauchy_rhs_is_h_matrix_pfaffian():
     B = Matrix(ring, [[h_complete(ring, j - i, ys) for j in range(1, n + 1)] for i in range(1, m + 1)])
     U = upper_ones(n, ring)
     Id = identity(n, ring)
-    pf = pfaffian_laplace(A @ (U + Id) @ B.T - B @ (U.T + Id) @ A.T)
+    pf = pfaffian_bareiss(A @ (U + Id) @ B.T - B @ (U.T + Id) @ A.T)
     rep = check_cauchy(m, n, k, k)
     assert rep.passed
     assert ring.format(pf) == rep.rhs
