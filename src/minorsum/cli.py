@@ -49,7 +49,7 @@ from .identities import (
 )
 from .matrix import (
     Matrix,
-    det_bareiss,
+    det,
     matrix_from_json_dict,
     matrix_to_json_dict,
     pfaffian_bareiss,
@@ -437,10 +437,25 @@ def run_verify(cfg: VerifyConfig) -> RunReport:
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(execute, jobs))
+            failures, per_identity = _tally(jobs, pool.map(execute, jobs))
     else:
-        results = [execute(job) for job in jobs]
+        failures, per_identity = _tally(jobs, map(execute, jobs))
+    summary = {
+        "total_trials": len(jobs),
+        "failures": len(failures),
+        "per_identity": per_identity,
+    }
+    return RunReport(
+        config=cfg.echo(),
+        failures=failures,
+        summary=summary,
+        wall_time=time.perf_counter() - t0,
+    )
 
+
+def _tally(jobs, results):
+    """Count trials per identity and serialize the failures, consuming the
+    results one at a time so that no passed report outlives its turn."""
     failures = []
     per_identity: dict = {}
     for (ident, m, n, trial), (report, inputs) in zip(jobs, results):
@@ -461,17 +476,7 @@ def run_verify(cfg: VerifyConfig) -> RunReport:
                     "inputs": inputs,
                 }
             )
-    summary = {
-        "total_trials": len(jobs),
-        "failures": len(failures),
-        "per_identity": per_identity,
-    }
-    return RunReport(
-        config=cfg.echo(),
-        failures=failures,
-        summary=summary,
-        wall_time=time.perf_counter() - t0,
-    )
+    return failures, per_identity
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +592,7 @@ def eval_cmd(operation, files):
         if operation == "pf":
             value = pfaffian_bareiss(mats[0])
         elif operation == "det":
-            value = det_bareiss(mats[0])
+            value = det(mats[0])
         elif operation == "minorsum":
             value = minor_sum(mats[0])
         elif operation == "f":

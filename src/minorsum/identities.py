@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -29,7 +28,7 @@ from .matrix import (
     all_ones,
     augment_hat,
     concat_columns,
-    det_bareiss,
+    det,
     det_cofactor,
     identity,
     matrix_to_json_dict,
@@ -58,15 +57,50 @@ IDENTITY_IDS = (
 )
 
 
-@dataclass
 class IdentityReport:
-    identity_id: str
-    input_digest: str
-    lhs: str
-    rhs: str
-    passed: bool
-    elapsed: float
-    details: dict = field(default_factory=dict)
+    """Outcome of one check.
+
+    Given a ring, `lhs`, `rhs` and the named ring `values` are kept as ring
+    values and formatted on first access (a verify run serializes only its
+    failures); the formatted values come first in `details`, then the
+    plain JSON `details`.  Given no ring, lhs and rhs are already text."""
+
+    def __init__(self, identity_id: str, input_digest: str, lhs, rhs,
+                 passed: bool, elapsed: float, details: dict | None = None,
+                 ring: Ring | None = None, values: dict | None = None):
+        self.identity_id = identity_id
+        self.input_digest = input_digest
+        self.passed = passed
+        self.elapsed = elapsed
+        self._ring = ring
+        self._lhs, self._rhs = lhs, rhs
+        self._values = values or {}
+        self._details = details or {}
+
+    def _format(self):
+        ring = self._ring
+        if ring is not None:
+            self._lhs = ring.format(self._lhs)
+            self._rhs = ring.format(self._rhs)
+            formatted = {k: ring.format(v) for k, v in self._values.items()}
+            self._details = {**formatted, **self._details}
+            self._ring = None
+            self._values = {}
+
+    @property
+    def lhs(self) -> str:
+        self._format()
+        return self._lhs
+
+    @property
+    def rhs(self) -> str:
+        self._format()
+        return self._rhs
+
+    @property
+    def details(self) -> dict:
+        self._format()
+        return self._details
 
     def to_json_dict(self) -> dict:
         # elapsed is intentionally omitted: serialized reports must be
@@ -368,15 +402,17 @@ def _chain_sum(first: Matrix, second: Matrix, weak_within: bool):
 # -- checkers -----------------------------------------------------------------
 
 
-def _report(identity_id, digest, ring, lhs, rhs, passed, t0, details=None):
+def _report(identity_id, digest, ring, lhs, rhs, passed, t0, details=None, values=None):
     return IdentityReport(
         identity_id=identity_id,
         input_digest=digest,
-        lhs=ring.format(lhs),
-        rhs=ring.format(rhs),
+        lhs=lhs,
+        rhs=rhs,
         passed=passed,
         elapsed=time.perf_counter() - t0,
-        details=details or {},
+        details=details,
+        ring=ring,
+        values=values,
     )
 
 
@@ -388,16 +424,17 @@ def check_okada(A: Matrix) -> IdentityReport:
         raise ShapeError("need at least one row")
     ring = A.ring
     details = {}
+    values = {}
     passed = True
     if A.nrows % 2 == 0:
         work = A
     else:
         work = augment_hat(A)
         raw = minor_sum(A)
-        details["unaugmented_minor_sum"] = ring.format(raw)
+        values["unaugmented_minor_sum"] = raw
     lhs = minor_sum(work)
-    if "unaugmented_minor_sum" in details:
-        passed = passed and lhs == raw
+    if values:
+        passed = lhs == raw
     U = upper_ones(work.ncols, ring)
     T = work @ U @ work.T - work @ U.T @ work.T
     rhs = pfaffian_matchings(T)
@@ -407,7 +444,7 @@ def check_okada(A: Matrix) -> IdentityReport:
         passed = passed and not lhs and not rhs
         details["overdetermined"] = True
     return _report(
-        "okada", _digest_of(A=A), ring, lhs, rhs, passed, t0, details
+        "okada", _digest_of(A=A), ring, lhs, rhs, passed, t0, details, values
     )
 
 
@@ -420,12 +457,11 @@ def check_byun(A: Matrix) -> IdentityReport:
     s = minor_sum(A)
     lhs = s * s
     core = upper_ones(A.ncols, ring).scale(2) + identity(A.ncols, ring)
-    rhs = det_bareiss(A @ core @ A.T)
-    details = {"minor_sum": ring.format(s)}
-    if A.nrows > A.ncols:
-        details["overdetermined"] = True
+    rhs = det(A @ core @ A.T)
+    details = {"overdetermined": True} if A.nrows > A.ncols else None
     return _report(
-        "byun", _digest_of(A=A), ring, lhs, rhs, lhs == rhs, t0, details
+        "byun", _digest_of(A=A), ring, lhs, rhs, lhs == rhs, t0, details,
+        {"minor_sum": s},
     )
 
 
@@ -455,8 +491,8 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     m, n = A.nrows, A.ncols
     ring = A.ring
     J_n = all_ones(n, ring)
-    lhs = det_bareiss(A @ X @ B.T + B @ (J_n - X.T) @ A.T)
-    details = {}
+    lhs = det(A @ X @ B.T + B @ (J_n - X.T) @ A.T)
+    values = {}
     if m % 2 == 0:
         rhs = f_AB(A, B, X) * f_AB(B, A, J_n - X.T)
         passed = lhs == rhs
@@ -464,10 +500,10 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
         gx = g_AB(A, B, X)
         rhs = gx * g_AB(B, A, J_n - X.T)
         alt = _apply_sign(-1 if ((m - 1) // 2) % 2 else 1, gx * g_AB(B, A, X.T))
-        details["alt_rhs"] = ring.format(alt)
+        values["alt_rhs"] = alt
         passed = lhs == rhs and rhs == alt
     return _report(
-        "main1", _digest_of(A=A, B=B, X=X), ring, lhs, rhs, passed, t0, details
+        "main1", _digest_of(A=A, B=B, X=X), ring, lhs, rhs, passed, t0, values=values
     )
 
 
@@ -484,8 +520,8 @@ def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
     if len(av) != m or len(bv) != m:
         raise ShapeError("vector lengths must match the matrix size")
     M = outer_product(ring, av, bv)
-    lhs = det_bareiss(Y + M)
-    details = {}
+    lhs = det(Y + M)
+    values = {}
     if m % 2 == 0:
         pf = pfaffian_matchings(Y)
         acc = ring.zero
@@ -502,8 +538,8 @@ def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
         rhs = pf * (pf + acc)
         passed = lhs == rhs
         if av == bv:
-            dy = det_bareiss(Y)
-            details["symmetric_det_Y"] = ring.format(dy)
+            dy = det(Y)
+            values["symmetric_det_Y"] = dy
             passed = passed and lhs == dy and rhs == dy
     else:
         fa = ring.zero
@@ -517,12 +553,12 @@ def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
         rhs = fa * fb
         passed = lhs == rhs
         if av == bv:
-            details["symmetric_square_root"] = ring.format(fa)
+            values["symmetric_square_root"] = fa
             passed = passed and fa == fb
     digest = _digest_of(
         Y=Y, a=[ring.format(x) for x in av], b=[ring.format(x) for x in bv]
     )
-    return _report("rank1", digest, ring, lhs, rhs, passed, t0, details)
+    return _report("rank1", digest, ring, lhs, rhs, passed, t0, values=values)
 
 
 def check_lemma_aux(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
@@ -589,7 +625,7 @@ def check_lemma_iswa(Y: Matrix, I) -> IdentityReport:
     members = I.indices
     for J in combinations(members, m // 2):
         K = tuple(v for v in members if v not in J)
-        d = det_bareiss(X.submatrix(J, K))
+        d = det(X.submatrix(J, K))
         if not d:
             continue
         sign = base if inv_word(J, K) % 2 == 0 else -base
@@ -611,7 +647,7 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
         raise ShapeError("need at least one row")
     ring = A.ring
     U = upper_ones(n, ring)
-    lhs = det_bareiss(A @ U @ B.T + B @ U @ A.T + A @ B.T)
+    lhs = det(A @ U @ B.T + B @ U @ A.T + A @ B.T)
     factor1 = _chain_sum(A, B, weak_within=True)
     factor2 = _chain_sum(B, A, weak_within=False)
     rhs = factor1 * factor2
@@ -627,14 +663,10 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
         c1 = _apply_sign(s, g_AB(A, B, UI)) == factor1
         c2 = _apply_sign(s, g_AB(B, A, U)) == factor2
     passed = passed and c1 and c2
-    details = {
-        "factor1": ring.format(factor1),
-        "factor2": ring.format(factor2),
-        "factor1_matches_fg": c1,
-        "factor2_matches_fg": c2,
-    }
+    details = {"factor1_matches_fg": c1, "factor2_matches_fg": c2}
+    values = {"factor1": factor1, "factor2": factor2}
     return _report(
-        "ab", _digest_of(A=A, B=B), ring, lhs, rhs, passed, t0, details
+        "ab", _digest_of(A=A, B=B), ring, lhs, rhs, passed, t0, details, values
     )
 
 
@@ -657,12 +689,10 @@ def check_ab2(A: Matrix, B: Matrix) -> IdentityReport:
         A @ (U + Id) @ B.T - B @ (U.T + Id) @ A.T
     )
     passed = strict_sum == pf_strict and weak_sum == pf_weak
-    details = {
-        "weak_chain_sum": ring.format(weak_sum),
-        "weak_chain_pf": ring.format(pf_weak),
-    }
+    values = {"weak_chain_sum": weak_sum, "weak_chain_pf": pf_weak}
     return _report(
-        "ab2", _digest_of(A=A, B=B), ring, strict_sum, pf_strict, passed, t0, details
+        "ab2", _digest_of(A=A, B=B), ring, strict_sum, pf_strict, passed, t0,
+        values=values,
     )
 
 
@@ -679,14 +709,14 @@ def check_cor7(A: Matrix, X: Matrix) -> IdentityReport:
         raise ShapeError(f"X must be {n}x{n}")
     ring = A.ring
     J_n = all_ones(n, ring)
-    d1 = det_bareiss(A @ (X + J_n - X.T) @ A.T)
-    d2 = det_bareiss(A @ (X - X.T) @ A.T)
+    d1 = det(A @ (X + J_n - X.T) @ A.T)
+    d2 = det(A @ (X - X.T) @ A.T)
     fa = f_AB(A, A, X)
     sq = fa * fa
     passed = d1 == d2 == sq
-    details = {"det_skew_part": ring.format(d2), "f_AA": ring.format(fa)}
     return _report(
-        "cor7", _digest_of(A=A, X=X), ring, d1, sq, passed, t0, details
+        "cor7", _digest_of(A=A, X=X), ring, d1, sq, passed, t0,
+        values={"det_skew_part": d2, "f_AA": fa},
     )
 
 
@@ -769,7 +799,7 @@ def check_det_pf_square(Y: Matrix) -> IdentityReport:
         rhs,
         lhs == rhs,
         t0,
-        {"pfaffian": ring.format(pf)},
+        values={"pfaffian": pf},
     )
 
 
@@ -785,7 +815,7 @@ def check_cauchy_binet_pf(A: Matrix, B: Matrix) -> IdentityReport:
     lhs = pfaffian_matchings(A @ B.T - B @ A.T)
     acc = ring.zero
     for I in combinations(range(1, n + 1), m // 2):
-        acc += det_bareiss(concat_columns([A.columns_at(I), B.columns_at(I)]))
+        acc += det(concat_columns([A.columns_at(I), B.columns_at(I)]))
     rhs = _apply_sign(sign_from_binom2(m // 2), acc)
     return _report(
         "cauchy-binet-pf", _digest_of(A=A, B=B), ring, lhs, rhs, lhs == rhs, t0

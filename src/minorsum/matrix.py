@@ -12,6 +12,12 @@ O(n^3)) divide with the ring's `exact_divide`.  The cofactor determinant
 and the perfect-matching Pfaffian are the reference definitions; the
 Pfaffian elimination never calls a determinant, so Pf^2 = det compares
 two independent kernels.
+
+There are three determinant kernels: `det_cofactor` (the definition),
+`det_bareiss` (O(n^3), each step multiplies two minors and divides
+exactly; fastest on integers and rationals) and `det_minors` (memoised
+minors, about n 2^n products of one entry and one smaller minor, no
+division; fastest on polynomials).  `det` picks one from the input's ring.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .errors import (
     ShapeError,
     SkewSymmetryError,
 )
-from .ring import Ring, ring_from_json_tag
+from .ring import PolynomialRing, Ring, ring_from_json_tag
 
 
 def _as_positions(dim: int, which) -> tuple:
@@ -240,11 +246,6 @@ def upper_ones(n: int, ring: Ring) -> Matrix:
     return Matrix(ring, [[one if i < j else zero for j in range(n)] for i in range(n)], ncols=n)
 
 
-def lower_ones(n: int, ring: Ring) -> Matrix:
-    one, zero = ring.one, ring.zero
-    return Matrix(ring, [[one if i > j else zero for j in range(n)] for i in range(n)], ncols=n)
-
-
 def all_ones(n: int, ring: Ring) -> Matrix:
     one = ring.one
     return Matrix(ring, [[one] * n for _ in range(n)], ncols=n)
@@ -365,6 +366,51 @@ def det_bareiss(M: Matrix):
         prev = akk
     result = a[n - 1][n - 1]
     return -result if negative else result
+
+
+def det_minors(M: Matrix):
+    """Division-free determinant by memoised minors, about n 2^n products.
+    Row k extends each nonzero minor D[S] of the first k rows on the
+    columns S (a bitmask) to D[S + c] += (-1)^s a[k][c] D[S], where s counts
+    the members of S above c; zero minors and zero entries are skipped.
+    Each product is one entry times one smaller minor, and nothing is
+    divided."""
+    _require_square(M, "det_minors")
+    ring = M.ring
+    minors = {0: ring.one}
+    for row in M._rows:
+        # the sign goes on the entry, which is cheaper to negate than a minor
+        picks = [(c, 1 << c, a, -a) for c, a in enumerate(row) if a]
+        extended = {}
+        for S, d in minors.items():
+            for c, bit, a, neg_a in picks:
+                if S & bit:
+                    continue
+                term = (neg_a if (S >> c).bit_count() & 1 else a) * d
+                T = S | bit
+                prior = extended.get(T)
+                if prior is None:
+                    extended[T] = term
+                else:
+                    total = prior + term
+                    if total:
+                        extended[T] = total
+                    else:
+                        del extended[T]
+        if not extended:
+            return ring.zero
+        minors = extended
+    (result,) = minors.values()
+    return result
+
+
+def det(M: Matrix):
+    """Determinant by the kernel that suits the entries: `det_minors` for
+    polynomials, where Bareiss's exact divisions cost more than the
+    products they undo, and `det_bareiss` for integers and rationals."""
+    if isinstance(M.ring, PolynomialRing):
+        return det_minors(M)
+    return det_bareiss(M)
 
 
 # -- Pfaffians --------------------------------------------------------------

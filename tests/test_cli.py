@@ -1,4 +1,6 @@
 import json
+import time
+import weakref
 
 import click
 import pytest
@@ -105,6 +107,54 @@ def test_run_verify_poly_mode_small():
     rep = run_verify(cfg)
     assert rep.summary["failures"] == 0
     assert rep.summary["total_trials"] > 0
+
+
+def test_symbolic_cliff_shapes_within_bound():
+    # with Bareiss elimination on polynomial entries these two took about
+    # 265 s and 28 s; the division-free kernel takes seconds
+    t0 = time.perf_counter()
+    for ident, m, n in (("ab", 4, 4), ("main1", 3, 4)):
+        cfg = VerifyConfig(identities=(ident,), ms=(m,), ns=(n,), trials=1, ring="poly")
+        assert run_verify(cfg).summary["failures"] == 0
+    assert time.perf_counter() - t0 < 60.0
+
+
+def test_run_verify_formats_and_keeps_only_failures(monkeypatch):
+    class Value:
+        pass
+
+    class CountingRing:
+        calls = 0
+
+        def format(self, x):
+            CountingRing.calls += 1
+            return "v"
+
+    ring = CountingRing()
+    refs = []
+    most_alive = 0
+
+    def run(mode, rng, m, n, bound, trial):
+        nonlocal most_alive
+        most_alive = max(most_alive, sum(r() is not None for r in refs))
+        lhs, rhs = Value(), Value()
+        refs.extend((weakref.ref(lhs), weakref.ref(rhs)))
+        report = IdentityReport(
+            "okada", "0" * 16, lhs, rhs, passed=trial != 3, elapsed=0.0,
+            ring=ring, values={"x": Value()},
+        )
+        return report, {}
+
+    saved = _REGISTRY["okada"]
+    monkeypatch.setitem(_REGISTRY, "okada", _RegistryEntry(run=run, applicable=saved.applicable))
+    rep = run_verify(VerifyConfig(identities=("okada",), ms=(1,), ns=(1,), trials=8))
+    assert rep.summary["failures"] == 1
+    # only the failure's lhs, rhs and one value were formatted
+    assert CountingRing.calls == 3
+    # while a trial runs, at most the previous trial's report is alive
+    assert most_alive <= 2
+    line = json.loads(rep.to_json_lines().splitlines()[0])
+    assert (line["lhs"], line["rhs"], line["details"]) == ("v", "v", {"x": "v"})
 
 
 def test_report_json_lines_shape():

@@ -10,6 +10,7 @@ from minorsum import (
     IndexRangeError,
     IndexSet,
     Matrix,
+    Poly,
     PolynomialRing,
     RingMismatchError,
     ScalarParseError,
@@ -17,6 +18,7 @@ from minorsum import (
     SkewSymmetryError,
     augment_hat,
     concat_columns,
+    det,
     det_bareiss,
     det_cofactor,
     matrix_from_json_dict,
@@ -25,7 +27,7 @@ from minorsum import (
     pfaffian_bareiss,
     pfaffian_matchings,
 )
-from minorsum.matrix import all_ones, identity, lower_ones, upper_ones
+from minorsum.matrix import all_ones, det_minors, identity, upper_ones
 
 
 def rand_int_matrix(rng, m, n, bound=9):
@@ -123,7 +125,6 @@ def test_submatrix_and_selection():
 
 def test_structured_builders():
     assert upper_ones(3, ZZ) == Matrix(ZZ, [[0, 1, 1], [0, 0, 1], [0, 0, 0]])
-    assert lower_ones(3, ZZ) == upper_ones(3, ZZ).T
     assert all_ones(2, ZZ) == Matrix(ZZ, [[1, 1], [1, 1]])
     assert identity(3, ZZ).entry(2, 2) == 1
 
@@ -170,6 +171,9 @@ def test_det_requires_square():
         det_cofactor(Matrix(ZZ, [[1, 2]]))
     with pytest.raises(ShapeError):
         det_bareiss(Matrix(ZZ, [[1, 2]]))
+    for ring in (ZZ, KERNEL_POLY):
+        with pytest.raises(ShapeError):
+            det(Matrix(ring, [[1, 2]]))
 
 
 def test_bareiss_matches_cofactor_random_int():
@@ -255,6 +259,114 @@ def test_det_transpose_invariance():
         n = rng.randint(1, 5)
         M = rand_int_matrix(rng, n, n)
         assert det_bareiss(M.T) == det_bareiss(M)
+
+
+# -- the memoised-minor kernel, always against the cofactor definition -------
+
+
+def generic_matrix(n):
+    ring = PolynomialRing([f"x{i}_{j}" for i in range(n) for j in range(n)])
+    gens = ring.gens()
+    return Matrix(ring, [[gens[i * n + j] for j in range(n)] for i in range(n)], ncols=n)
+
+
+DENSE_POLY = PolynomialRing(("a", "b", "c", "d"))
+
+
+def rand_dense_poly(rng):
+    a, b, c, d = DENSE_POLY.gens()
+    pool = [a, b, c, d, a + b, c - d, a * b - 1, 2 * c * d + a, DENSE_POLY.one]
+    return pool[rng.randrange(len(pool))] * pool[rng.randrange(len(pool))]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_det_minors_generic_matches_cofactor(n):
+    M = generic_matrix(n)
+    assert det(M) == det_cofactor(M)
+    rng = random.Random(100 + n)
+    N = Matrix(DENSE_POLY, [[rand_dense_poly(rng) for _ in range(n)] for _ in range(n)], ncols=n)
+    assert det(N) == det_cofactor(N)
+
+
+def test_det_minors_sparse_and_singular_poly():
+    rng = random.Random(19)
+    zero = DENSE_POLY.zero
+    for n in (2, 3, 4, 5):
+        rows = [[rand_dense_poly(rng) for _ in range(n)] for _ in range(n)]
+        i, j = rng.sample(range(n), 2)
+        zero_row = [r[:] for r in rows]
+        zero_row[i] = [zero] * n
+        zero_col = [[zero if k == j else x for k, x in enumerate(r)] for r in rows]
+        equal_rows = [r[:] for r in rows]
+        equal_rows[i] = rows[j][:]
+        u = [rand_dense_poly(rng) for _ in range(n)]
+        v = [rand_dense_poly(rng) for _ in range(n)]
+        rank_one = outer_product(DENSE_POLY, u, v)
+        for S in (zero_row, zero_col, equal_rows):
+            S = Matrix(DENSE_POLY, S)
+            assert det(S) == det_cofactor(S) == zero
+        assert det(rank_one) == det_cofactor(rank_one) == zero
+        # sparse but nonsingular: a permuted diagonal with one filled row
+        perm = rng.sample(range(n), n)
+        P = [[zero] * n for _ in range(n)]
+        for r, col in enumerate(perm):
+            P[r][col] = rand_dense_poly(rng)
+        P[0] = [rand_dense_poly(rng) for _ in range(n)]
+        P = Matrix(DENSE_POLY, P)
+        assert det(P) == det_cofactor(P)
+
+
+@st.composite
+def sparse_poly_matrix(draw):
+    n = draw(st.integers(0, 5))
+    a, b = KERNEL_POLY.gens()
+    # about half the entries are zero, so minors vanish and get dropped
+    pool = [KERNEL_POLY.zero, KERNEL_POLY.zero, KERNEL_POLY.one, a, b, a - b, a * b + 2, -3 * a * a]
+    entry = st.sampled_from(pool)
+    return Matrix(KERNEL_POLY, [[draw(entry) for _ in range(n)] for _ in range(n)], ncols=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_poly_matrix())
+def test_det_minors_matches_cofactor_on_sparse_poly(M):
+    assert det(M) == det_cofactor(M)
+
+
+def test_det_is_division_free_on_poly(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("det divided a polynomial")
+
+    rng = random.Random(20)
+    cases = [generic_matrix(4)]
+    for n in (2, 3, 4):
+        cases.append(
+            Matrix(DENSE_POLY, [[rand_dense_poly(rng) for _ in range(n)] for _ in range(n)])
+        )
+    expected = [det_cofactor(M) for M in cases]
+    monkeypatch.setattr(PolynomialRing, "exact_divide", refuse)
+    monkeypatch.setattr(Poly, "exact_div", refuse)
+    with pytest.raises(AssertionError):
+        det_bareiss(cases[0])
+    assert [det(M) for M in cases] == expected
+
+
+def test_det_uses_bareiss_on_int_and_fraction(monkeypatch):
+    import minorsum.matrix
+
+    rng = random.Random(21)
+    cases = [Matrix(ZZ, [], ncols=0)]
+    for n in range(1, 8):
+        cases.append(rand_int_matrix(rng, n, n))
+        cases.append(
+            Matrix(QQ, [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+        )
+
+    def refuse(M):
+        raise AssertionError("det ran the polynomial kernel on numbers")
+
+    monkeypatch.setattr(minorsum.matrix, "det_minors", refuse)
+    for M in cases:
+        assert det(M) == det_bareiss(M)
 
 
 # -- pfaffians ---------------------------------------------------------------
@@ -416,7 +528,7 @@ def test_kernels_agree_over_every_ring(ring):
     for _ in range(25):
         n = rng.randint(1, 5)
         M = Matrix(ring, [[rand_element(rng, ring) for _ in range(n)] for _ in range(n)])
-        assert det_cofactor(M) == det_bareiss(M)
+        assert det_cofactor(M) == det_bareiss(M) == det_minors(M)
         k = rng.randint(0, 3)
         N = Matrix(
             ring, [[rand_element(rng, ring) for _ in range(k)] for _ in range(n)], ncols=k
