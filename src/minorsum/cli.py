@@ -7,8 +7,7 @@ operation to JSON matrix files, `paths` counts non-intersecting lattice
 path families three independent ways, and `schur` prints a skew Schur
 polynomial in canonical text form.
 
-Reports are byte-stable: equal configs produce identical bytes regardless
-of worker count, so timing and concurrency never enter the serialized form.
+Reports are byte-stable: equal configs produce identical bytes.
 Random inputs are derived per (identity, m, n, trial) by hashing the seed
 with those coordinates; filtering the suite never shifts other trials.
 """
@@ -18,9 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Tuple
 
 import click
@@ -54,7 +52,7 @@ from .matrix import (
     matrix_to_json_dict,
     pfaffian_bareiss,
 )
-from .paths import PathProblem, count_free_routes
+from .paths import NE_STEPS, PathProblem, count_free_routes
 from .ring import PolynomialRing, ZZ
 from .symfun import skew_schur, xy_ring
 
@@ -74,7 +72,6 @@ class VerifyConfig:
     seed: int = 0
     ring: str = "int"
     bound: int = 5
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "identities", tuple(self.identities))
@@ -95,11 +92,8 @@ class VerifyConfig:
             raise ConfigError(f"ring must be 'int' or 'poly', got {self.ring!r}")
         if self.bound < 1:
             raise ConfigError("bound must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     def echo(self) -> dict:
-        # worker count deliberately absent: it must not change report bytes
         return {
             "identities": list(self.identities),
             "ms": list(self.ms),
@@ -113,13 +107,11 @@ class VerifyConfig:
 
 @dataclass
 class RunReport:
-    """Outcome of run_verify.  wall_time stays in memory only; serialized
-    reports must be identical for identical configs."""
+    """Outcome of run_verify; identical configs give identical reports."""
 
     config: dict
     failures: list
     summary: dict
-    wall_time: float
 
     def to_json_lines(self) -> str:
         lines = [_json_line(f) for f in self.failures]
@@ -140,99 +132,53 @@ def _trial_rng(seed: int, identity_id: str, m: int, n: int, trial: int) -> rando
 # input builders
 
 
-def _int_matrix(rng, rows: int, cols: int, bound: int) -> Matrix:
-    return Matrix(
-        ZZ,
-        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],
-    )
+def _inputs(mode: str, rng, bound: int, matrices=(), skews=(), vectors=()):
+    """The inputs of one trial, as (ring, [input, ...]).
 
-
-def _int_skew(rng, size: int, bound: int) -> Matrix:
-    rows = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            v = rng.randint(-bound, bound)
-            rows[i][j] = v
-            rows[j][i] = -v
-    return Matrix(ZZ, rows)
-
-
-def _matrix_names(prefix: str, rows: int, cols: int):
-    return [
-        f"{prefix}{i}_{j}"
-        for i in range(1, rows + 1)
-        for j in range(1, cols + 1)
-    ]
-
-
-def _generic_matrices(shapes):
-    """Matrices of fresh independent variables sharing one ring.
-
-    shapes: sequence of (prefix, rows, cols).  Returns one Matrix per shape.
+    matrices are (prefix, rows, cols), skews (prefix, size) and vectors
+    (prefix, size); the inputs come back in that order.  In "int" mode the
+    entries are drawn from [-bound, bound] in that order.  In "poly" mode
+    each is a fresh variable (<prefix><i>_<j> for a matrix entry or the
+    upper triangle of a skew matrix, <prefix><i> for a vector entry) of one
+    shared ring, which orders its variables the same way.
     """
-    names = []
-    for prefix, rows, cols in shapes:
-        names.extend(_matrix_names(prefix, rows, cols))
-    ring = PolynomialRing(tuple(names))
-    gens = ring.gens()
-    out = []
-    pos = 0
-    for _, rows, cols in shapes:
-        out.append(
-            Matrix(
-                ring,
-                [
-                    [gens[pos + r * cols + c] for c in range(cols)]
-                    for r in range(rows)
-                ],
-            )
-        )
-        pos += rows * cols
-    return out
-
-
-def _generic_skew(size: int, vector_prefixes=()):
-    """Skew matrix of fresh variables, plus optional generic vectors."""
-    names = [
-        f"y{i}_{j}" for i in range(1, size + 1) for j in range(i + 1, size + 1)
-    ]
-    for prefix in vector_prefixes:
-        names.extend(f"{prefix}{i}" for i in range(1, size + 1))
-    ring = PolynomialRing(tuple(names))
-    gens = ring.gens()
-    rows = [[ring.zero] * size for _ in range(size)]
-    pos = 0
-    for i in range(size):
-        for j in range(i + 1, size):
-            rows[i][j] = gens[pos]
-            rows[j][i] = -gens[pos]
-            pos += 1
-    vectors = []
-    for _ in vector_prefixes:
-        vectors.append(list(gens[pos : pos + size]))
-        pos += size
-    return ring, Matrix(ring, rows), vectors
-
-
-def _vector_doc(ring, values) -> dict:
-    return [ring.format(v) for v in values]
-
-
-def _abx(mode: str, rng, m: int, n: int, bound: int, with_b: bool, with_x: bool):
-    shapes = [("a", m, n)]
-    if with_b:
-        shapes.append(("b", m, n))
-    if with_x:
-        shapes.append(("x", n, n))
     if mode == "poly":
-        mats = _generic_matrices(shapes)
+        names = [
+            f"{p}{i}_{j}"
+            for p, rows, cols in matrices
+            for i in range(1, rows + 1)
+            for j in range(1, cols + 1)
+        ]
+        names += [
+            f"{p}{i}_{j}"
+            for p, size in skews
+            for i in range(1, size + 1)
+            for j in range(i + 1, size + 1)
+        ]
+        names += [f"{p}{i}" for p, size in vectors for i in range(1, size + 1)]
+        ring = PolynomialRing(tuple(names))
+        gens = iter(ring.gens())
+        fresh = lambda: next(gens)
     else:
-        mats = [_int_matrix(rng, r, c, bound) for _, r, c in shapes]
-    doc = {
-        name.upper(): matrix_to_json_dict(mat)
-        for (name, _, _), mat in zip(shapes, mats)
-    }
-    return mats, doc
+        ring = ZZ
+        fresh = lambda: rng.randint(-bound, bound)
+    out = [
+        Matrix(ring, [[fresh() for _ in range(cols)] for _ in range(rows)])
+        for _, rows, cols in matrices
+    ]
+    for _, size in skews:
+        rows = [[ring.zero] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                rows[i][j] = fresh()
+                rows[j][i] = -rows[i][j]
+        out.append(Matrix(ring, rows))
+    out += [[fresh() for _ in range(size)] for _, size in vectors]
+    return ring, out
+
+
+def _vector_doc(ring, values) -> list:
+    return [ring.format(v) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -245,62 +191,29 @@ class _RegistryEntry:
     applicable: Callable  # (m, n, cfg) -> bool
 
 
-def _run_okada(mode, rng, m, n, bound, trial):
-    (A,), doc = _abx(mode, rng, m, n, bound, False, False)
-    return check_okada(A), doc
+def _matrix_runner(check: Callable, letters: str) -> Callable:
+    """Runner for a checker of matrices named by letters: "a" and "b" are
+    m x n, "x" is n x n, passed in the order given."""
 
+    def run(mode, rng, m, n, bound, trial):
+        shape = {"a": (m, n), "b": (m, n), "x": (n, n)}
+        _, mats = _inputs(
+            mode, rng, bound, matrices=[(c, *shape[c]) for c in letters]
+        )
+        doc = {c.upper(): matrix_to_json_dict(M) for c, M in zip(letters, mats)}
+        return check(*mats), doc
 
-def _run_byun(mode, rng, m, n, bound, trial):
-    (A,), doc = _abx(mode, rng, m, n, bound, False, False)
-    return check_byun(A), doc
-
-
-def _run_main1(mode, rng, m, n, bound, trial):
-    (A, B, X), doc = _abx(mode, rng, m, n, bound, True, True)
-    return check_main1(A, B, X), doc
-
-
-def _run_main2(mode, rng, m, n, bound, trial):
-    (A, B, X), doc = _abx(mode, rng, m, n, bound, True, True)
-    return check_main2(A, B, X), doc
-
-
-def _run_lemma_aux(mode, rng, m, n, bound, trial):
-    (A, B, X), doc = _abx(mode, rng, m, n, bound, True, True)
-    return check_lemma_aux(A, B, X), doc
-
-
-def _run_cor7(mode, rng, m, n, bound, trial):
-    (A, X), doc = _abx(mode, rng, m, n, bound, False, True)
-    return check_cor7(A, X), doc
-
-
-def _run_ab(mode, rng, m, n, bound, trial):
-    (A, B), doc = _abx(mode, rng, m, n, bound, True, False)
-    return check_ab(A, B), doc
-
-
-def _run_ab2(mode, rng, m, n, bound, trial):
-    (A, B), doc = _abx(mode, rng, m, n, bound, True, False)
-    return check_ab2(A, B), doc
-
-
-def _run_cbpf(mode, rng, m, n, bound, trial):
-    (A, B), doc = _abx(mode, rng, m, n, bound, True, False)
-    return check_cauchy_binet_pf(A, B), doc
+    return run
 
 
 def _run_rank1(mode, rng, m, n, bound, trial):
-    if mode == "poly":
-        ring, Y, (a, b) = _generic_skew(m, ("u", "v"))
-    else:
-        ring = ZZ
-        Y = _int_skew(rng, m, bound)
-        a = [rng.randint(-bound, bound) for _ in range(m)]
-        # every fifth trial exercises the equal-vector specialization
-        b = list(a) if trial % 5 == 4 else [
-            rng.randint(-bound, bound) for _ in range(m)
-        ]
+    # every fifth integer trial exercises the equal-vector specialization
+    equal = mode == "int" and trial % 5 == 4
+    vectors = [("u", m)] if equal else [("u", m), ("v", m)]
+    ring, (Y, a, *rest) = _inputs(
+        mode, rng, bound, skews=[("y", m)], vectors=vectors
+    )
+    b = rest[0] if rest else list(a)
     doc = {
         "Y": matrix_to_json_dict(Y),
         "a": _vector_doc(ring, a),
@@ -310,56 +223,27 @@ def _run_rank1(mode, rng, m, n, bound, trial):
 
 
 def _run_iswa(mode, rng, m, n, bound, trial):
-    if mode == "poly":
-        names = tuple(_matrix_names("a", m, n)) + tuple(
-            f"y{i}_{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)
-        )
-        ring = PolynomialRing(names)
-        gens = ring.gens()
-        A = Matrix(
-            ring,
-            [[gens[r * n + c] for c in range(n)] for r in range(m)],
-        )
-        rows = [[ring.zero] * n for _ in range(n)]
-        pos = m * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = gens[pos]
-                rows[j][i] = -gens[pos]
-                pos += 1
-        Y = Matrix(ring, rows)
-    else:
-        A = _int_matrix(rng, m, n, bound)
-        Y = _int_skew(rng, n, bound)
+    _, (A, Y) = _inputs(
+        mode, rng, bound, matrices=[("a", m, n)], skews=[("y", n)]
+    )
     doc = {"A": matrix_to_json_dict(A), "Y": matrix_to_json_dict(Y)}
     return check_iswa(A, Y), doc
 
 
 def _run_lemma_iswa(mode, rng, m, n, bound, trial):
-    if mode == "poly":
-        _, Y, _ = _generic_skew(n)
-    else:
-        Y = _int_skew(rng, n, bound)
+    _, (Y,) = _inputs(mode, rng, bound, skews=[("y", n)])
     I = IndexSet(n, rng.sample(range(1, n + 1), m))
     doc = {"Y": matrix_to_json_dict(Y), "I": list(I.indices)}
     return check_lemma_iswa(Y, I), doc
 
 
 def _run_det_pf_square(mode, rng, m, n, bound, trial):
-    if mode == "poly":
-        _, Y, _ = _generic_skew(m)
-    else:
-        Y = _int_skew(rng, m, bound)
+    _, (Y,) = _inputs(mode, rng, bound, skews=[("y", m)])
     return check_det_pf_square(Y), {"Y": matrix_to_json_dict(Y)}
 
 
 def _run_closed_forms(mode, rng, m, n, bound, trial):
-    if mode == "poly":
-        ring = PolynomialRing(tuple(f"d{i}" for i in range(1, n + 1)))
-        diag = list(ring.gens())
-    else:
-        ring = ZZ
-        diag = [rng.randint(-bound, bound) for _ in range(n)]
+    ring, (diag,) = _inputs(mode, rng, bound, vectors=[("d", n)])
     doc = {"ring": ring.to_json_tag(), "diag": _vector_doc(ring, diag)}
     return check_closed_forms(ring, diag), doc
 
@@ -398,85 +282,66 @@ def _app_diagonal_only(m, n, cfg):
 
 
 _REGISTRY = {
-    "okada": _RegistryEntry(_run_okada, _app_any),
-    "byun": _RegistryEntry(_run_byun, _app_any),
-    "main1": _RegistryEntry(_run_main1, _app_fits),
-    "main2": _RegistryEntry(_run_main2, _app_even_fits),
+    "okada": _RegistryEntry(_matrix_runner(check_okada, "a"), _app_any),
+    "byun": _RegistryEntry(_matrix_runner(check_byun, "a"), _app_any),
+    "main1": _RegistryEntry(_matrix_runner(check_main1, "abx"), _app_fits),
+    "main2": _RegistryEntry(_matrix_runner(check_main2, "abx"), _app_even_fits),
     "rank1": _RegistryEntry(_run_rank1, _app_square_only),
-    "lemma-aux": _RegistryEntry(_run_lemma_aux, _app_odd_fits),
+    "lemma-aux": _RegistryEntry(_matrix_runner(check_lemma_aux, "abx"), _app_odd_fits),
     "iswa": _RegistryEntry(_run_iswa, _app_even_fits),
     "lemma-iswa": _RegistryEntry(_run_lemma_iswa, _app_even_fits),
-    "ab": _RegistryEntry(_run_ab, _app_fits),
-    "ab2": _RegistryEntry(_run_ab2, _app_even_fits),
-    "cor7": _RegistryEntry(_run_cor7, _app_even_fits),
+    "ab": _RegistryEntry(_matrix_runner(check_ab, "ab"), _app_fits),
+    "ab2": _RegistryEntry(_matrix_runner(check_ab2, "ab"), _app_even_fits),
+    "cor7": _RegistryEntry(_matrix_runner(check_cor7, "ax"), _app_even_fits),
     "closed-forms": _RegistryEntry(_run_closed_forms, _app_diagonal_only),
     "det-pf-square": _RegistryEntry(_run_det_pf_square, _app_even_square_only),
-    "cauchy-binet-pf": _RegistryEntry(_run_cbpf, _app_even_fits),
+    "cauchy-binet-pf": _RegistryEntry(
+        _matrix_runner(check_cauchy_binet_pf, "ab"), _app_even_fits
+    ),
 }
 
 assert tuple(_REGISTRY) == IDENTITY_IDS
 
 
 def run_verify(cfg: VerifyConfig) -> RunReport:
-    """Run the configured identity suite; deterministic given the config."""
-    t0 = time.perf_counter()
-    jobs = []
+    """Run the configured identity suite; deterministic given the config.
+
+    Trials run one at a time, and a passed report is dropped as soon as it
+    is counted."""
+    failures = []
+    per_identity: dict = {}
     for ident in cfg.identities:
         entry = _REGISTRY[ident]
-        for m in cfg.ms:
-            for n in cfg.ns:
-                if not entry.applicable(m, n, cfg):
+        for m, n in product(cfg.ms, cfg.ns):
+            if not entry.applicable(m, n, cfg):
+                continue
+            for trial in range(cfg.trials):
+                rng = _trial_rng(cfg.seed, ident, m, n, trial)
+                report, inputs = entry.run(cfg.ring, rng, m, n, cfg.bound, trial)
+                stats = per_identity.setdefault(ident, {"trials": 0, "failed": 0})
+                stats["trials"] += 1
+                if report.passed:
                     continue
-                for trial in range(cfg.trials):
-                    jobs.append((ident, m, n, trial))
-
-    def execute(job):
-        ident, m, n, trial = job
-        rng = _trial_rng(cfg.seed, ident, m, n, trial)
-        return _REGISTRY[ident].run(cfg.ring, rng, m, n, cfg.bound, trial)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            failures, per_identity = _tally(jobs, pool.map(execute, jobs))
-    else:
-        failures, per_identity = _tally(jobs, map(execute, jobs))
+                stats["failed"] += 1
+                failures.append(
+                    {
+                        "identity": ident,
+                        "m": m,
+                        "n": n,
+                        "trial": trial,
+                        "input_digest": report.input_digest,
+                        "lhs": report.lhs,
+                        "rhs": report.rhs,
+                        "details": report.details,
+                        "inputs": inputs,
+                    }
+                )
     summary = {
-        "total_trials": len(jobs),
+        "total_trials": sum(s["trials"] for s in per_identity.values()),
         "failures": len(failures),
         "per_identity": per_identity,
     }
-    return RunReport(
-        config=cfg.echo(),
-        failures=failures,
-        summary=summary,
-        wall_time=time.perf_counter() - t0,
-    )
-
-
-def _tally(jobs, results):
-    """Count trials per identity and serialize the failures, consuming the
-    results one at a time so that no passed report outlives its turn."""
-    failures = []
-    per_identity: dict = {}
-    for (ident, m, n, trial), (report, inputs) in zip(jobs, results):
-        stats = per_identity.setdefault(ident, {"trials": 0, "failed": 0})
-        stats["trials"] += 1
-        if not report.passed:
-            stats["failed"] += 1
-            failures.append(
-                {
-                    "identity": ident,
-                    "m": m,
-                    "n": n,
-                    "trial": trial,
-                    "input_digest": report.input_digest,
-                    "lhs": report.lhs,
-                    "rhs": report.rhs,
-                    "details": report.details,
-                    "inputs": inputs,
-                }
-            )
-    return failures, per_identity
+    return RunReport(config=cfg.echo(), failures=failures, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +382,9 @@ def _parse_range(text: str, flag: str) -> Tuple[int, ...]:
 @click.option("--ring", default="int", type=click.Choice(["int", "poly"]), show_default=True,
               help="Integer entries, or fully generic polynomial entries.")
 @click.option("--bound", default=5, show_default=True, help="Integer entries lie in [-bound, bound].")
-@click.option("--workers", default=1, show_default=True, help="Concurrent trial executors.")
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False),
               help="Write the JSON-lines report here instead of stdout.")
-def verify(identity, m_range, n_range, trials, seed, ring, bound, workers, out_path):
+def verify(identity, m_range, n_range, trials, seed, ring, bound, out_path):
     """Check identities on seeded random or generic inputs over an (m, n) grid.
 
     Emits one JSON line per failing trial (inputs included for replay) and a
@@ -539,7 +403,6 @@ def verify(identity, m_range, n_range, trials, seed, ring, bound, workers, out_p
             seed=seed,
             ring=ring,
             bound=bound,
-            workers=workers,
         )
         report = run_verify(cfg)
     except MinorSumError as exc:
@@ -620,12 +483,14 @@ def paths_cmd(problem_file):
             raise click.ClickException(
                 f"{problem_file}:{exc.lineno}:{exc.colno}: {exc.msg}"
             ) from None
+    if not isinstance(data, dict):
+        raise click.ClickException(f"{problem_file}: expected a JSON object")
     try:
         problem = PathProblem(
-            starts=tuple(tuple(pt) for pt in data.get("starts", ())),
-            candidate_ends=tuple(tuple(pt) for pt in data.get("ends", ())),
+            starts=data.get("starts", ()),
+            candidate_ends=data.get("ends", ()),
             choose=data.get("choose"),
-            steps=tuple(tuple(s) for s in data.get("steps", ((1, 0), (0, 1)))),
+            steps=data.get("steps", NE_STEPS),
         )
         routes = count_free_routes(problem)
     except MinorSumError as exc:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from itertools import combinations
 from typing import Sequence
 
@@ -66,12 +65,11 @@ class IdentityReport:
     plain JSON `details`.  Given no ring, lhs and rhs are already text."""
 
     def __init__(self, identity_id: str, input_digest: str, lhs, rhs,
-                 passed: bool, elapsed: float, details: dict | None = None,
+                 passed: bool, details: dict | None = None,
                  ring: Ring | None = None, values: dict | None = None):
         self.identity_id = identity_id
         self.input_digest = input_digest
         self.passed = passed
-        self.elapsed = elapsed
         self._ring = ring
         self._lhs, self._rhs = lhs, rhs
         self._values = values or {}
@@ -103,8 +101,6 @@ class IdentityReport:
         return self._details
 
     def to_json_dict(self) -> dict:
-        # elapsed is intentionally omitted: serialized reports must be
-        # byte-identical across runs
         return {
             "identity": self.identity_id,
             "digest": self.input_digest,
@@ -402,14 +398,13 @@ def _chain_sum(first: Matrix, second: Matrix, weak_within: bool):
 # -- checkers -----------------------------------------------------------------
 
 
-def _report(identity_id, digest, ring, lhs, rhs, passed, t0, details=None, values=None):
+def _report(identity_id, digest, ring, lhs, rhs, passed, details=None, values=None):
     return IdentityReport(
         identity_id=identity_id,
         input_digest=digest,
         lhs=lhs,
         rhs=rhs,
         passed=passed,
-        elapsed=time.perf_counter() - t0,
         details=details,
         ring=ring,
         values=values,
@@ -419,21 +414,18 @@ def _report(identity_id, digest, ring, lhs, rhs, passed, t0, details=None, value
 def check_okada(A: Matrix) -> IdentityReport:
     """Minor summation: sum of maximal minors equals Pf(AUA^t - AU^tA^t),
     with the hat augmentation for odd m.  For m > n both sides must be 0."""
-    t0 = time.perf_counter()
     if A.nrows < 1:
         raise ShapeError("need at least one row")
     ring = A.ring
     details = {}
     values = {}
+    odd = A.nrows % 2 == 1
+    work = augment_hat(A) if odd else A
+    lhs = minor_sum(work)
     passed = True
-    if A.nrows % 2 == 0:
-        work = A
-    else:
-        work = augment_hat(A)
+    if odd:
         raw = minor_sum(A)
         values["unaugmented_minor_sum"] = raw
-    lhs = minor_sum(work)
-    if values:
         passed = lhs == raw
     U = upper_ones(work.ncols, ring)
     T = work @ U @ work.T - work @ U.T @ work.T
@@ -444,13 +436,12 @@ def check_okada(A: Matrix) -> IdentityReport:
         passed = passed and not lhs and not rhs
         details["overdetermined"] = True
     return _report(
-        "okada", _digest_of(A=A), ring, lhs, rhs, passed, t0, details, values
+        "okada", _digest_of(A=A), ring, lhs, rhs, passed, details, values
     )
 
 
 def check_byun(A: Matrix) -> IdentityReport:
     """Squared minor sum equals det(A (2U + Id) A^t), both parities of m."""
-    t0 = time.perf_counter()
     if A.nrows < 1:
         raise ShapeError("need at least one row")
     ring = A.ring
@@ -460,7 +451,7 @@ def check_byun(A: Matrix) -> IdentityReport:
     rhs = det(A @ core @ A.T)
     details = {"overdetermined": True} if A.nrows > A.ncols else None
     return _report(
-        "byun", _digest_of(A=A), ring, lhs, rhs, lhs == rhs, t0, details,
+        "byun", _digest_of(A=A), ring, lhs, rhs, lhs == rhs, details,
         {"minor_sum": s},
     )
 
@@ -468,7 +459,6 @@ def check_byun(A: Matrix) -> IdentityReport:
 def check_main2(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     """Pfaffian Cauchy-Binet: Pf(AXB^t - BX^tA^t) equals
     (-1)^binom(m/2,2) * f_AB(X), m even."""
-    t0 = time.perf_counter()
     _check_abx(A, B, X)
     m = A.nrows
     if m % 2:
@@ -477,7 +467,7 @@ def check_main2(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     lhs = pfaffian_matchings(A @ X @ B.T - B @ X.T @ A.T)
     rhs = _apply_sign(sign_from_binom2(m // 2), f_AB(A, B, X))
     return _report(
-        "main2", _digest_of(A=A, B=B, X=X), ring, lhs, rhs, lhs == rhs, t0
+        "main2", _digest_of(A=A, B=B, X=X), ring, lhs, rhs, lhs == rhs
     )
 
 
@@ -486,7 +476,6 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     f_AB(X) f_BA(J - X^t) for even m and g_AB(X) g_BA(J - X^t) for odd m.
     Odd m also cross-checks the equivalent form
     (-1)^((m-1)/2) g_AB(X) g_BA(X^t)."""
-    t0 = time.perf_counter()
     _check_abx(A, B, X)
     m, n = A.nrows, A.ncols
     ring = A.ring
@@ -503,7 +492,7 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
         values["alt_rhs"] = alt
         passed = lhs == rhs and rhs == alt
     return _report(
-        "main1", _digest_of(A=A, B=B, X=X), ring, lhs, rhs, passed, t0, values=values
+        "main1", _digest_of(A=A, B=B, X=X), ring, lhs, rhs, passed, values=values
     )
 
 
@@ -511,7 +500,6 @@ def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
     """Rank-one perturbation of a skew matrix: det(Y + ab^t) in terms of
     Pfaffian minors of Y.  When a = b the even case must collapse to
     det(Y) and the odd case to a perfect square (checked as sub-assertions)."""
-    t0 = time.perf_counter()
     ring = Y.ring
     m = Y.nrows
     require_skew(Y, "rank1")
@@ -558,14 +546,13 @@ def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
     digest = _digest_of(
         Y=Y, a=[ring.format(x) for x in av], b=[ring.format(x) for x in bv]
     )
-    return _report("rank1", digest, ring, lhs, rhs, passed, t0, values=values)
+    return _report("rank1", digest, ring, lhs, rhs, passed, values=values)
 
 
 def check_lemma_aux(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     """Auxiliary odd-order lemma: with Y = AXB^t - BX^tA^t,
     sum_i (-1)^(i-1) (row sum of A_i) Pf(Y(i)) equals
     (-1)^binom((m-1)/2, 2) * g_AB(X)."""
-    t0 = time.perf_counter()
     _check_abx(A, B, X)
     m = A.nrows
     if m % 2 == 0:
@@ -581,14 +568,13 @@ def check_lemma_aux(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
             lhs += term
     rhs = _apply_sign(sign_from_binom2((m - 1) // 2), g_AB(A, B, X))
     return _report(
-        "lemma-aux", _digest_of(A=A, B=B, X=X), ring, lhs, rhs, lhs == rhs, t0
+        "lemma-aux", _digest_of(A=A, B=B, X=X), ring, lhs, rhs, lhs == rhs
     )
 
 
 def check_iswa(A: Matrix, Y: Matrix) -> IdentityReport:
     """Pfaffian minor summation: sum over |I| = m of Pf(Y_II) det(A^I)
     equals Pf(A Y A^t), for even m and skew n x n Y."""
-    t0 = time.perf_counter()
     m, n = A.nrows, A.ncols
     if m % 2:
         raise ParityError(f"iswa needs even m, got {m}")
@@ -604,7 +590,7 @@ def check_iswa(A: Matrix, Y: Matrix) -> IdentityReport:
         lhs = lhs + pfaffian_matchings(Y.submatrix(I, I)) * d
     rhs = pfaffian_matchings(A @ Y @ A.T)
     return _report(
-        "iswa", _digest_of(A=A, Y=Y), ring, lhs, rhs, lhs == rhs, t0
+        "iswa", _digest_of(A=A, Y=Y), ring, lhs, rhs, lhs == rhs
     )
 
 
@@ -612,7 +598,6 @@ def check_lemma_iswa(Y: Matrix, I) -> IdentityReport:
     """Split lemma: with X the strict upper part of skew Y and |I| = m even,
     sum over disjoint J u K = I, |J| = |K| = m/2 of
     (-1)^(binom(m/2,2) + inv(JK)) det(X_JK) equals Pf(Y_II)."""
-    t0 = time.perf_counter()
     if not isinstance(I, IndexSet):
         I = IndexSet(Y.nrows, I)
     m = len(I)
@@ -632,7 +617,7 @@ def check_lemma_iswa(Y: Matrix, I) -> IdentityReport:
         lhs += _apply_sign(sign, d)
     rhs = pfaffian_matchings(Y.submatrix(I, I))
     digest = _digest_of(Y=Y, I=list(I.indices))
-    return _report("lemma-iswa", digest, ring, lhs, rhs, lhs == rhs, t0)
+    return _report("lemma-iswa", digest, ring, lhs, rhs, lhs == rhs)
 
 
 def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
@@ -640,7 +625,6 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
     (weak-within chain sum, A leading) times (strict-within chain sum,
     B leading).  Each factor is also cross-checked against the f/g
     evaluators at X = U + Id and X = U."""
-    t0 = time.perf_counter()
     _check_ab(A, B)
     m, n = A.nrows, A.ncols
     if m < 1:
@@ -666,7 +650,7 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
     details = {"factor1_matches_fg": c1, "factor2_matches_fg": c2}
     values = {"factor1": factor1, "factor2": factor2}
     return _report(
-        "ab", _digest_of(A=A, B=B), ring, lhs, rhs, passed, t0, details, values
+        "ab", _digest_of(A=A, B=B), ring, lhs, rhs, passed, details, values
     )
 
 
@@ -674,7 +658,6 @@ def check_ab2(A: Matrix, B: Matrix) -> IdentityReport:
     """Chain sums as Pfaffians, even m: the strict-within chain sum equals
     Pf(AUB^t - BU^tA^t) and the weak-within chain sum equals
     Pf(A(U+Id)B^t - B(U^t+Id)A^t)."""
-    t0 = time.perf_counter()
     _check_ab(A, B)
     m, n = A.nrows, A.ncols
     if m % 2:
@@ -691,7 +674,7 @@ def check_ab2(A: Matrix, B: Matrix) -> IdentityReport:
     passed = strict_sum == pf_strict and weak_sum == pf_weak
     values = {"weak_chain_sum": weak_sum, "weak_chain_pf": pf_weak}
     return _report(
-        "ab2", _digest_of(A=A, B=B), ring, strict_sum, pf_strict, passed, t0,
+        "ab2", _digest_of(A=A, B=B), ring, strict_sum, pf_strict, passed,
         values=values,
     )
 
@@ -699,7 +682,6 @@ def check_ab2(A: Matrix, B: Matrix) -> IdentityReport:
 def check_cor7(A: Matrix, X: Matrix) -> IdentityReport:
     """Symmetric corollary, even m: det(A(X + J - X^t)A^t) equals
     det(A(X - X^t)A^t) equals f_AA(X)^2."""
-    t0 = time.perf_counter()
     m, n = A.nrows, A.ncols
     if m % 2:
         raise ParityError(f"cor7 needs even m, got {m}")
@@ -715,7 +697,7 @@ def check_cor7(A: Matrix, X: Matrix) -> IdentityReport:
     sq = fa * fa
     passed = d1 == d2 == sq
     return _report(
-        "cor7", _digest_of(A=A, X=X), ring, d1, sq, passed, t0,
+        "cor7", _digest_of(A=A, X=X), ring, d1, sq, passed,
         values={"det_skew_part": d2, "f_AA": fa},
     )
 
@@ -724,7 +706,6 @@ def check_closed_forms(ring: Ring, diag: Sequence) -> IdentityReport:
     """Exhaustive comparison of the x1/x2 closed forms against cofactor
     determinants of the ones-above-diagonal matrix, over every admissible
     (I, J) pair for the given diagonal."""
-    t0 = time.perf_counter()
     d = [ring.coerce(x) for x in diag]
     n = len(d)
     X = ones_above_diagonal(ring, d)
@@ -778,7 +759,6 @@ def check_closed_forms(ring: Ring, diag: Sequence) -> IdentityReport:
         lhs=f"{checked} closed-form values",
         rhs=f"{checked - len(mismatches)} matching cofactor determinants",
         passed=not mismatches,
-        elapsed=time.perf_counter() - t0,
         details={"checked": checked, "mismatches": mismatches},
     )
     return report
@@ -786,7 +766,6 @@ def check_closed_forms(ring: Ring, diag: Sequence) -> IdentityReport:
 
 def check_det_pf_square(Y: Matrix) -> IdentityReport:
     """det(Y) = Pf(Y)^2 for skew Y of even size."""
-    t0 = time.perf_counter()
     ring = Y.ring
     lhs = det_cofactor(Y)
     pf = pfaffian_matchings(Y)
@@ -798,7 +777,6 @@ def check_det_pf_square(Y: Matrix) -> IdentityReport:
         lhs,
         rhs,
         lhs == rhs,
-        t0,
         values={"pfaffian": pf},
     )
 
@@ -806,7 +784,6 @@ def check_det_pf_square(Y: Matrix) -> IdentityReport:
 def check_cauchy_binet_pf(A: Matrix, B: Matrix) -> IdentityReport:
     """Specialization X = Id: Pf(AB^t - BA^t) equals
     (-1)^binom(m/2,2) * sum over |I| = m/2 of det(A^I B^I)."""
-    t0 = time.perf_counter()
     _check_ab(A, B)
     m, n = A.nrows, A.ncols
     if m % 2:
@@ -818,5 +795,5 @@ def check_cauchy_binet_pf(A: Matrix, B: Matrix) -> IdentityReport:
         acc += det(concat_columns([A.columns_at(I), B.columns_at(I)]))
     rhs = _apply_sign(sign_from_binom2(m // 2), acc)
     return _report(
-        "cauchy-binet-pf", _digest_of(A=A, B=B), ring, lhs, rhs, lhs == rhs, t0
+        "cauchy-binet-pf", _digest_of(A=A, B=B), ring, lhs, rhs, lhs == rhs
     )

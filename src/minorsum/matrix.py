@@ -511,9 +511,10 @@ def matrix_from_json_dict(obj: dict) -> Matrix:
         nrows = obj["rows"]
         ncols = obj["cols"]
         entries = obj["entries"]
+        shaped = len(entries) == nrows and all(len(r) == ncols for r in entries)
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"bad matrix JSON: {exc}") from None
-    if len(entries) != nrows or any(len(r) != ncols for r in entries):
+    if not shaped:
         raise ShapeError(
             f"entries shape does not match rows={nrows} cols={ncols}"
         )

@@ -52,6 +52,14 @@ def _as_point(obj) -> Point:
     return (x, y)
 
 
+def _as_points(objs) -> Tuple[Point, ...]:
+    try:
+        items = tuple(objs)
+    except TypeError:
+        raise ShapeError(f"not a list of lattice points: {objs!r}") from None
+    return tuple(_as_point(p) for p in items)
+
+
 @dataclass(frozen=True)
 class PathProblem:
     """m starting points, n ordered candidate endpoints, a step set.
@@ -68,8 +76,8 @@ class PathProblem:
     steps: Tuple[Point, ...] = NE_STEPS
 
     def __post_init__(self):
-        starts = tuple(_as_point(s) for s in self.starts)
-        ends = tuple(_as_point(e) for e in self.candidate_ends)
+        starts = _as_points(self.starts)
+        ends = _as_points(self.candidate_ends)
         if not starts:
             raise ShapeError("need at least one starting point")
         if not ends:
@@ -78,7 +86,7 @@ class PathProblem:
             raise ShapeError("starting points must be pairwise distinct")
         if len(set(ends)) != len(ends):
             raise ShapeError("candidate endpoints must be pairwise distinct")
-        steps = tuple(_as_point(s) for s in self.steps)
+        steps = _as_points(self.steps)
         if not steps or any(s == (0, 0) for s in steps):
             raise ShapeError("steps must be nonzero lattice vectors")
         choose = self.choose if self.choose is not None else len(starts)

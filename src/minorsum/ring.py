@@ -526,5 +526,8 @@ def ring_from_json_tag(tag) -> Ring:
     if tag == "rat":
         return QQ
     if isinstance(tag, dict) and set(tag) == {"poly"}:
-        return PolynomialRing(tag["poly"])
+        try:
+            return PolynomialRing(tag["poly"])
+        except ValueError as exc:
+            raise ScalarParseError(f"bad ring tag {tag!r}: {exc}") from None
     raise ScalarParseError(f"unknown ring tag: {tag!r}")

@@ -120,7 +120,6 @@ def test_criterion_2_randomized_identity_suite():
         trials=200,
         seed=2026,
         bound=5,
-        workers=1,
     )
     rep = run_verify(cfg)
     elapsed = time.perf_counter() - t0
@@ -295,15 +294,14 @@ def test_criterion_9_deterministic_reports():
         trials=2,
         seed=7,
     )
-    r1 = run_verify(VerifyConfig(**base, workers=1)).to_json_lines()
-    r2 = run_verify(VerifyConfig(**base, workers=1)).to_json_lines()
-    r4 = run_verify(VerifyConfig(**base, workers=4)).to_json_lines()
+    r1 = run_verify(VerifyConfig(**base)).to_json_lines()
+    r2 = run_verify(VerifyConfig(**base)).to_json_lines()
     poly = dict(identities=IDENTITY_IDS, ms=(2,), ns=(3,), trials=1, seed=3, ring="poly")
-    p1 = run_verify(VerifyConfig(**poly, workers=1)).to_json_lines()
-    p2 = run_verify(VerifyConfig(**poly, workers=2)).to_json_lines()
-    ok = r1 == r2 == r4 and p1 == p2
+    p1 = run_verify(VerifyConfig(**poly)).to_json_lines()
+    p2 = run_verify(VerifyConfig(**poly)).to_json_lines()
+    ok = r1 == r2 and p1 == p2
     record(
         ok,
-        "9. reports byte-identical across repeat runs and worker counts "
+        "9. reports byte-identical across repeat runs "
         "(integer and polynomial modes)",
     )
