@@ -7,6 +7,8 @@ polynomials; and non-intersecting lattice-path counting that exercises the
 identities on real instances.
 """
 
+import importlib
+
 from .errors import (
     ConfigError,
     EnumerationGuardError,
@@ -90,9 +92,19 @@ from .paths import (
     count_paths,
     lindstrom_matrix,
 )
-from .cli import RunReport, VerifyConfig, run_verify
-
 __version__ = "0.1.0"
+
+# The command line module, and the verify runner it defines, load on first
+# access, so that `python -m minorsum.cli` does not find it already imported.
+_FROM_CLI = ("RunReport", "VerifyConfig", "run_verify")
+
+
+def __getattr__(name):
+    if name == "cli" or name in _FROM_CLI:
+        cli = importlib.import_module(f"{__name__}.cli")
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ConfigError",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Tuple
@@ -121,6 +122,14 @@ class RunReport:
 
 def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _echo(message: str, nl: bool = True) -> None:
+    # click.echo without a file caches its stream wrapper per stdout object,
+    # keyed weakly but with the stream itself as the value, so each stream
+    # that stdout is redirected to in-process (tests, embedding callers)
+    # would stay alive for the life of the process
+    click.echo(message, nl=nl, file=sys.stdout)
 
 
 def _trial_rng(seed: int, identity_id: str, m: int, n: int, trial: int) -> random.Random:
@@ -411,12 +420,12 @@ def verify(identity, m_range, n_range, trials, seed, ring, bound, out_path):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(payload)
-        click.echo(
+        _echo(
             f"{report.summary['total_trials']} trials, "
             f"{report.summary['failures']} failures -> {out_path}"
         )
     else:
-        click.echo(payload, nl=False)
+        _echo(payload, nl=False)
     if report.summary["failures"]:
         raise SystemExit(1)
 
@@ -464,7 +473,7 @@ def eval_cmd(operation, files):
             value = g_AB(mats[0], mats[1], mats[2])
     except MinorSumError as exc:
         raise click.ClickException(str(exc))
-    click.echo(mats[0].ring.format(value))
+    _echo(mats[0].ring.format(value))
 
 
 @main.command("paths")
@@ -496,7 +505,7 @@ def paths_cmd(problem_file):
     except MinorSumError as exc:
         raise click.ClickException(str(exc))
     # count_free_routes already asserted that the routes agree
-    click.echo(_json_line({"count": routes["okada"], "routes": routes}))
+    _echo(_json_line({"count": routes["okada"], "routes": routes}))
 
 
 def _parse_partition(text: str, flag: str) -> Tuple[int, ...]:
@@ -528,7 +537,7 @@ def schur(lam, mu, nvars):
         )
     except MinorSumError as exc:
         raise click.ClickException(str(exc))
-    click.echo(ring.format(value))
+    _echo(ring.format(value))
 
 
 if __name__ == "__main__":

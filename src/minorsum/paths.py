@@ -5,7 +5,9 @@ both point lists on a staircase (x weakly increasing, y weakly decreasing),
 every m-subset of endpoints admits exactly one non-crossing connection
 pattern, the path-count determinant is sign-free, and the free-endpoint
 total is a sum of maximal minors, which the Pfaffian identities compress
-into a single Pfaffian or determinant.
+into a single Pfaffian or determinant.  The exhaustive route that
+cross-checks them counts vertex-disjoint families over all endpoint
+subsets in one depth-first walk, with each path a bitmask of its vertices.
 
 Endpoint subsets are 1-based column selections, matching the matrix module.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .combinat import IndexSet
@@ -65,9 +66,9 @@ class PathProblem:
     """m starting points, n ordered candidate endpoints, a step set.
 
     choose defaults to the number of starts and must equal it: every start
-    gets exactly one path.  The step model is pluggable; it must define an
-    acyclic walk with finitely many points between any start and end (the
-    caller's responsibility, not verified).
+    gets exactly one path.  The step model is pluggable; its steps must lie
+    in one open half-plane (some integer vector has a positive dot product
+    with every step), so that every walk ends.
     """
 
     starts: Tuple[Point, ...]
@@ -89,6 +90,7 @@ class PathProblem:
         steps = _as_points(self.steps)
         if not steps or any(s == (0, 0) for s in steps):
             raise ShapeError("steps must be nonzero lattice vectors")
+        _step_bounds(steps)
         choose = self.choose if self.choose is not None else len(starts)
         if choose != len(starts):
             raise ShapeError(
@@ -110,55 +112,88 @@ def _require_staircase(points: Sequence[Point], label: str) -> None:
             )
 
 
-def _prunes(end: Point, steps: Sequence[Point]):
-    checks = []
-    if all(sx >= 0 for sx, _ in steps):
-        checks.append(lambda u: u[0] > end[0])
-    if all(sy >= 0 for _, sy in steps):
-        checks.append(lambda u: u[1] > end[1])
-    if all(sx + sy >= 1 for sx, sy in steps):
-        checks.append(lambda u: u[0] + u[1] > end[0] + end[1])
-    return checks
+def _cross(a: Point, b: Point) -> int:
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _step_bounds(steps: Sequence[Point]) -> Tuple[Point, Point, Point]:
+    """Linear functionals f with f.s >= 0 for every step s, the last with
+    f.s > 0.  Along a walk each f(u) only grows, so a point with
+    f(u) > f(end) for one of them cannot reach end, and the last bounds the
+    length of every walk.
+
+    With r1 and r2 the clockwise- and counterclockwise-most steps and J the
+    rotation by 90 degrees, the first two are J.r1 and -J.r2, the edges of
+    the cone of functionals no step decreases: together they prune every
+    point outside end - cone(steps).  The last is their sum, or r1 when
+    all steps point one way.  Raises ShapeError unless the steps lie in one
+    open half-plane, which is when every walk ends.
+    """
+
+    def extreme(sign: int) -> Point:
+        # the step from which every step turns by an angle in [0, pi),
+        # counterclockwise for sign 1 and clockwise for sign -1
+        for r in steps:
+            if all(
+                sign * _cross(r, s) > 0
+                or (_cross(r, s) == 0 and r[0] * s[0] + r[1] * s[1] > 0)
+                for s in steps
+            ):
+                return r
+        raise ShapeError(
+            f"steps must all lie in one open half-plane, got {[list(s) for s in steps]}"
+        )
+
+    r1, r2 = extreme(1), extreme(-1)
+    f1, f2 = (-r1[1], r1[0]), (r2[1], -r2[0])
+    w = (f1[0] + f2[0], f1[1] + f2[1])
+    return f1, f2, w if w != (0, 0) else r1
+
+
+def _walk_region(start: Point, end: Point, steps: Sequence[Point]) -> list:
+    """The points of walks from start that _step_bounds does not prune
+    towards end, ordered so that every step goes to an earlier point."""
+    bounds = [(a, b, a * end[0] + b * end[1]) for a, b in _step_bounds(steps)]
+    seen = set()
+    todo = [start]
+    while todo:
+        u = todo.pop()
+        if u in seen or any(a * u[0] + b * u[1] > c for a, b, c in bounds):
+            continue
+        seen.add(u)
+        if u != end:
+            todo.extend((u[0] + sx, u[1] + sy) for sx, sy in steps)
+    a, b, _ = bounds[-1]
+    return sorted(seen, key=lambda u: a * u[0] + b * u[1], reverse=True)
 
 
 def count_paths(start: Point, end: Point, steps: Sequence[Point] = NE_STEPS) -> int:
-    """Number of single paths from start to end in the step model."""
+    """Number of single paths from start to end in the step model.  Raises
+    ShapeError unless the steps lie in one open half-plane."""
     steps = tuple(steps)
     if steps == NE_STEPS:
         dx, dy = end[0] - start[0], end[1] - start[1]
         return math.comb(dx + dy, dx) if dx >= 0 and dy >= 0 else 0
-    checks = _prunes(end, steps)
-    memo: dict = {}
-
-    def walk(u: Point) -> int:
-        if u == end:
-            return 1
-        if any(check(u) for check in checks):
-            return 0
-        if u not in memo:
-            memo[u] = sum(walk((u[0] + sx, u[1] + sy)) for sx, sy in steps)
-        return memo[u]
-
-    return walk(start)
+    counts: dict = {}
+    for u in _walk_region(start, end, steps):
+        counts[u] = 1 if u == end else sum(
+            counts.get((u[0] + sx, u[1] + sy), 0) for sx, sy in steps
+        )
+    return counts.get(start, 0)
 
 
-def _single_paths(start: Point, end: Point, steps: Sequence[Point]):
-    # every path as the frozenset of its vertices
-    checks = _prunes(end, tuple(steps))
-    out = []
-
-    def walk(u: Point, trail: tuple) -> None:
-        if u == end:
-            out.append(frozenset(trail))
-            return
-        if any(check(u) for check in checks):
-            return
-        for sx, sy in steps:
-            v = (u[0] + sx, u[1] + sy)
-            walk(v, trail + (v,))
-
-    walk(start, (start,))
-    return out
+def _path_masks(start: Point, end: Point, steps: Sequence[Point], bit) -> list:
+    """Every path from start to end as the bitmask of its vertices, where
+    bit(u) is the bit of vertex u."""
+    masks: dict = {}
+    for u in _walk_region(start, end, steps):
+        tails = [0] if u == end else [
+            t for sx, sy in steps for t in masks.get((u[0] + sx, u[1] + sy), ())
+        ]
+        if tails:
+            b = bit(u)
+            masks[u] = [b | t for t in tails]
+    return masks.get(start, [])
 
 
 def lindstrom_matrix(p: PathProblem) -> Matrix:
@@ -194,13 +229,66 @@ def count_fixed(p: PathProblem, ends: Union[IndexSet, Iterable[int]]) -> int:
     return det_bareiss(sub)
 
 
+def _disjoint_families(p: PathProblem, counts: Sequence[Sequence[int]]) -> int:
+    """Vertex-disjoint path families, start k to candidate end c_k, summed
+    over every selection c_1 < ... < c_m of 0-based columns whose path
+    counts counts[k][c_k] are all nonzero.
+
+    One depth-first walk over (start k, column c_k, path of start k to c_k
+    disjoint from the paths already chosen) serves every selection: a path
+    is the bitmask of its vertices, so disjointness is one `&`, and the
+    paths of each (start, column) pair are listed once, when first used.
+    """
+    # live[k]: the columns of row k that some nonzero c_k < ... < c_m uses,
+    # so that no pair on a zero-count selection has its paths listed
+    live, limit = [], len(counts[0])
+    for row in reversed(counts):
+        cols = [c for c, x in enumerate(row) if x and c < limit]
+        live.append(cols)
+        limit = cols[-1] if cols else -1
+    live.reverse()
+    numbering: dict = {}
+    listed: dict = {}
+
+    def bit(u: Point) -> int:
+        return 1 << numbering.setdefault(u, len(numbering))
+
+    def paths(k: int, c: int) -> list:
+        if (k, c) not in listed:
+            listed[k, c] = _path_masks(p.starts[k], p.candidate_ends[c], p.steps, bit)
+        return listed[k, c]
+
+    # a recursive closure would be a reference cycle holding the path lists
+    # after the return, until the next collection; _extensions is not one
+    return _extensions(0, -1, 0, live, paths)
+
+
+def _extensions(k: int, prev: int, used: int, live: list, paths) -> int:
+    """The walk of _disjoint_families from start k on: families of the
+    paths of starts k, k+1, ... onto live columns after prev, disjoint from
+    the vertices in used and from each other.  The last start counts its
+    paths without recursing."""
+    if k == len(live) - 1:
+        return sum(
+            len([b for b in paths(k, c) if not b & used]) for c in live[k] if c > prev
+        )
+    return sum(
+        _extensions(k + 1, c, used | b, live, paths)
+        for c in live[k]
+        if c > prev
+        for b in paths(k, c)
+        if not b & used
+    )
+
+
 def brute_force_nonintersecting(
     p: PathProblem, ends: Union[IndexSet, Iterable[int]]
 ) -> int:
-    """Exhaustive oracle: enumerate all path tuples onto the selected
-    endpoints (start i to selected endpoint i) and count the vertex-disjoint
-    ones.  Guarded by the product of single-path counts."""
-    _, points = _end_selection(p, ends)
+    """Exhaustive oracle: count the vertex-disjoint path tuples onto the
+    selected endpoints (start i to selected endpoint i) by the walk of the
+    brute route of count_free_routes, with one column allowed per start.
+    Guarded by the product of single-path counts."""
+    sel, points = _end_selection(p, ends)
     counts = [count_paths(s, e, p.steps) for s, e in zip(p.starts, points)]
     total = math.prod(counts)
     if total > ENUMERATION_GUARD:
@@ -208,26 +296,16 @@ def brute_force_nonintersecting(
             f"{total} path tuples exceed the enumeration guard "
             f"({ENUMERATION_GUARD}); shrink the instance"
         )
-    vertex_sets = [
-        _single_paths(s, e, p.steps) for s, e in zip(p.starts, points)
-    ]
-
-    def disjoint_tuples(i: int, used: frozenset) -> int:
-        if i == len(vertex_sets):
-            return 1
-        return sum(
-            disjoint_tuples(i + 1, used | vs)
-            for vs in vertex_sets[i]
-            if not (vs & used)
-        )
-
-    return disjoint_tuples(0, frozenset())
+    n = len(p.candidate_ends)
+    return _disjoint_families(
+        p, [[x if c == j - 1 else 0 for c in range(n)] for x, j in zip(counts, sel)]
+    )
 
 
 def _most_tuples(mat: Matrix) -> int:
     """Largest product mat[1][c_1] * ... * mat[m][c_m] over columns
-    c_1 < ... < c_m: the most path tuples the exhaustive route enumerates
-    for one endpoint selection."""
+    c_1 < ... < c_m: the most path tuples of one endpoint selection, which
+    also bounds the paths the exhaustive route lists for any pair it uses."""
     # best[j]: the largest product over the rows so far within columns < j
     best = [1] * (mat.ncols + 1)
     for row in mat._rows:
@@ -246,9 +324,9 @@ def count_free_routes(p: PathProblem) -> dict:
       when the number of starts is odd);
     - byun: integer square root of the determinant whose value is the
       squared minor sum, validated to be a perfect square;
-    - brute: exhaustive vertex-disjoint enumeration summed over
-      selections, run only when no selection exceeds ENUMERATION_GUARD
-      path tuples.
+    - brute: exhaustive vertex-disjoint enumeration over all selections
+      in one depth-first walk, run only when no selection exceeds
+      ENUMERATION_GUARD path tuples.
 
     Raises RouteMismatchError unless every route that ran agrees.
     """
@@ -275,10 +353,7 @@ def count_free_routes(p: PathProblem) -> dict:
 
     routes = {"okada": okada, "byun": byun}
     if _most_tuples(mat) <= ENUMERATION_GUARD:
-        routes["brute"] = sum(
-            brute_force_nonintersecting(p, IndexSet(n, combo))
-            for combo in combinations(range(1, n + 1), m)
-        )
+        routes["brute"] = _disjoint_families(p, mat._rows)
     if byun is None:
         raise RouteMismatchError(
             f"squared-minor-sum determinant {byun_det} is not a perfect square",

@@ -1,5 +1,11 @@
+import contextlib
+import gc
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 import weakref
 
@@ -7,6 +13,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
+import minorsum
 from oracles import count_free_families
 from minorsum import (
     ConfigError,
@@ -409,6 +416,21 @@ def test_paths_command_prints_the_routes_that_ran(tmp_path):
     assert result.output == '{"count":546514904,"routes":{"byun":546514904,"okada":546514904}}\n'
 
 
+def test_paths_command_steps_with_no_monotone_coordinate(tmp_path):
+    # neither coordinate is monotone along walks of (1,0) and (-2,1), yet
+    # (1,3) . step = 1 for both steps, so every walk ends: three (1,0)
+    # steps and one (-2,1) step reach (1,1) in four orders
+    problem = tmp_path / "problem.json"
+    problem.write_text(
+        json.dumps({"starts": [[0, 0]], "ends": [[1, 1]], "steps": [[1, 0], [-2, 1]]})
+    )
+    result = CliRunner().invoke(main, ["paths", str(problem)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {
+        "count": 4, "routes": {"brute": 4, "byun": 4, "okada": 4}
+    }
+
+
 def test_paths_command_rejects_non_staircase(tmp_path):
     problem = tmp_path / "problem.json"
     problem.write_text(
@@ -437,6 +459,8 @@ def test_paths_command_malformed_json(tmp_path):
                      "not a lattice point: 5", id="paths-point-not-a-pair"),
         pytest.param("paths", '{"starts": 5, "ends": [[1, 1]]}',
                      "not a list of lattice points", id="paths-starts-not-a-list"),
+        pytest.param("paths", '{"starts": [[0, 0]], "ends": [[1, 1]], "steps": [[1, 0], [-1, 0]]}',
+                     "steps must all lie in one open half-plane", id="paths-steps-never-end"),
         pytest.param("eval", '{"ring": "int", "rows": 1, "cols": 1, "entries": 5}',
                      "bad matrix JSON", id="eval-entries-not-a-list"),
         pytest.param("eval", '{"ring": "int", "rows": 1, "cols": 1, "entries": [5]}',
@@ -468,6 +492,31 @@ def test_schur_command():
     # mu outside lam gives the zero polynomial
     result = runner.invoke(main, ["schur", "--lam", "1", "--mu", "2"])
     assert result.output.strip() == "0"
+
+
+def test_module_run_without_runtime_warning():
+    # the package must not import minorsum.cli before `-m` runs it
+    src = os.path.dirname(os.path.dirname(minorsum.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "minorsum.cli",
+         "schur", "--lam", "2,1", "--nvars", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "x1^2*x2 + x1*x2^2"
+
+
+def test_in_process_run_keeps_no_redirected_stdout():
+    out = io.StringIO()
+    alive = weakref.ref(out)
+    with contextlib.redirect_stdout(out):
+        main.main(args=["schur", "--lam", "2,1", "--nvars", "2"],
+                  prog_name="minorsum", standalone_mode=False)
+    assert out.getvalue() == "x1^2*x2 + x1*x2^2\n"
+    del out
+    gc.collect()
+    assert alive() is None
 
 
 def test_schur_command_errors():

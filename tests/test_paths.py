@@ -18,23 +18,25 @@ from minorsum import (
     count_paths,
     lindstrom_matrix,
 )
-from minorsum.paths import count_free_routes
+from minorsum.paths import NE_STEPS, count_free_routes
 
 STARTS = ((0, 0), (1, -1))
 CANDIDATES = ((1, 1), (2, 0), (2, 2))
+DELANNOY = ((1, 0), (0, 1), (1, 1))
 
 
-def staircase_instance(rng, m, n):
-    """Random staircase starts/ends with north-east reachability."""
+def staircase_instance(rng, m, n, lowest_end=2, highest_end=5, steps=NE_STEPS):
+    """Random staircase starts/ends; with lowest_end >= 2 every end is
+    reachable from every start."""
     while True:
         xs = sorted(rng.randint(0, 2) for _ in range(m))
         ys = sorted((rng.randint(0, 2) for _ in range(m)), reverse=True)
         starts = tuple(zip(xs, ys))
-        ex = sorted(rng.randint(2, 5) for _ in range(n))
-        ey = sorted((rng.randint(2, 5) for _ in range(n)), reverse=True)
+        ex = sorted(rng.randint(lowest_end, highest_end) for _ in range(n))
+        ey = sorted((rng.randint(lowest_end, highest_end) for _ in range(n)), reverse=True)
         ends = tuple(zip(ex, ey))
         if len(set(starts)) == m and len(set(ends)) == n:
-            return PathProblem(starts=starts, candidate_ends=ends)
+            return PathProblem(starts=starts, candidate_ends=ends, steps=steps)
 
 
 # -- single-path counting -----------------------------------------------------
@@ -62,6 +64,23 @@ def test_count_paths_matches_enumeration():
         assert count_paths((0, 0), end) == len(lattice_paths((0, 0), end))
 
 
+def test_count_paths_steps_with_no_monotone_coordinate():
+    # (1,3) . step = 1 for both steps: three (1,0) and one (-2,1) in any order
+    assert count_paths((0, 0), (1, 1), steps=((1, 0), (-2, 1))) == 4
+    assert count_paths((0, 0), (0, 1), steps=((1, 0), (-2, 1))) == 3
+    assert count_paths((0, 0), (-3, 1), steps=((1, 0), (-2, 1))) == 0
+    # y goes both ways: (1,0) alone, or (0,1) and (1,-1) in either order
+    assert count_paths((0, 0), (1, 0), ((1, 0), (0, 1), (1, -1))) == 3
+
+
+def test_count_paths_long_walks_do_not_recurse():
+    # walks of up to 1,101 and of 1,500 steps, beyond Python's default
+    # recursion limit; the Delannoy number D(1, k) is 2k + 1
+    assert count_paths((0, 0), (1, 1100), DELANNOY) == 2201
+    p = PathProblem(starts=((0, 0),), candidate_ends=((0, 1500),))
+    assert count_free_routes(p) == {"okada": 1, "byun": 1, "brute": 1}
+
+
 # -- problem validation ---------------------------------------------------------
 
 
@@ -79,6 +98,19 @@ def test_path_problem_validation():
     p = PathProblem(starts=[[0, 0], [1, -1]], candidate_ends=[[1, 1], [2, 0], [2, 2]])
     assert p.starts == STARTS
     assert p.choose is None or p.choose == 2
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [((1, 0), (-1, 0)), ((1, 0), (0, 1), (-1, -1)), ((1, 0), (0, 1), (-1, 0))],
+)
+def test_step_sets_whose_walks_need_not_end(steps):
+    # no vector has a positive dot product with every step, so a walk can
+    # return to a point it left
+    with pytest.raises(ShapeError, match="open half-plane"):
+        PathProblem(starts=STARTS, candidate_ends=CANDIDATES, steps=steps)
+    with pytest.raises(ShapeError, match="open half-plane"):
+        count_paths((0, 0), (1, 1), steps)
 
 
 # -- the path-count matrix ------------------------------------------------------
@@ -200,6 +232,36 @@ def test_count_free_routes_disagreeing_without_brute(monkeypatch):
     with pytest.raises(RouteMismatchError) as info:
         count_free(BEYOND_GUARD)
     assert info.value.routes == {"okada": 1, "byun": 546514904}
+
+
+@pytest.mark.parametrize(
+    "steps,highest_end", [(NE_STEPS, 5), (DELANNOY, 4)], ids=["ne", "delannoy"]
+)
+def test_brute_route_is_the_sum_over_selections(steps, highest_end):
+    # ends may lie below or left of starts, so some pairs have no path
+    rng = random.Random(7)
+    for _ in range(20):
+        m = rng.randint(1, 4)
+        n = rng.randint(m, 7)
+        p = staircase_instance(
+            rng, m, n, lowest_end=0, highest_end=highest_end, steps=steps
+        )
+        routes = count_free_routes(p)
+        per_selection = sum(
+            brute_force_nonintersecting(p, c) for c in combinations(range(1, n + 1), m)
+        )
+        assert routes["brute"] == per_selection
+        assert per_selection == count_free_families(p.starts, p.candidate_ends, steps)
+
+
+def test_brute_route_lists_no_path_that_no_selection_uses():
+    # the first start reaches no end, so every selection has no family; the
+    # second start has C(58, 19) paths to the second end, which neither route
+    # may list
+    p = PathProblem(starts=((0, 30), (1, 0)), candidate_ends=((0, 20), (40, 19)))
+    assert count_paths(p.starts[1], p.candidate_ends[1]) > 10**14
+    assert count_free_routes(p) == {"okada": 0, "byun": 0, "brute": 0}
+    assert brute_force_nonintersecting(p, (1, 2)) == 0
 
 
 def test_count_free_random_staircases_three_routes():
