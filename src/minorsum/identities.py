@@ -8,6 +8,10 @@ happens in the matrix ring.
 
 Conventions, fixed once for the whole module:
   * matrices A, B are m x n; X is n x n; skew inputs Y are square;
+  * Y(A, X, B) = AXB^t - BX^tA^t (`matrix.skew_form`) is the skew matrix
+    of the Pfaffian sides, and AXB^t + B(J - X^t)A^t = Y(A, X, B) +
+    (B 1)(A 1)^t (`matrix.rank_one_form`, J all ones, 1 the ones vector)
+    is the skew-plus-rank-one matrix of the determinant sides;
   * A^I is the m x |I| matrix of A-columns picked by the 1-based set I,
     and det(A^I B^J) is the determinant of the column concatenation;
   * sign_from_binom2(k) is (-1)^binom(k,2), read off k mod 4.
@@ -33,7 +37,9 @@ from .matrix import (
     matrix_to_json_dict,
     outer_product,
     pfaffian_matchings,
+    rank_one_form,
     require_skew,
+    skew_form,
     upper_ones,
 )
 from .ring import Ring
@@ -287,56 +293,40 @@ def g_AB(A: Matrix, B: Matrix, X: Matrix):
 # -- closed forms for near-triangular minors ---------------------------------
 
 
-def _chain_ok_x1(I: tuple, J: tuple) -> bool:
-    # interlacing 1 <= i1 <= j1 <= i2 <= ... <= j_l
-    for k in range(len(I)):
-        if I[k] > J[k]:
-            return False
-        if k + 1 < len(I) and J[k] > I[k + 1]:
-            return False
-    return True
+def _chain_product(ring: Ring, diag: Sequence, I: tuple, J: tuple):
+    """Product over the interleaved word i1 j1 i2 j2 ... (ending in i_(l+1)
+    when |I| = |J| + 1) of d_w at each step i_k = j_k = w and 1 - d_w at
+    each step j_k = i_(k+1) = w; 0 unless the word is weakly increasing."""
+    word = [0] * (len(I) + len(J))
+    word[::2], word[1::2] = I, J
+    if word != sorted(word):
+        return ring.zero
+    val = ring.one
+    for t in range(1, len(word)):
+        if word[t - 1] == word[t]:
+            d = ring.coerce(diag[word[t] - 1])
+            val = val * (d if t % 2 else ring.one - d)
+    return val
 
 
 def x1_closed_form(ring: Ring, diag: Sequence, I, J):
     """Closed form for det(X_IJ) where X has the given diagonal and ones
-    strictly above it: a product of d_i and (1 - d_i) factors over the
-    interlacing chain, else 0."""
+    strictly above it: the chain product over i1 <= j1 <= i2 <= ... <= j_l,
+    else 0."""
     idx_i, idx_j = tuple(I), tuple(J)
     if len(idx_i) != len(idx_j):
         raise ShapeError("index sets must have equal size")
-    if not _chain_ok_x1(idx_i, idx_j):
-        return ring.zero
-    d = [ring.coerce(x) for x in diag]
-    val = ring.one
-    prev_j = 0
-    for k, i in enumerate(idx_i):
-        if i == idx_j[k]:
-            val = val * d[i - 1]
-        if prev_j == i:
-            val = val * (ring.one - d[i - 1])
-        prev_j = idx_j[k]
-    return val
+    return _chain_product(ring, diag, idx_i, idx_j)
 
 
 def x2_closed_form(ring: Ring, diag: Sequence, I, J):
-    """Closed form for det(1 X_IJ) with |I| = |J| + 1: (-1)^|J| times a
-    product over the interlacing chain i1 <= j1 <= i2 <= ... <= i_{l+1},
-    else 0."""
+    """Closed form for det(1 X_IJ) with |I| = |J| + 1: (-1)^|J| times the
+    chain product over i1 <= j1 <= i2 <= ... <= i_{l+1}, else 0."""
     idx_i, idx_j = tuple(I), tuple(J)
-    ell = len(idx_j)
-    if len(idx_i) != ell + 1:
+    if len(idx_i) != len(idx_j) + 1:
         raise ShapeError("need |I| = |J| + 1")
-    for k in range(ell):
-        if not (idx_i[k] <= idx_j[k] <= idx_i[k + 1]):
-            return ring.zero
-    d = [ring.coerce(x) for x in diag]
-    val = ring.one if ell % 2 == 0 else -ring.one
-    for k in range(ell):
-        if idx_i[k] == idx_j[k]:
-            val = val * d[idx_i[k] - 1]
-        if idx_j[k] == idx_i[k + 1]:
-            val = val * (ring.one - d[idx_i[k + 1] - 1])
-    return val
+    val = _chain_product(ring, diag, idx_i, idx_j)
+    return -val if len(idx_j) % 2 else val
 
 
 def ones_above_diagonal(ring: Ring, diag: Sequence) -> Matrix:
@@ -398,17 +388,14 @@ def _chain_sum(first: Matrix, second: Matrix, weak_within: bool):
 # -- checkers -----------------------------------------------------------------
 
 
-def _report(identity_id, digest, ring, lhs, rhs, passed, details=None, values=None):
-    return IdentityReport(
-        identity_id=identity_id,
-        input_digest=digest,
-        lhs=lhs,
-        rhs=rhs,
-        passed=passed,
-        details=details,
-        ring=ring,
-        values=values,
-    )
+def _signed_pf_minors(Y: Matrix) -> list:
+    """[(-1)^(i-1) Pf(Y(i)) for i = 1..size], Y(i) dropping row and column
+    i: the weights of the odd-order rank-one factor sum_i a_i w_i."""
+    out = []
+    for i in range(1, Y.nrows + 1):
+        pf = pfaffian_matchings(Y.delete_rc((i,)))
+        out.append(-pf if (i - 1) % 2 else pf)
+    return out
 
 
 def check_okada(A: Matrix) -> IdentityReport:
@@ -427,32 +414,29 @@ def check_okada(A: Matrix) -> IdentityReport:
         raw = minor_sum(A)
         values["unaugmented_minor_sum"] = raw
         passed = lhs == raw
-    U = upper_ones(work.ncols, ring)
-    T = work @ U @ work.T - work @ U.T @ work.T
-    rhs = pfaffian_matchings(T)
+    rhs = pfaffian_matchings(skew_form(work, upper_ones(work.ncols, ring), work))
     passed = passed and lhs == rhs
     if A.nrows > A.ncols:
-        # empty minor sum: both sides are required to vanish
-        passed = passed and not lhs and not rhs
+        # the minor sum is empty, so lhs == rhs already requires both to vanish
         details["overdetermined"] = True
-    return _report(
-        "okada", _digest_of(A=A), ring, lhs, rhs, passed, details, values
+    return IdentityReport(
+        "okada", _digest_of(A=A), lhs, rhs, passed, details, ring=ring, values=values
     )
 
 
 def check_byun(A: Matrix) -> IdentityReport:
-    """Squared minor sum equals det(A (2U + Id) A^t), both parities of m."""
+    """Squared minor sum equals det(A (2U + Id) A^t), both parities of m.
+    Since 2U + Id = U + J - U^t, that matrix is rank_one_form(A, U, A)."""
     if A.nrows < 1:
         raise ShapeError("need at least one row")
     ring = A.ring
     s = minor_sum(A)
     lhs = s * s
-    core = upper_ones(A.ncols, ring).scale(2) + identity(A.ncols, ring)
-    rhs = det(A @ core @ A.T)
+    rhs = det(rank_one_form(A, upper_ones(A.ncols, ring), A))
     details = {"overdetermined": True} if A.nrows > A.ncols else None
-    return _report(
-        "byun", _digest_of(A=A), ring, lhs, rhs, lhs == rhs, details,
-        {"minor_sum": s},
+    return IdentityReport(
+        "byun", _digest_of(A=A), lhs, rhs, lhs == rhs, details,
+        ring=ring, values={"minor_sum": s},
     )
 
 
@@ -464,10 +448,10 @@ def check_main2(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     if m % 2:
         raise ParityError(f"main2 needs even m, got {m}")
     ring = A.ring
-    lhs = pfaffian_matchings(A @ X @ B.T - B @ X.T @ A.T)
+    lhs = pfaffian_matchings(skew_form(A, X, B))
     rhs = _apply_sign(sign_from_binom2(m // 2), f_AB(A, B, X))
-    return _report(
-        "main2", _digest_of(A=A, B=B, X=X), ring, lhs, rhs, lhs == rhs
+    return IdentityReport(
+        "main2", _digest_of(A=A, B=B, X=X), lhs, rhs, lhs == rhs, ring=ring
     )
 
 
@@ -480,7 +464,7 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     m, n = A.nrows, A.ncols
     ring = A.ring
     J_n = all_ones(n, ring)
-    lhs = det(A @ X @ B.T + B @ (J_n - X.T) @ A.T)
+    lhs = det(rank_one_form(A, X, B))
     values = {}
     if m % 2 == 0:
         rhs = f_AB(A, B, X) * f_AB(B, A, J_n - X.T)
@@ -491,8 +475,9 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
         alt = _apply_sign(-1 if ((m - 1) // 2) % 2 else 1, gx * g_AB(B, A, X.T))
         values["alt_rhs"] = alt
         passed = lhs == rhs and rhs == alt
-    return _report(
-        "main1", _digest_of(A=A, B=B, X=X), ring, lhs, rhs, passed, values=values
+    return IdentityReport(
+        "main1", _digest_of(A=A, B=B, X=X), lhs, rhs, passed,
+        ring=ring, values=values,
     )
 
 
@@ -530,14 +515,9 @@ def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
             values["symmetric_det_Y"] = dy
             passed = passed and lhs == dy and rhs == dy
     else:
-        fa = ring.zero
-        fb = ring.zero
-        for i in range(1, m + 1):
-            pf_i = pfaffian_matchings(Y.delete_rc((i,)))
-            if (i - 1) % 2:
-                pf_i = -pf_i
-            fa += av[i - 1] * pf_i
-            fb += bv[i - 1] * pf_i
+        w = _signed_pf_minors(Y)
+        fa = sum((x * y for x, y in zip(av, w)), ring.zero)
+        fb = sum((x * y for x, y in zip(bv, w)), ring.zero)
         rhs = fa * fb
         passed = lhs == rhs
         if av == bv:
@@ -546,29 +526,23 @@ def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
     digest = _digest_of(
         Y=Y, a=[ring.format(x) for x in av], b=[ring.format(x) for x in bv]
     )
-    return _report("rank1", digest, ring, lhs, rhs, passed, values=values)
+    return IdentityReport("rank1", digest, lhs, rhs, passed, ring=ring, values=values)
 
 
 def check_lemma_aux(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     """Auxiliary odd-order lemma: with Y = AXB^t - BX^tA^t,
-    sum_i (-1)^(i-1) (row sum of A_i) Pf(Y(i)) equals
-    (-1)^binom((m-1)/2, 2) * g_AB(X)."""
+    sum_i (-1)^(i-1) (row sum of A_i) Pf(Y(i)), the odd rank1 factor at
+    a = A 1, equals (-1)^binom((m-1)/2, 2) * g_AB(X)."""
     _check_abx(A, B, X)
     m = A.nrows
     if m % 2 == 0:
         raise ParityError(f"lemma-aux needs odd m, got {m}")
     ring = A.ring
-    Y = A @ X @ B.T - B @ X.T @ A.T
-    lhs = ring.zero
-    for i in range(1, m + 1):
-        term = sum(A.row(i), ring.zero) * pfaffian_matchings(Y.delete_rc((i,)))
-        if (i - 1) % 2:
-            lhs -= term
-        else:
-            lhs += term
+    w = _signed_pf_minors(skew_form(A, X, B))
+    lhs = sum((sum(r, ring.zero) * y for r, y in zip(A._rows, w)), ring.zero)
     rhs = _apply_sign(sign_from_binom2((m - 1) // 2), g_AB(A, B, X))
-    return _report(
-        "lemma-aux", _digest_of(A=A, B=B, X=X), ring, lhs, rhs, lhs == rhs
+    return IdentityReport(
+        "lemma-aux", _digest_of(A=A, B=B, X=X), lhs, rhs, lhs == rhs, ring=ring
     )
 
 
@@ -589,8 +563,8 @@ def check_iswa(A: Matrix, Y: Matrix) -> IdentityReport:
         I = [c + 1 for c in path]
         lhs = lhs + pfaffian_matchings(Y.submatrix(I, I)) * d
     rhs = pfaffian_matchings(A @ Y @ A.T)
-    return _report(
-        "iswa", _digest_of(A=A, Y=Y), ring, lhs, rhs, lhs == rhs
+    return IdentityReport(
+        "iswa", _digest_of(A=A, Y=Y), lhs, rhs, lhs == rhs, ring=ring
     )
 
 
@@ -617,11 +591,12 @@ def check_lemma_iswa(Y: Matrix, I) -> IdentityReport:
         lhs += _apply_sign(sign, d)
     rhs = pfaffian_matchings(Y.submatrix(I, I))
     digest = _digest_of(Y=Y, I=list(I.indices))
-    return _report("lemma-iswa", digest, ring, lhs, rhs, lhs == rhs)
+    return IdentityReport("lemma-iswa", digest, lhs, rhs, lhs == rhs, ring=ring)
 
 
 def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
-    """Interlacing-chain factorization of det(AUB^t + BUA^t + AB^t):
+    """Interlacing-chain factorization of det(AUB^t + BUA^t + AB^t), which
+    is rank_one_form(A, U + Id, B) since J - U^t - Id = U:
     (weak-within chain sum, A leading) times (strict-within chain sum,
     B leading).  Each factor is also cross-checked against the f/g
     evaluators at X = U + Id and X = U."""
@@ -631,12 +606,12 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
         raise ShapeError("need at least one row")
     ring = A.ring
     U = upper_ones(n, ring)
-    lhs = det(A @ U @ B.T + B @ U @ A.T + A @ B.T)
+    UI = U + identity(n, ring)
+    lhs = det(rank_one_form(A, UI, B))
     factor1 = _chain_sum(A, B, weak_within=True)
     factor2 = _chain_sum(B, A, weak_within=False)
     rhs = factor1 * factor2
     passed = lhs == rhs
-    UI = U + identity(n, ring)
     if m % 2 == 0:
         s = sign_from_binom2(m // 2)
         c1 = _apply_sign(s, f_AB(A, B, UI)) == factor1
@@ -649,8 +624,9 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
     passed = passed and c1 and c2
     details = {"factor1_matches_fg": c1, "factor2_matches_fg": c2}
     values = {"factor1": factor1, "factor2": factor2}
-    return _report(
-        "ab", _digest_of(A=A, B=B), ring, lhs, rhs, passed, details, values
+    return IdentityReport(
+        "ab", _digest_of(A=A, B=B), lhs, rhs, passed, details,
+        ring=ring, values=values,
     )
 
 
@@ -664,18 +640,15 @@ def check_ab2(A: Matrix, B: Matrix) -> IdentityReport:
         raise ParityError(f"ab2 needs even m, got {m}")
     ring = A.ring
     U = upper_ones(n, ring)
-    Id = identity(n, ring)
     strict_sum = _chain_sum(A, B, weak_within=False)
     weak_sum = _chain_sum(A, B, weak_within=True)
-    pf_strict = pfaffian_matchings(A @ U @ B.T - B @ U.T @ A.T)
-    pf_weak = pfaffian_matchings(
-        A @ (U + Id) @ B.T - B @ (U.T + Id) @ A.T
-    )
+    pf_strict = pfaffian_matchings(skew_form(A, U, B))
+    pf_weak = pfaffian_matchings(skew_form(A, U + identity(n, ring), B))
     passed = strict_sum == pf_strict and weak_sum == pf_weak
     values = {"weak_chain_sum": weak_sum, "weak_chain_pf": pf_weak}
-    return _report(
-        "ab2", _digest_of(A=A, B=B), ring, strict_sum, pf_strict, passed,
-        values=values,
+    return IdentityReport(
+        "ab2", _digest_of(A=A, B=B), strict_sum, pf_strict, passed,
+        ring=ring, values=values,
     )
 
 
@@ -690,66 +663,47 @@ def check_cor7(A: Matrix, X: Matrix) -> IdentityReport:
     if X.nrows != n or X.ncols != n:
         raise ShapeError(f"X must be {n}x{n}")
     ring = A.ring
-    J_n = all_ones(n, ring)
-    d1 = det(A @ (X + J_n - X.T) @ A.T)
-    d2 = det(A @ (X - X.T) @ A.T)
+    d1 = det(rank_one_form(A, X, A))
+    d2 = det(skew_form(A, X, A))
     fa = f_AB(A, A, X)
     sq = fa * fa
     passed = d1 == d2 == sq
-    return _report(
-        "cor7", _digest_of(A=A, X=X), ring, d1, sq, passed,
-        values={"det_skew_part": d2, "f_AA": fa},
+    return IdentityReport(
+        "cor7", _digest_of(A=A, X=X), d1, sq, passed,
+        ring=ring, values={"det_skew_part": d2, "f_AA": fa},
     )
 
 
 def check_closed_forms(ring: Ring, diag: Sequence) -> IdentityReport:
     """Exhaustive comparison of the x1/x2 closed forms against cofactor
-    determinants of the ones-above-diagonal matrix, over every admissible
-    (I, J) pair for the given diagonal."""
+    determinants of the ones-above-diagonal matrix X, over every admissible
+    (I, J) pair for the given diagonal.  Both minors are read off [1 | X]:
+    det(X_IJ) skips the ones column and det(1 X_IJ) keeps it."""
     d = [ring.coerce(x) for x in diag]
     n = len(d)
-    X = ones_above_diagonal(ring, d)
-    one = ring.one
+    ones = Matrix(ring, [[ring.one]] * n, ncols=1)
+    bordered = concat_columns([ones, ones_above_diagonal(ring, d)])
     checked = 0
     mismatches = []
-    for ell in range(n + 1):
-        for I in subsets(n, ell):
-            for J in subsets(n, ell):
-                expect = det_cofactor(X.submatrix(I, J))
-                got = x1_closed_form(ring, d, I, J)
-                checked += 1
-                if got != expect:
-                    mismatches.append(
-                        {
-                            "form": "x1",
-                            "I": list(I.indices),
-                            "J": list(J.indices),
-                            "formula": ring.format(got),
-                            "det": ring.format(expect),
-                        }
-                    )
-    for ell in range(n):
-        for I in subsets(n, ell + 1):
-            for J in subsets(n, ell):
-                sub = X.submatrix(I, J)
-                bordered = Matrix(
-                    ring,
-                    [(one,) + row for row in sub._rows],
-                    ncols=ell + 1,
-                )
-                expect = det_cofactor(bordered)
-                got = x2_closed_form(ring, d, I, J)
-                checked += 1
-                if got != expect:
-                    mismatches.append(
-                        {
-                            "form": "x2",
-                            "I": list(I.indices),
-                            "J": list(J.indices),
-                            "formula": ring.format(got),
-                            "det": ring.format(expect),
-                        }
-                    )
+    forms = (("x1", x1_closed_form, ()), ("x2", x2_closed_form, (1,)))
+    for form, closed, border in forms:
+        for ell in range(n + 1 - len(border)):
+            for I in subsets(n, ell + len(border)):
+                for J in subsets(n, ell):
+                    cols = border + tuple(j + 1 for j in J.indices)
+                    expect = det_cofactor(bordered.submatrix(I, cols))
+                    got = closed(ring, d, I, J)
+                    checked += 1
+                    if got != expect:
+                        mismatches.append(
+                            {
+                                "form": form,
+                                "I": list(I.indices),
+                                "J": list(J.indices),
+                                "formula": ring.format(got),
+                                "det": ring.format(expect),
+                            }
+                        )
     digest = input_digest(
         {"ring": ring.to_json_tag(), "diag": [ring.format(x) for x in d]}
     )
@@ -770,14 +724,9 @@ def check_det_pf_square(Y: Matrix) -> IdentityReport:
     lhs = det_cofactor(Y)
     pf = pfaffian_matchings(Y)
     rhs = pf * pf
-    return _report(
-        "det-pf-square",
-        _digest_of(Y=Y),
-        ring,
-        lhs,
-        rhs,
-        lhs == rhs,
-        values={"pfaffian": pf},
+    return IdentityReport(
+        "det-pf-square", _digest_of(Y=Y), lhs, rhs, lhs == rhs,
+        ring=ring, values={"pfaffian": pf},
     )
 
 
@@ -789,11 +738,11 @@ def check_cauchy_binet_pf(A: Matrix, B: Matrix) -> IdentityReport:
     if m % 2:
         raise ParityError(f"cauchy-binet-pf needs even m, got {m}")
     ring = A.ring
-    lhs = pfaffian_matchings(A @ B.T - B @ A.T)
+    lhs = pfaffian_matchings(skew_form(A, identity(n, ring), B))
     acc = ring.zero
     for I in combinations(range(1, n + 1), m // 2):
         acc += det(concat_columns([A.columns_at(I), B.columns_at(I)]))
     rhs = _apply_sign(sign_from_binom2(m // 2), acc)
-    return _report(
-        "cauchy-binet-pf", _digest_of(A=A, B=B), ring, lhs, rhs, lhs == rhs
+    return IdentityReport(
+        "cauchy-binet-pf", _digest_of(A=A, B=B), lhs, rhs, lhs == rhs, ring=ring
     )

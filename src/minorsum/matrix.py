@@ -18,6 +18,12 @@ There are three determinant kernels: `det_cofactor` (the definition),
 exactly; fastest on integers and rationals) and `det_minors` (memoised
 minors, about n 2^n products of one entry and one smaller minor, no
 division; fastest on polynomials).  `det` picks one from the input's ring.
+
+Every identity in the paper is about one skew matrix,
+Y(A, X, B) = AXB^t - BX^tA^t: `skew_form` builds it as P - P^t with
+P = AXB^t, and `rank_one_form` builds the determinant side
+AXB^t + B(J - X^t)A^t = Y(A, X, B) + (B 1)(A 1)^t, a skew matrix plus a
+rank-one matrix.
 """
 
 from __future__ import annotations
@@ -46,6 +52,14 @@ def _as_positions(dim: int, which) -> tuple:
     if idx and (idx[0] < 1 or idx[-1] > dim):
         raise IndexRangeError(f"indices {idx} outside [1, {dim}]")
     return tuple(i - 1 for i in idx)
+
+
+def _wrap(ring: Ring, rows, ncols: int) -> "Matrix":
+    """Matrix on trusted rows: equal-length tuples of elements of `ring`."""
+    out = Matrix.__new__(Matrix)
+    out._rows = tuple(rows)
+    out.ring, out.nrows, out.ncols = ring, len(out._rows), ncols
+    return out
 
 
 class Matrix:
@@ -125,31 +139,24 @@ class Matrix:
         self._check_same_ring(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("size mismatch in matrix addition")
-        out = Matrix.__new__(Matrix)
-        out.ring, out.nrows, out.ncols = self.ring, self.nrows, self.ncols
-        out._rows = tuple(
+        rows = (
             tuple(a + b for a, b in zip(r1, r2))
             for r1, r2 in zip(self._rows, other._rows)
         )
-        return out
+        return _wrap(self.ring, rows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_ring(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("size mismatch in matrix subtraction")
-        out = Matrix.__new__(Matrix)
-        out.ring, out.nrows, out.ncols = self.ring, self.nrows, self.ncols
-        out._rows = tuple(
+        rows = (
             tuple(a - b for a, b in zip(r1, r2))
             for r1, r2 in zip(self._rows, other._rows)
         )
-        return out
+        return _wrap(self.ring, rows, self.ncols)
 
     def __neg__(self) -> "Matrix":
-        out = Matrix.__new__(Matrix)
-        out.ring, out.nrows, out.ncols = self.ring, self.nrows, self.ncols
-        out._rows = tuple(tuple(-a for a in r) for r in self._rows)
-        return out
+        return _wrap(self.ring, (tuple(-a for a in r) for r in self._rows), self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_same_ring(other)
@@ -159,29 +166,19 @@ class Matrix:
             )
         zero = self.ring.zero
         bt = list(zip(*other._rows)) if other._rows else [()] * other.ncols
-        out = Matrix.__new__(Matrix)
-        out.ring, out.nrows, out.ncols = self.ring, self.nrows, other.ncols
-        out._rows = tuple(
+        rows = (
             tuple(sum((a * b for a, b in zip(r, col)), zero) for col in bt)
             for r in self._rows
         )
-        return out
+        return _wrap(self.ring, rows, other.ncols)
 
     def scale(self, scalar) -> "Matrix":
         c = self.ring.coerce(scalar)
-        out = Matrix.__new__(Matrix)
-        out.ring, out.nrows, out.ncols = self.ring, self.nrows, self.ncols
-        out._rows = tuple(tuple(c * a for a in r) for r in self._rows)
-        return out
+        return _wrap(self.ring, (tuple(c * a for a in r) for r in self._rows), self.ncols)
 
     def transpose(self) -> "Matrix":
-        out = Matrix.__new__(Matrix)
-        out.ring, out.nrows, out.ncols = self.ring, self.ncols, self.nrows
-        if self._rows:
-            out._rows = tuple(zip(*self._rows))
-        else:
-            out._rows = tuple(() for _ in range(self.ncols)) if self.ncols else ()
-        return out
+        rows = zip(*self._rows) if self._rows else [()] * self.ncols
+        return _wrap(self.ring, rows, self.nrows)
 
     @property
     def T(self) -> "Matrix":
@@ -194,11 +191,8 @@ class Matrix:
         strictly increasing iterables)."""
         rp = _as_positions(self.nrows, rows)
         cp = _as_positions(self.ncols, cols)
-        out = Matrix.__new__(Matrix)
-        out.ring, out.nrows, out.ncols = self.ring, len(rp), len(cp)
         src = self._rows
-        out._rows = tuple(tuple(src[r][c] for c in cp) for r in rp)
-        return out
+        return _wrap(self.ring, (tuple(src[r][c] for c in cp) for r in rp), len(cp))
 
     def delete_rc(self, indices) -> "Matrix":
         """Remove the same 1-based rows and columns (Pfaffian minors Y(i,j))."""
@@ -267,14 +261,8 @@ def concat_columns(blocks: Sequence[Matrix]) -> Matrix:
             raise RingMismatchError("concat_columns blocks over different rings")
         if b.nrows != first.nrows:
             raise ShapeError("concat_columns blocks with different row counts")
-    out = Matrix.__new__(Matrix)
-    out.ring = first.ring
-    out.nrows = first.nrows
-    out.ncols = sum(b.ncols for b in blocks)
-    out._rows = tuple(
-        tuple(x for b in blocks for x in b._rows[r]) for r in range(first.nrows)
-    )
-    return out
+    rows = (tuple(x for b in blocks for x in b._rows[r]) for r in range(first.nrows))
+    return _wrap(first.ring, rows, sum(b.ncols for b in blocks))
 
 
 def augment_hat(A: Matrix) -> Matrix:
@@ -285,20 +273,30 @@ def augment_hat(A: Matrix) -> Matrix:
     zero, one = ring.zero, ring.one
     rows = [r + (zero,) for r in A._rows]
     rows.append(tuple([zero] * A.ncols + [one]))
-    out = Matrix.__new__(Matrix)
-    out.ring, out.nrows, out.ncols = ring, A.nrows + 1, A.ncols + 1
-    out._rows = tuple(rows)
-    return out
+    return _wrap(ring, rows, A.ncols + 1)
 
 
 def outer_product(ring: Ring, a: Sequence, b: Sequence) -> Matrix:
     """Rank-one matrix (a_i * b_j)."""
     av = [ring.coerce(x) for x in a]
     bv = [ring.coerce(x) for x in b]
-    out = Matrix.__new__(Matrix)
-    out.ring, out.nrows, out.ncols = ring, len(av), len(bv)
-    out._rows = tuple(tuple(x * y for y in bv) for x in av)
-    return out
+    return _wrap(ring, (tuple(x * y for y in bv) for x in av), len(bv))
+
+
+def skew_form(A: Matrix, X: Matrix, B: Matrix) -> Matrix:
+    """Y(A, X, B) = AXB^t - BX^tA^t, the skew matrix of every identity in
+    the paper, formed as P - P^t with P = AXB^t since (AXB^t)^t = BX^tA^t."""
+    P = A @ X @ B.T
+    return P - P.T
+
+
+def rank_one_form(A: Matrix, X: Matrix, B: Matrix) -> Matrix:
+    """AXB^t + B(J - X^t)A^t = Y(A, X, B) + (B 1)(A 1)^t: the skew form
+    plus the rank-one matrix of the row sums, since BJA^t = (B 1)(A 1)^t."""
+    zero = A.ring.zero
+    b1 = [sum(r, zero) for r in B._rows]
+    a1 = [sum(r, zero) for r in A._rows]
+    return skew_form(A, X, B) + outer_product(A.ring, b1, a1)
 
 
 # -- determinants ----------------------------------------------------------

@@ -29,8 +29,9 @@ from .matrix import (
     Matrix,
     augment_hat,
     det_bareiss,
-    identity,
     pfaffian_bareiss,
+    rank_one_form,
+    skew_form,
     upper_ones,
 )
 from .ring import ZZ
@@ -338,13 +339,10 @@ def count_free_routes(p: PathProblem) -> dict:
     mat = lindstrom_matrix(p)
 
     work = mat if m % 2 == 0 else augment_hat(mat)
-    k = work.ncols
-    upper = upper_ones(k, ZZ)
-    okada = pfaffian_bareiss(work @ upper @ work.T - work @ upper.T @ work.T)
+    okada = pfaffian_bareiss(skew_form(work, upper_ones(work.ncols, ZZ), work))
 
-    byun_det = det_bareiss(
-        mat @ (upper_ones(n, ZZ).scale(2) + identity(n, ZZ)) @ mat.T
-    )
+    # A(2U + Id)A^t, as 2U + Id = U + J - U^t
+    byun_det = det_bareiss(rank_one_form(mat, upper_ones(n, ZZ), mat))
     byun: Optional[int] = None
     if byun_det >= 0:
         root = math.isqrt(byun_det)

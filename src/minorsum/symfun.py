@@ -1,8 +1,11 @@
 """Symmetric polynomials in finitely many variables.
 
 Complete homogeneous symmetric polynomials, skew Schur polynomials through
-the Jacobi-Trudi determinant, and a checker for the Cauchy-type Pfaffian
-identity that couples an x-variable block with a y-variable block.
+the Jacobi-Trudi determinant (`matrix.det`, division-free on polynomials),
+and a checker for the Cauchy-type Pfaffian identity that couples an
+x-variable block with a y-variable block.  Its coupled matrix is the
+paper's skew form Y(H(x), U + Id, H(y)) (`matrix.skew_form`), where
+H(x) is the m x n matrix with entries h_{k-i}(x).
 
 Everything is truncated to a declared finite variable set, so both sides of
 the coupled identity are ordinary polynomials and comparison is exact.  The
@@ -18,8 +21,8 @@ from typing import Sequence
 
 from .combinat import as_partition, is_horizontal_strip, lambda_of, subsets
 from .errors import ParityError, ShapeError
-from .identities import _digest_of, _report, IdentityReport
-from .matrix import Matrix, det_cofactor, pfaffian_matchings, require_skew
+from .identities import _digest_of, IdentityReport
+from .matrix import Matrix, det, identity, pfaffian_matchings, skew_form, upper_ones
 from .ring import Poly, PolynomialRing
 
 
@@ -89,16 +92,7 @@ def skew_schur(
         [h(lam[j] - (j + 1) - mu[i] + (i + 1)) for j in range(size)]
         for i in range(size)
     ]
-    return det_cofactor(Matrix(ring, rows))
-
-
-def _coupled_entry(ring, h_x, h_y, i: int, j: int, n: int) -> Poly:
-    # sum over 1 <= k <= l <= n of h_{k-i}(x)h_{l-j}(y) - h_{l-i}(y)h_{k-j}(x)
-    acc = ring.zero
-    for k in range(1, n + 1):
-        for l in range(k, n + 1):
-            acc = acc + h_x(k - i) * h_y(l - j) - h_y(l - i) * h_x(k - j)
-    return acc
+    return det(Matrix(ring, rows))
 
 
 def check_cauchy(m: int, n: int, kx: int, ky: int) -> IdentityReport:
@@ -110,7 +104,8 @@ def check_cauchy(m: int, n: int, kx: int, ky: int) -> IdentityReport:
     lambda(J)/lambda(I) is a horizontal strip.
 
     RHS: the m x m Pfaffian whose (i, j) entry is
-    sum_{1<=k<=l<=n} (h_{k-i}(x)h_{l-j}(y) - h_{l-i}(y)h_{k-j}(x)).
+    sum_{1<=k<=l<=n} (h_{k-i}(x)h_{l-j}(y) - h_{l-i}(y)h_{k-j}(x)),
+    that is of Y(H(x), U + Id, H(y)) with H(x)_ik = h_{k-i}(x).
     """
     if m % 2:
         raise ParityError(f"coupled identity needs even m, got {m}")
@@ -164,15 +159,14 @@ def check_cauchy(m: int, n: int, kx: int, ky: int) -> IdentityReport:
             term = a * b
             lhs = lhs + (-term if negative else term)
 
-    # RHS: build every entry from the formula, then verify skewness
-    rows = [
-        [_coupled_entry(ring, h_x, h_y, i, j, n) for j in range(1, m + 1)]
-        for i in range(1, m + 1)
-    ]
-    coupled = Matrix(ring, rows)
-    require_skew(coupled, "the coupled h-matrix")
-    rhs = pfaffian_matchings(coupled)
+    # RHS: the coupled h-matrix as the paper's skew form
+    H_x, H_y = (
+        Matrix(ring, [[h(k - i) for k in range(n)] for i in range(m)])
+        for h in (h_x, h_y)
+    )
+    UI = upper_ones(n, ring) + identity(n, ring)
+    rhs = pfaffian_matchings(skew_form(H_x, UI, H_y))
 
     passed = lhs == rhs
     details = {"strip_pairs": len(pairs)}
-    return _report("cauchy", digest, ring, lhs, rhs, passed, details)
+    return IdentityReport("cauchy", digest, lhs, rhs, passed, details, ring=ring)

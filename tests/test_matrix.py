@@ -27,7 +27,14 @@ from minorsum import (
     pfaffian_bareiss,
     pfaffian_matchings,
 )
-from minorsum.matrix import all_ones, det_minors, identity, upper_ones
+from minorsum.matrix import (
+    all_ones,
+    det_minors,
+    identity,
+    rank_one_form,
+    skew_form,
+    upper_ones,
+)
 
 
 def rand_int_matrix(rng, m, n, bound=9):
@@ -143,6 +150,40 @@ def test_concat_augment_outer():
         ZZ, [[1, 2, 3, 0], [0, 0, 0, 1]]
     )
     assert outer_product(ZZ, (1, 2), (3, 4)) == Matrix(ZZ, [[3, 4], [6, 8]])
+
+
+def assert_builders_match_literal_products(A, B, X):
+    """The skew and rank-one builders against the products they stand for,
+    at every site the checkers and the path routes build them."""
+    ring, n = A.ring, A.ncols
+    U, Id, J = upper_ones(n, ring), identity(n, ring), all_ones(n, ring)
+    assert skew_form(A, X, B) == A @ X @ B.T - B @ X.T @ A.T
+    assert rank_one_form(A, X, B) == A @ X @ B.T + B @ (J - X.T) @ A.T
+    assert rank_one_form(A, U, A) == A @ (U.scale(2) + Id) @ A.T
+    assert rank_one_form(A, U + Id, B) == A @ U @ B.T + B @ U @ A.T + A @ B.T
+    assert rank_one_form(A, X, A) == A @ (X + J - X.T) @ A.T
+    assert skew_form(A, X, A) == A @ (X - X.T) @ A.T
+
+
+def test_skew_and_rank_one_forms_match_literal_products_int():
+    rng = random.Random(2026)
+    for m in range(1, 7):
+        for n in range(1, 9):
+            A, B = rand_int_matrix(rng, m, n), rand_int_matrix(rng, m, n)
+            assert_builders_match_literal_products(A, B, rand_int_matrix(rng, n, n))
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
+def test_skew_and_rank_one_forms_match_literal_products_poly(m, n):
+    shapes = (("a", m, n), ("b", m, n), ("x", n, n))
+    ring = PolynomialRing(tuple(
+        f"{p}{i}_{j}" for p, r, c in shapes for i in range(r) for j in range(c)
+    ))
+    A, B, X = (
+        Matrix(ring, [[ring.gen(f"{p}{i}_{j}") for j in range(c)] for i in range(r)])
+        for p, r, c in shapes
+    )
+    assert_builders_match_literal_products(A, B, X)
 
 
 def test_is_skew_symmetric():

@@ -121,6 +121,20 @@ def test_skew_schur_matches_tableau_oracle_3x3_box():
     assert pairs > 100
 
 
+@pytest.mark.parametrize(
+    "lam, mu",
+    [((3,) * 8, ()), ((3, 3, 3, 2, 2, 2, 1, 1), (3, 2, 2, 2, 1, 1))],
+)
+def test_skew_schur_eight_rows_without_cofactor_expansion(monkeypatch, lam, mu):
+    # an 8 x 8 Jacobi-Trudi matrix takes seconds by cofactor expansion
+    def no_cofactor(*args):
+        raise AssertionError("skew_schur expanded cofactors")
+
+    monkeypatch.setattr("minorsum.matrix._cof", no_cofactor)
+    ring, xs, _ = xy_ring(3, 0)
+    assert skew_schur(ring, lam, mu, xs) == tableau_schur(ring, lam, mu, xs)
+
+
 def test_skew_schur_is_symmetric():
     ring, xs, _ = xy_ring(3, 0)
     for lam, mu in (((2, 1), ()), ((3, 1), (1,)), ((2, 2, 1), (1, 1))):
