@@ -12,6 +12,7 @@ import importlib
 from .errors import (
     ConfigError,
     EnumerationGuardError,
+    ExponentLimitError,
     IndexRangeError,
     InexactDivisionError,
     MinorSumError,
@@ -109,6 +110,7 @@ def __getattr__(name):
 __all__ = [
     "ConfigError",
     "EnumerationGuardError",
+    "ExponentLimitError",
     "IndexRangeError",
     "InexactDivisionError",
     "MinorSumError",

@@ -15,6 +15,11 @@ class InexactDivisionError(MinorSumError):
     """exact_divide was asked for a quotient that does not exist in the ring."""
 
 
+class ExponentLimitError(MinorSumError):
+    """A monomial's total degree exceeds what a packed Poly monomial holds
+    (ring.EXPONENT_LIMIT)."""
+
+
 class ScalarParseError(MinorSumError):
     """Scalar text could not be parsed in the target ring."""
 

@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .combinat import IndexSet, inv_word, subsets
-from .errors import ParityError, RingMismatchError, ShapeError
+from .errors import IndexRangeError, ParityError, RingMismatchError, ShapeError
 from .matrix import (
     Matrix,
     all_ones,
@@ -296,7 +296,14 @@ def g_AB(A: Matrix, B: Matrix, X: Matrix):
 def _chain_product(ring: Ring, diag: Sequence, I: tuple, J: tuple):
     """Product over the interleaved word i1 j1 i2 j2 ... (ending in i_(l+1)
     when |I| = |J| + 1) of d_w at each step i_k = j_k = w and 1 - d_w at
-    each step j_k = i_(k+1) = w; 0 unless the word is weakly increasing."""
+    each step j_k = i_(k+1) = w; 0 unless the word is weakly increasing.
+    I and J must each be strictly increasing within 1..len(diag)."""
+    n = len(diag)
+    for idx in (I, J):
+        if idx and (idx[0] < 1 or idx[-1] > n or sorted(set(idx)) != list(idx)):
+            raise IndexRangeError(
+                f"index set {idx} is not strictly increasing within 1..{n}"
+            )
     word = [0] * (len(I) + len(J))
     word[::2], word[1::2] = I, J
     if word != sorted(word):

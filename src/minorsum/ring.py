@@ -8,6 +8,18 @@ holds only what differs between the rings: zero and one, coercion,
 exact division, and parsing and formatting.  fractions.Fraction already
 keeps rationals reduced with a positive denominator, which is exactly the
 canonical form required here.
+
+A Poly stores each monomial as one packed int: a 16-bit field per variable,
+the first variable highest, and the total degree in the field above them.
+The top bit of every variable field is a guard bit that is zero in a valid
+monomial.  So graded-lex order is int order, a monomial product is one int
+add, and a monomial divides another exactly when their difference has no
+guard bit set (a field that would go negative borrows through its guard).
+This is the packed exponent layout of Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors" (CASC
+2007).  A monomial's total degree may not exceed EXPONENT_LIMIT = 32767,
+which bounds every exponent below its guard bit; a product that would
+exceed it raises ExponentLimitError instead of carrying into the next field.
 """
 
 from __future__ import annotations
@@ -15,91 +27,141 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from operator import add as _pairwise_add
-from typing import Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Sequence, Union
 
-from .errors import InexactDivisionError, RingMismatchError, ScalarParseError
+from .errors import (
+    ExponentLimitError,
+    InexactDivisionError,
+    RingMismatchError,
+    ScalarParseError,
+)
 
 Scalar = Union[int, Fraction, "Poly"]
 
+_FIELD = 16  # bits per variable, guard bit included
+_EXP_MASK = (1 << (_FIELD - 1)) - 1
+EXPONENT_LIMIT = _EXP_MASK  # highest total degree of a monomial
 
-def _grlex_key(exps: tuple) -> tuple:
-    # graded lexicographic: total degree first, then lex on the exponent tuple
-    return (sum(exps), exps)
+
+def _pack(exps: Sequence[int]) -> int:
+    """Packed key of an exponent tuple (one entry per variable)."""
+    key = 0
+    for k in exps:
+        if k < 0:
+            raise ValueError(f"negative exponent in {tuple(exps)}")
+        key = (key << _FIELD) | k
+    degree = sum(exps)
+    if degree > EXPONENT_LIMIT:
+        raise ExponentLimitError(
+            f"monomial of degree {degree} exceeds the limit {EXPONENT_LIMIT}"
+        )
+    return (degree << (_FIELD * len(exps))) | key
+
+
+def _unpack(nvars: int, key: int) -> tuple:
+    """Exponent tuple of a packed key over nvars variables."""
+    return tuple(
+        (key >> (_FIELD * i)) & _EXP_MASK for i in range(nvars - 1, -1, -1)
+    )
+
+
+def _guards(nvars: int) -> int:
+    # the guard bit of every variable field: a repunit in base 2^_FIELD
+    return ((1 << (_FIELD * nvars)) - 1) // ((1 << _FIELD) - 1) << (_FIELD - 1)
+
+
+def _poly(vars: tuple, mons: dict) -> "Poly":
+    # wrap a packed map with no zero coefficients, without copying it
+    res = Poly.__new__(Poly)
+    res.vars = vars
+    res._mons = mons
+    return res
 
 
 class Poly:
     """Sparse multivariate polynomial with integer coefficients.
 
-    `terms` maps exponent tuples (one slot per variable of the owning ring)
-    to nonzero integer coefficients; the zero polynomial has an empty map.
-    Canonical display order is graded lexicographic, highest first.
+    Built from a map of exponent tuples (one slot per variable of the owning
+    ring) to integer coefficients; zero coefficients are dropped, and the
+    zero polynomial has no terms.  Monomials are held as packed ints (see the
+    module docstring), and `terms` gives a read-only view keyed by exponent
+    tuples.  Canonical display order is graded lexicographic, highest first.
+    A monomial of total degree above EXPONENT_LIMIT raises
+    ExponentLimitError.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_mons")
 
-    def __init__(self, vars: tuple, terms: dict | None = None):
+    def __init__(self, vars: tuple, terms: Mapping | None = None):
         self.vars = tuple(vars)
-        clean = {}
+        nvars = len(self.vars)
+        mons = {}
         if terms:
             for exps, coeff in terms.items():
+                if len(exps) != nvars:
+                    raise ValueError(
+                        f"exponent tuple {tuple(exps)} does not fit {nvars} variables"
+                    )
                 if coeff:
-                    clean[tuple(exps)] = coeff
-        self.terms = clean
+                    mons[_pack(exps)] = coeff
+        self._mons = mons
+
+    @property
+    def terms(self) -> Mapping:
+        """Read-only map of exponent tuples to nonzero coefficients."""
+        nvars = len(self.vars)
+        return MappingProxyType(
+            {_unpack(nvars, key): c for key, c in self._mons.items()}
+        )
 
     @classmethod
     def constant(cls, vars: tuple, value: int) -> "Poly":
-        if value == 0:
-            return cls(vars, {})
-        return cls(vars, {(0,) * len(vars): value})
+        return _poly(tuple(vars), {0: value} if value else {})
 
     @classmethod
     def variable(cls, vars: tuple, name: str) -> "Poly":
-        idx = vars.index(name)
-        exps = tuple(1 if k == idx else 0 for k in range(len(vars)))
-        return cls(vars, {exps: 1})
+        vars = tuple(vars)
+        shift = _FIELD * (len(vars) - 1 - vars.index(name))
+        return _poly(vars, {(1 << (_FIELD * len(vars))) | (1 << shift): 1})
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._mons)
 
     def total_degree(self) -> int:
         # degree of the zero polynomial reported as -1
-        if not self.terms:
+        if not self._mons:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self._mons) >> (_FIELD * len(self.vars))
 
     def _coerce_other(self, other):
-        if isinstance(other, int):
-            return Poly.constant(self.vars, other)
         if isinstance(other, Poly):
-            if other.vars != self.vars:
+            if other.vars is not self.vars and other.vars != self.vars:
                 raise RingMismatchError(
                     f"polynomials over different variables: {self.vars} vs {other.vars}"
                 )
             return other
+        if isinstance(other, int):
+            return _poly(self.vars, {0: other} if other else {})
         raise RingMismatchError(f"cannot combine Poly with {type(other).__name__}")
 
     def __add__(self, other):
-        other = self._coerce_other(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+        if other.__class__ is not Poly or other.vars is not self.vars:
+            other = self._coerce_other(other)
+        out = dict(self._mons)
+        get = out.get
+        for e, c in other._mons.items():
+            s = get(e, 0) + c
             if s:
                 out[e] = s
-            elif e in out:
+            else:
                 del out[e]
-        res = Poly.__new__(Poly)
-        res.vars = self.vars
-        res.terms = out
-        return res
+        return _poly(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = Poly.__new__(Poly)
-        res.vars = self.vars
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return _poly(self.vars, {e: -c for e, c in self._mons.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce_other(other))
@@ -108,20 +170,32 @@ class Poly:
         return self._coerce_other(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce_other(other)
+        if other.__class__ is not Poly or other.vars is not self.vars:
+            other = self._coerce_other(other)
+        a, b = self._mons, other._mons
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return _poly(self.vars, {})
+        shift = _FIELD * len(self.vars)
+        degree = (max(a) >> shift) + (max(b) >> shift)
+        if degree > EXPONENT_LIMIT:
+            raise ExponentLimitError(
+                f"product of degree {degree} exceeds the limit {EXPONENT_LIMIT}"
+            )
+        if len(a) == 1:
+            # a term times a polynomial: keys stay distinct, no coefficient
+            # vanishes
+            ((e1, c1),) = a.items()
+            return _poly(self.vars, {e1 + e: c1 * c for e, c in b.items()})
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(_pairwise_add, e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        res = Poly.__new__(Poly)
-        res.vars = self.vars
-        res.terms = out
-        return res
+        get = out.get
+        bitems = b.items()
+        for e1, c1 in a.items():
+            for e2, c2 in bitems:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return _poly(self.vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -139,20 +213,26 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.terms == Poly.constant(self.vars, other).terms
+            return self._mons == ({0: other} if other else {})
         return (
             isinstance(other, Poly)
-            and self.vars == other.vars
-            and self.terms == other.terms
+            and (self.vars is other.vars or self.vars == other.vars)
+            and self._mons == other._mons
         )
 
     def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        mons = self._mons
+        if not mons:
+            return hash(0)
+        if len(mons) == 1 and 0 in mons:
+            # a constant equals its int, so it hashes as one
+            return hash(mons[0])
+        return hash((self.vars, frozenset(mons.items())))
 
     def leading(self) -> tuple:
         """(exponent tuple, coefficient) of the graded-lex leading term."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max(self._mons)
+        return _unpack(len(self.vars), e), self._mons[e]
 
     def exact_div(self, other: "Poly") -> "Poly":
         """Exact quotient self/other; raises InexactDivisionError otherwise."""
@@ -160,58 +240,57 @@ class Poly:
         if not other:
             raise InexactDivisionError("polynomial division by zero")
         if not self:
-            return Poly(self.vars, {})
-        oterms = other.terms
-        if len(oterms) == 1:
+            return _poly(self.vars, {})
+        guards = _guards(len(self.vars))
+        omons = other._mons
+        if len(omons) == 1:
             # constant or monomial divisor: divide term-wise
-            ((oe, oc),) = oterms.items()
-            if oc == 1 and not any(oe):
+            ((oe, oc),) = omons.items()
+            if oc == 1 and not oe:
                 return self
             quot = {}
-            by_monomial = any(oe)
-            for e, c in self.terms.items():
-                if by_monomial:
-                    qe = tuple(a - b for a, b in zip(e, oe))
-                    if any(x < 0 for x in qe):
-                        raise InexactDivisionError("monomial does not divide term")
-                else:
-                    qe = e
+            for e, c in self._mons.items():
+                qe = e - oe
+                if qe & guards:
+                    raise InexactDivisionError("monomial does not divide term")
                 qc, r = divmod(c, oc)
                 if r:
                     raise InexactDivisionError("coefficient not divisible")
                 quot[qe] = qc
-            return Poly(self.vars, quot)
-        # general long division; the remainder's leading term is tracked with
-        # a lazy-deletion max-heap instead of a rescan per quotient term
-        lt_e, lt_c = other.leading()
-        rem = dict(self.terms)
-        heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+            return _poly(self.vars, quot)
+        # general long division: the remainder's leading monomial is its
+        # largest key, tracked with a lazy-deletion max-heap of negated keys
+        # instead of a rescan per quotient term
+        lt_e = max(omons)
+        lt_c = omons[lt_e]
+        rem = dict(self._mons)
+        heap = [-e for e in rem]
         heapq.heapify(heap)
         quot = {}
         while heap:
-            re_ = heapq.heappop(heap)[2]
+            re_ = -heapq.heappop(heap)
             rc = rem.get(re_)
             if rc is None:
                 continue
-            qe = tuple(a - b for a, b in zip(re_, lt_e))
-            if any(x < 0 for x in qe):
+            qe = re_ - lt_e
+            if qe & guards:
                 raise InexactDivisionError("monomial does not divide remainder")
             qc, r = divmod(rc, lt_c)
             if r:
                 raise InexactDivisionError("coefficient not divisible")
             quot[qe] = qc
-            for oe, oc in oterms.items():
-                e = tuple(map(_pairwise_add, qe, oe))
+            for oe, oc in omons.items():
+                e = qe + oe
                 s = rem.get(e, 0) - qc * oc
                 if s:
                     if e not in rem:
-                        heapq.heappush(heap, (-sum(e), tuple(-x for x in e), e))
+                        heapq.heappush(heap, -e)
                     rem[e] = s
                 elif e in rem:
                     del rem[e]
         if rem:
             raise InexactDivisionError("nonzero remainder")
-        return Poly(self.vars, quot)
+        return _poly(self.vars, quot)
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
@@ -221,16 +300,22 @@ class Poly:
 
 
 def format_poly(p: Poly) -> str:
-    if not p.terms:
+    if not p._mons:
         return "0"
-    items = sorted(p.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+    names = p.vars[::-1]  # field i from the bottom holds names[i]
+    low = (1 << (_FIELD * len(names))) - 1
     parts = []
-    for exps, coeff in items:
-        mono = "*".join(
-            name if k == 1 else f"{name}^{k}"
-            for name, k in zip(p.vars, exps)
-            if k
-        )
+    for key, coeff in sorted(p._mons.items(), reverse=True):
+        # walk the nonzero fields only, from the first variable down
+        rest = key & low
+        mono = []
+        while rest:
+            i = (rest.bit_length() - 1) // _FIELD
+            shift = _FIELD * i
+            k = rest >> shift
+            rest &= (1 << shift) - 1
+            mono.append(names[i] if k == 1 else f"{names[i]}^{k}")
+        mono = "*".join(mono)
         if not mono:
             parts.append(str(coeff))
         elif coeff == 1:
@@ -490,7 +575,7 @@ class PolynomialRing(Ring):
         if isinstance(x, int):
             return Poly.constant(self.vars, x)
         if isinstance(x, Poly):
-            if x.vars != self.vars:
+            if x.vars is not self.vars and x.vars != self.vars:
                 raise RingMismatchError(
                     f"polynomial over {x.vars}, ring has {self.vars}"
                 )

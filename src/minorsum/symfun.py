@@ -16,7 +16,6 @@ y-variables, which fixes a single canonical form for cross products.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .combinat import as_partition, is_horizontal_strip, lambda_of, subsets
@@ -47,19 +46,16 @@ def h_complete(ring: PolynomialRing, degree: int, block: Sequence[Poly]) -> Poly
 
     Sum of all monomials x_{i_1}...x_{i_d} with i_1 <= ... <= i_d drawn
     from the block.  degree 0 gives 1; negative degree gives 0 (the
-    convention the Jacobi-Trudi determinant relies on).
+    convention the Jacobi-Trudi determinant relies on).  Built one variable
+    at a time by h_d(x_1..x_k) = h_d(x_1..x_{k-1}) + x_k h_{d-1}(x_1..x_k).
     """
     if degree < 0:
         return ring.zero
-    if degree == 0:
-        return ring.one
-    total = ring.zero
-    for combo in combinations_with_replacement(block, degree):
-        term = ring.one
-        for g in combo:
-            term = term * g
-        total = total + term
-    return total
+    h = [ring.one] + [ring.zero] * degree  # h_0..h_degree of no variables
+    for g in block:
+        for d in range(1, degree + 1):
+            h[d] = h[d] + g * h[d - 1]
+    return h[degree]
 
 
 def skew_schur(

@@ -133,8 +133,8 @@ def test_criterion_2_randomized_identity_suite():
     )
 
 
-def test_criterion_3_fully_symbolic_suite():
-    t0 = time.perf_counter()
+def symbolic_suite():
+    """Criterion 3's 18 generic-entry reports, in a fixed order."""
     reports = []
     for m, n in ((1, 2), (2, 2), (3, 3)):
         ring, mats = generic_matrices({"a": (m, n), "b": (m, n), "x": (n, n)})
@@ -156,6 +156,15 @@ def test_criterion_3_fully_symbolic_suite():
         reports.append(check_ab(mats["a"], mats["b"]))
     ring, mats = generic_matrices({"a": (2, 2), "b": (2, 2)})
     reports.append(check_ab2(mats["a"], mats["b"]))
+    return reports
+
+
+CAUCHY_SHAPES = ((2, 2, 1, 1), (2, 4, 3, 3), (4, 4, 2, 2))
+
+
+def test_criterion_3_fully_symbolic_suite():
+    t0 = time.perf_counter()
+    reports = symbolic_suite()
     elapsed = time.perf_counter() - t0
     failed = [r.identity_id for r in reports if not r.passed]
     record(
@@ -209,7 +218,7 @@ def test_criterion_5_pfaffian_kernel():
 
 def test_criterion_6_coupled_cauchy_identity():
     t0 = time.perf_counter()
-    shapes = ((2, 2, 1, 1), (2, 4, 3, 3), (4, 4, 2, 2))
+    shapes = CAUCHY_SHAPES
     reports = [check_cauchy(*s) for s in shapes]
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in reports) and elapsed < 120.0

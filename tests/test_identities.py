@@ -6,6 +6,7 @@ import pytest
 from minorsum import (
     ZZ,
     IDENTITY_IDS,
+    IndexRangeError,
     IndexSet,
     Matrix,
     ParityError,
@@ -531,6 +532,23 @@ def test_x2_closed_form_spot_values():
     assert x2_closed_form(ring, d, (2, 3), (1,)) == ring.zero
     with pytest.raises(ShapeError):
         x2_closed_form(ring, d, (1, 2), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "form, I, J",
+    [
+        (x1_closed_form, (0,), (0,)),  # index 0 once read diag[-1]
+        (x1_closed_form, (1, 1), (1, 1)),  # repeated indices
+        (x1_closed_form, (1, 3), (1, 2)),  # past len(diag)
+        (x1_closed_form, (2, 1), (1, 2)),  # decreasing
+        (x2_closed_form, (1, 2), (0,)),
+        (x2_closed_form, (1, 2, 2), (1, 2)),
+        (x2_closed_form, (1, 3), (2,)),
+    ],
+)
+def test_closed_forms_reject_bad_index_sets(form, I, J):
+    with pytest.raises(IndexRangeError):
+        form(ZZ, [2, 3], I, J)
 
 
 def test_closed_forms_match_determinants_directly():

@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 from minorsum import (
     ZZ,
     QQ,
+    ExponentLimitError,
     InexactDivisionError,
     Poly,
     PolynomialRing,
     RingMismatchError,
     ScalarParseError,
 )
-from minorsum.ring import format_poly
+from minorsum.ring import EXPONENT_LIMIT, _pack, format_poly
 
 R3 = PolynomialRing(("x", "y", "z"))
 X, Y, Z = R3.gens()
@@ -223,6 +224,111 @@ def test_poly_misc_accessors():
     assert R3.gen("y") == Y
     with pytest.raises(ValueError):
         R3.gen("nope")
+
+
+def test_constant_poly_hashes_as_its_int():
+    assert R3.coerce(3) == 3 and hash(R3.coerce(3)) == hash(3)
+    assert R3.coerce(3) in {3}
+    assert 3 in {R3.coerce(3)}
+    assert R3.zero in {0} and hash(R3.zero) == hash(0)
+    assert R3.coerce(-7) in {-7: "x"}
+    assert {X * Y + 1: "p"}[R3.parse("1 + y*x")] == "p"
+
+
+# -- packed monomials ----------------------------------------------------
+
+
+def grlex_key(exps):
+    # graded lexicographic: total degree first, then lex on the exponent tuple
+    return (sum(exps), exps)
+
+
+def exponent_tuples(nvars=3, high=EXPONENT_LIMIT // 3):
+    return st.tuples(*([st.integers(0, high)] * nvars))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(exponent_tuples(), exponent_tuples(high=3)),
+       st.one_of(exponent_tuples(), exponent_tuples(high=3)))
+def test_packed_key_order_is_grlex_order(a, b):
+    assert (_pack(a) < _pack(b)) == (grlex_key(a) < grlex_key(b))
+    assert (_pack(a) == _pack(b)) == (a == b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(max_exp=40))
+def test_terms_round_trip_and_are_read_only(p):
+    terms = p.terms
+    assert Poly(R3.vars, terms) == p
+    assert all(len(e) == 3 and c for e, c in terms.items())
+    with pytest.raises(TypeError):
+        terms[(0, 0, 0)] = 1
+    with pytest.raises(AttributeError):
+        p.terms = {}
+
+
+def test_poly_rejects_exponent_tuples_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        Poly(R3.vars, {(1, 0): 1})
+    with pytest.raises(ValueError):
+        Poly(R3.vars, {(1, -1, 0): 1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, EXPONENT_LIMIT), st.integers(0, EXPONENT_LIMIT))
+def test_exponent_limit_is_checked_not_carried(a, b):
+    if a + b <= EXPONENT_LIMIT:
+        assert (X**a * Y**b).terms == {(a, b, 0): 1}
+        assert (X**a * X**b).leading() == ((a + b, 0, 0), 1)
+    else:
+        with pytest.raises(ExponentLimitError):
+            X**a * Y**b
+        with pytest.raises(ExponentLimitError):
+            (X**a + 1) * (Y**b - Z)
+
+
+def test_exponent_limit_from_pow_parse_and_constructor():
+    top = X**EXPONENT_LIMIT
+    assert top.total_degree() == EXPONENT_LIMIT
+    with pytest.raises(ExponentLimitError):
+        X ** (EXPONENT_LIMIT + 1)
+    with pytest.raises(ExponentLimitError):
+        top * Y
+    with pytest.raises(ExponentLimitError):
+        (Y + 1) * top * 2
+    assert R3.parse(f"x^{EXPONENT_LIMIT}") == top
+    with pytest.raises(ExponentLimitError):
+        R3.parse(f"x^{EXPONENT_LIMIT + 1}")
+    with pytest.raises(ExponentLimitError):
+        R3.parse(f"(x*y)^{EXPONENT_LIMIT // 2 + 1}")
+    with pytest.raises(ExponentLimitError):
+        Poly(R3.vars, {(EXPONENT_LIMIT, 1, 0): 1})
+    # constants carry no degree, so any power of one is fine
+    assert R3.coerce(2) ** (EXPONENT_LIMIT + 1) == 2 ** (EXPONENT_LIMIT + 1)
+
+
+@st.composite
+def short_divisors(draw):
+    """(r, d): exponent tuples where d exceeds r in exactly one field."""
+    r = draw(exponent_tuples(high=30))
+    i = draw(st.integers(0, 2))
+    d = [draw(st.integers(0, r[j])) for j in range(3)]
+    d[i] = r[i] + draw(st.integers(1, 30))
+    return r, tuple(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_divisors(), st.integers(1, 5))
+def test_exact_div_detects_a_single_short_field(rd, c):
+    r, d = rd
+    rem = Poly(R3.vars, {r: c})
+    mono = Poly(R3.vars, {d: 1})
+    with pytest.raises(InexactDivisionError):
+        rem.exact_div(mono)  # monomial divisor
+    with pytest.raises(InexactDivisionError):
+        rem.exact_div(mono + 1)  # general long division
+    with pytest.raises(InexactDivisionError):
+        (rem * (X + 2)).exact_div(mono * (Y - 1))
 
 
 def test_ring_json_tags():
