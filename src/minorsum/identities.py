@@ -24,10 +24,11 @@ import json
 from itertools import combinations
 from typing import Sequence
 
-from .combinat import IndexSet, inv_word, subsets
+from .combinat import IndexSet, inv_word
 from .errors import IndexRangeError, ParityError, RingMismatchError, ShapeError
 from .matrix import (
     Matrix,
+    _wrap,
     all_ones,
     augment_hat,
     concat_columns,
@@ -141,10 +142,10 @@ def _apply_sign(sign: int, x):
     return -x if sign < 0 else x
 
 
-def _minor_walk(ring: Ring, rows, nxt, base: int = 0):
+def _minor_walk(ring: Ring, rows, nxt):
     """Yield (path, det) for each column path with a nonzero determinant.
 
-    `rows` hold the columns at positions base, base + 1, ...; a path picks
+    `rows` hold the columns at positions 0, 1, ...; a path picks
     len(rows) of them, in order.  `nxt(path)` gives the positions the next
     column may take and the first position any later column may take.
     Paths are walked depth first, and pushing a column does one Bareiss
@@ -159,7 +160,7 @@ def _minor_walk(ring: Ring, rows, nxt, base: int = 0):
     cand, keep = nxt(())
     # one frame per pushed prefix: (candidates left, residual rows, position
     # of their first entry, prefix, sign flipped, last pivot)
-    stack = [(iter(cand), rows, base, (), False, ring.one)]
+    stack = [(iter(cand), rows, 0, (), False, ring.one)]
     while stack:
         todo, res, base, path, negative, prev = stack[-1]
         if len(res) == 1:
@@ -182,11 +183,13 @@ def _minor_walk(ring: Ring, rows, nxt, base: int = 0):
             cand, keep = nxt(child)
             cut = keep - base
             ptail = prow[cut:]
-            reduced = [
-                [div(piv * x - row[k] * y, prev) for x, y in zip(row[cut:], ptail)]
-                for i, row in enumerate(res)
-                if i != r
-            ]
+            reduced = []
+            for i, row in enumerate(res):
+                if i != r:
+                    rk = row[k]
+                    reduced.append(
+                        [div(piv * x - rk * y, prev) for x, y in zip(row[cut:], ptail)]
+                    )
             # the pivot row moves to the front past r rows
             stack.append((iter(cand), reduced, keep, child, negative ^ (r % 2 == 1), piv))
             break
@@ -240,54 +243,125 @@ def minor_sum(A: Matrix):
     return sum((d for _, d in walk), A.ring.zero)
 
 
-def _double_minor_sum(A: Matrix, B: Matrix, X: Matrix, p: int, border: bool):
-    """Sum over |I| = p, |J| = m - p of det(X_IJ) * det(A^I B^J), with a
-    ones column in front of X_IJ when `border`.
+def _x_minor_table(ring: Ring, rows, p: int, border: bool) -> dict:
+    """{I: {J: det}} for the nonzero minors of the square matrix with these
+    rows: I is an increasing tuple of p 0-based rows, J a bitmask of p
+    columns, or of p - 1 columns behind a ones column when `border`.  A
+    missing I or J means the minor is 0.
 
-    The det(A^I B^J) come from one walk over [A | B]; for each I in turn,
-    the nonzero minors of X_I come from a walk over its rows, which number
-    X's columns as the B block of [A | B] (the ones column just before)."""
+    Level k holds the k x k minors.  Each extends a minor on the rows I[:-1]
+    by the row i = I[-1], as det_minors does with the next row:
+    D[I][S + c] += (-1)^s x[i][c] D[I[:-1]][S], s counting the members of S
+    above c.  So row sets share their prefixes, and nothing is divided.  A
+    bordered minor expands along its ones column:
+    det(1 X_IJ) = sum_r (-1)^r det(X_{I - i_r, J})."""
+    n = len(rows)
+    size = p - 1 if border else p
+    # the sign goes on the entry, which is cheaper to negate than a minor;
+    # a bordered table with p = 1 extends nothing
+    picks = [[(c, 1 << c, a, -a) for c, a in enumerate(row) if a]
+             for row in rows] if size else []
+    level = {(): {0: ring.one}}
+    for k in range(size):
+        # row k of a size-subset lies at most size - 1 - k rows from the end
+        last = n - size + k
+        grown = {}
+        for I, minors in level.items():
+            for i in range(I[-1] + 1 if I else 0, last + 1):
+                extended = {}
+                for S, d in minors.items():
+                    for c, bit, a, neg_a in picks[i]:
+                        if S & bit:
+                            continue
+                        term = (neg_a if (S >> c).bit_count() & 1 else a) * d
+                        T = S | bit
+                        prior = extended.get(T)
+                        if prior is None:
+                            extended[T] = term
+                        else:
+                            total = prior + term
+                            if total:
+                                extended[T] = total
+                            else:
+                                del extended[T]
+                if extended:
+                    grown[I + (i,)] = extended
+        level = grown
+    if not border:
+        return level
+    bordered = {}
+    for I in combinations(range(n), p):
+        expanded = {}
+        for r in range(p):
+            for J, d in level.get(I[:r] + I[r + 1:], {}).items():
+                term = -d if r % 2 else d
+                expanded[J] = expanded[J] + term if J in expanded else term
+        nonzero = {J: d for J, d in expanded.items() if d}
+        if nonzero:
+            bordered[I] = nonzero
+    return bordered
+
+
+def _double_minor_sum(A: Matrix, B: Matrix, Xs: Sequence[Matrix], p: int,
+                      border: bool) -> list:
+    """[sum over |I| = p, |J| = m - p of det(X_IJ) * det(A^I B^J) for X in
+    Xs], with a ones column in front of X_IJ when `border`.
+
+    One walk over [A | B] gives every nonzero det(A^I B^J) once, for all
+    of Xs; the det(X_IJ) of each X come from its minor table
+    (_x_minor_table), built once per call."""
     m, n = A.nrows, A.ncols
     ring = A.ring
     q = m - p
-    # depth-wise bounds: A^I on [0, n), then J on [n, 2n) in both walks
-    j_floors, j_ceils = [n] * q, [2 * n - q + d for d in range(q)]
-    ab_rule = _increasing([0] * p + j_floors, [n - p + d for d in range(p)] + j_ceils)
-    lead = [n - 1] if border else []
-    x_rule = _increasing(lead + j_floors, lead + j_ceils)
-    xrows = [(ring.one,) + r for r in X._rows] if border else X._rows
+    # depth-wise bounds: A^I on [0, n), then J on [n, 2n)
+    rule = _increasing(
+        [0] * p + [n] * q,
+        [n - p + d for d in range(p)] + [2 * n - q + d for d in range(q)],
+    )
+    tables = [_x_minor_table(ring, X._rows, p, border) for X in Xs]
     stacked = [a + b for a, b in zip(A._rows, B._rows)]
-    total = ring.zero
+    totals = [ring.zero] * len(Xs)
     I = None
-    for path, dAB in _minor_walk(ring, stacked, ab_rule):
+    for path, dAB in _minor_walk(ring, stacked, rule):
         if path[:p] != I:
             I = path[:p]
-            walk = _minor_walk(ring, [xrows[i] for i in I], x_rule, n - len(lead))
-            dX_of = {J[len(lead):]: d for J, d in walk}
-        dX = dX_of.get(path[p:])
-        if dX is not None:
-            total = total + dX * dAB
-    return total
+            dX_of = [(k, t[I]) for k, t in enumerate(tables) if I in t]
+        if not dX_of:
+            continue
+        J = 0
+        for j in path[p:]:
+            J |= 1 << (j - n)
+        for k, minors in dX_of:
+            dX = minors.get(J)
+            if dX is not None:
+                totals[k] = totals[k] + dX * dAB
+    return totals
+
+
+def _f_sign(m: int) -> int:
+    """(-1)^(m/2): f_BA(Y) = (-1)^(m/2) f_AB(Y^t), since swapping the two
+    m/2-column blocks of [B^I A^J] and transposing Y_IJ relabel the sum."""
+    return -1 if (m // 2) % 2 else 1
 
 
 def f_AB(A: Matrix, B: Matrix, X: Matrix):
     """Even-order evaluator:
-    sum over |I| = |J| = m/2 of det(X_IJ) * det(A^I B^J), walked with
-    prefix-shared elimination (see _double_minor_sum)."""
+    sum over |I| = |J| = m/2 of det(X_IJ) * det(A^I B^J), from one walk
+    over [A | B] and one minor table of X (see _double_minor_sum)."""
     _check_abx(A, B, X)
     if A.nrows % 2:
         raise ParityError(f"f_AB needs even m, got {A.nrows}")
-    return _double_minor_sum(A, B, X, A.nrows // 2, border=False)
+    return _double_minor_sum(A, B, [X], A.nrows // 2, border=False)[0]
 
 
 def g_AB(A: Matrix, B: Matrix, X: Matrix):
     """Odd-order evaluator: sum over |I| = (m+1)/2, |J| = (m-1)/2 of
     det(1 X_IJ) * det(A^I B^J), the bordered minor taking an all-ones
-    first column; walked as f_AB is."""
+    first column; evaluated as f_AB is."""
     _check_abx(A, B, X)
     if A.nrows % 2 == 0:
         raise ParityError(f"g_AB needs odd m, got {A.nrows}")
-    return _double_minor_sum(A, B, X, (A.nrows + 1) // 2, border=True)
+    return _double_minor_sum(A, B, [X], (A.nrows + 1) // 2, border=True)[0]
 
 
 # -- closed forms for near-triangular minors ---------------------------------
@@ -474,12 +548,16 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     lhs = det(rank_one_form(A, X, B))
     values = {}
     if m % 2 == 0:
-        rhs = f_AB(A, B, X) * f_AB(B, A, J_n - X.T)
+        # f_BA(J - X^t) = (-1)^(m/2) f_AB(J - X), so one walk serves both
+        fx, fy = _double_minor_sum(A, B, [X, J_n - X], m // 2, border=False)
+        rhs = fx * _apply_sign(_f_sign(m), fy)
         passed = lhs == rhs
     else:
         gx = g_AB(A, B, X)
-        rhs = gx * g_AB(B, A, J_n - X.T)
-        alt = _apply_sign(-1 if ((m - 1) // 2) % 2 else 1, gx * g_AB(B, A, X.T))
+        # one walk over [B | A] for g_BA(J - X^t) and g_BA(X^t)
+        gy, gt = _double_minor_sum(B, A, [J_n - X.T, X.T], (m + 1) // 2, border=True)
+        rhs = gx * gy
+        alt = _apply_sign(-1 if ((m - 1) // 2) % 2 else 1, gx * gt)
         values["alt_rhs"] = alt
         passed = lhs == rhs and rhs == alt
     return IdentityReport(
@@ -621,8 +699,10 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
     passed = lhs == rhs
     if m % 2 == 0:
         s = sign_from_binom2(m // 2)
-        c1 = _apply_sign(s, f_AB(A, B, UI)) == factor1
-        c2 = _apply_sign(s, f_AB(B, A, U)) == factor2
+        # f_BA(U) = (-1)^(m/2) f_AB(U^t), so one walk serves both
+        f1, f2 = _double_minor_sum(A, B, [UI, U.T], m // 2, border=False)
+        c1 = _apply_sign(s, f1) == factor1
+        c2 = _apply_sign(s * _f_sign(m), f2) == factor2
     else:
         p = (m + 1) // 2
         s = sign_from_binom2(p) * (-1 if ((m - 1) // 2) % 2 else 1)
@@ -688,25 +768,28 @@ def check_closed_forms(ring: Ring, diag: Sequence) -> IdentityReport:
     det(X_IJ) skips the ones column and det(1 X_IJ) keeps it."""
     d = [ring.coerce(x) for x in diag]
     n = len(d)
-    ones = Matrix(ring, [[ring.one]] * n, ncols=1)
-    bordered = concat_columns([ones, ones_above_diagonal(ring, d)])
+    # the rows of [1 | X]: position 0 is the ones column, so X's 1-based
+    # column j sits at position j
+    bordered = [(ring.one,) + row for row in ones_above_diagonal(ring, d)._rows]
     checked = 0
     mismatches = []
-    forms = (("x1", x1_closed_form, ()), ("x2", x2_closed_form, (1,)))
+    forms = (("x1", x1_closed_form, ()), ("x2", x2_closed_form, (0,)))
     for form, closed, border in forms:
         for ell in range(n + 1 - len(border)):
-            for I in subsets(n, ell + len(border)):
-                for J in subsets(n, ell):
-                    cols = border + tuple(j + 1 for j in J.indices)
-                    expect = det_cofactor(bordered.submatrix(I, cols))
+            for I in combinations(range(1, n + 1), ell + len(border)):
+                rows = [bordered[i - 1] for i in I]
+                for J in combinations(range(1, n + 1), ell):
+                    cols = border + J
+                    minor = (tuple(r[c] for c in cols) for r in rows)
+                    expect = det_cofactor(_wrap(ring, minor, len(cols)))
                     got = closed(ring, d, I, J)
                     checked += 1
                     if got != expect:
                         mismatches.append(
                             {
                                 "form": form,
-                                "I": list(I.indices),
-                                "J": list(J.indices),
+                                "I": list(I),
+                                "J": list(J),
                                 "formula": ring.format(got),
                                 "det": ring.format(expect),
                             }

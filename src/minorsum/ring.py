@@ -417,6 +417,12 @@ class _PolyParser:
             ekind, eval_ = self.take()
             if ekind != "num":
                 raise ScalarParseError("exponent must be a non-negative integer")
+            # checked before computing: a power of a constant has degree 0,
+            # so the product's degree check would never stop it
+            if eval_ > EXPONENT_LIMIT:
+                raise ExponentLimitError(
+                    f"exponent {eval_} exceeds the limit {EXPONENT_LIMIT}"
+                )
             return base ** eval_
         return base
 

@@ -347,6 +347,19 @@ def test_eval_symbolic_pfaffian(tmp_path):
     assert result.output.strip() == "a"
 
 
+def test_eval_rejects_a_huge_exponent_on_a_constant(tmp_path):
+    mat = tmp_path / "big.json"
+    mat.write_text(
+        json.dumps(
+            {"ring": {"poly": ["a"]}, "rows": 1, "cols": 1, "entries": [["2^4000000000"]]}
+        )
+    )
+    result = CliRunner().invoke(main, ["eval", "det", str(mat)])
+    assert result.exit_code == 1
+    assert "exponent 4000000000 exceeds the limit" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_eval_f_operation(tmp_path):
     runner = CliRunner()
     a = write_matrix(tmp_path / "a.json", [[1, 0], [0, 1]])

@@ -4,16 +4,18 @@ The references in oracles.py expand every determinant over permutations
 and enumerate the index sets and chains directly, so they share nothing
 with the prefix-sharing elimination the evaluators use.  The rank-deficient
 inputs make whole subtrees of that elimination vanish, which is where it
-prunes.
+prunes.  The minor table of X that f_AB and g_AB read is checked entry by
+entry against cofactor determinants.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from oracles import ref_chain_sum, ref_f, ref_g, ref_minor_sum
 
-from minorsum import ZZ, Matrix, PolynomialRing, f_AB, g_AB, minor_sum
-from minorsum.identities import _chain_sum
+from minorsum import ZZ, Matrix, PolynomialRing, det_cofactor, f_AB, g_AB, minor_sum
+from minorsum.identities import _apply_sign, _chain_sum, _f_sign, _x_minor_table
 
 
 def assert_evaluators_match(ring, a, b, x):
@@ -97,3 +99,65 @@ def test_generic_poly_inputs_match_leibniz(m, n):
         return [[ring.gen(f"{t}{i}_{j}") for j in range(1, c + 1)] for i in range(1, r + 1)]
 
     assert_evaluators_match(ring, generic("a", m, n), generic("b", m, n), generic("x", n, n))
+
+
+def assert_minor_table_matches_cofactors(ring, x):
+    """Every minor of X on p rows, and of [1 | X] on p rows with the ones
+    column kept, against the table: a present entry is the nonzero cofactor
+    determinant, a missing one a zero minor."""
+    n = len(x)
+    rows = Matrix(ring, x)._rows
+    for border in (False, True):
+        M = Matrix(ring, [[1] + row for row in x] if border else x)
+        lead = (1,) if border else ()
+        for p in range(1, n + 1):
+            table = _x_minor_table(ring, rows, p, border)
+            seen = 0
+            for I in combinations(range(n), p):
+                for J in combinations(range(n), p - border):
+                    cols = lead + tuple(j + 1 + border for j in J)
+                    expect = det_cofactor(M.submatrix([i + 1 for i in I], cols))
+                    got = table.get(I, {}).get(sum(1 << j for j in J))
+                    if got is None:
+                        assert expect == 0, (border, I, J)
+                    else:
+                        assert got and got == expect, (border, I, J)
+                        seen += 1
+            assert sum(len(minors) for minors in table.values()) == seen
+            assert all(minors for minors in table.values())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_minor_table_random_int(n):
+    rng = random.Random(6000 + n)
+    assert_minor_table_matches_cofactors(ZZ, rand_rows(rng, n, n))
+
+
+RANK_DEFICIENT_X = {
+    "zero row": lambda x: x[:2] + [[0] * len(x)] + x[3:],
+    "repeated row": lambda x: x[:3] + [x[1][:]] + x[4:],
+    "rank one": lambda x: [[u * v for v in x[0]] for u in (1, -2, 0, 3, 1, -1)[:len(x)]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RANK_DEFICIENT_X))
+@pytest.mark.parametrize("n", [5, 6])
+def test_minor_table_rank_deficient(kind, n):
+    rng = random.Random(7000 + n)
+    x = RANK_DEFICIENT_X[kind](rand_rows(rng, n, n))
+    assert_minor_table_matches_cofactors(ZZ, x)
+
+
+def test_minor_table_generic_poly():
+    n = 4
+    ring = PolynomialRing([f"x{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)])
+    x = [[ring.gen(f"x{i}_{j}") for j in range(1, n + 1)] for i in range(1, n + 1)]
+    assert_minor_table_matches_cofactors(ring, x)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (2, 5), (4, 4), (4, 6), (6, 6), (6, 7)])
+def test_f_BA_is_signed_f_AB_of_the_transpose(m, n):
+    # the identity that lets one walk over [A | B] give f_BA as well
+    rng = random.Random(8000 * m + n)
+    A, B, Y = (Matrix(ZZ, rand_rows(rng, r, n)) for r in (m, m, n))
+    assert f_AB(B, A, Y) == _apply_sign(_f_sign(m), f_AB(A, B, Y.T))

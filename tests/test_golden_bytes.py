@@ -1,18 +1,35 @@
-"""Pinned bytes of the canonical text of polynomial results.
+"""Pinned bytes of passed reports and of the canonical text of polynomials.
 
-`run_verify` keeps only failed reports, so a change to how polynomials are
-formatted would not show in a passing run.  These tests hash the full
-`to_json_dict()` of passed symbolic reports, and the canonical text of
-skew Schur polynomials, against digests taken from a known-good tree.
+`run_verify` keeps only failed reports, so a change to how values are
+formatted, or to the per-route values a passed report carries in its
+details, would not show in a passing run.  These tests hash the full
+`to_json_dict()` of passed symbolic and integer reports, and the canonical
+text of skew Schur polynomials, against digests taken from a known-good
+tree.
 """
 
 import hashlib
 import json
+import random
 
 from test_acceptance import CAUCHY_SHAPES, symbolic_suite
 from test_symfun import box_partitions, sub_partitions
 
-from minorsum import check_cauchy, skew_schur, xy_ring
+from minorsum import (
+    ZZ,
+    Matrix,
+    check_ab,
+    check_ab2,
+    check_byun,
+    check_cauchy,
+    check_cor7,
+    check_lemma_aux,
+    check_main1,
+    check_main2,
+    check_okada,
+    skew_schur,
+    xy_ring,
+)
 from minorsum.ring import format_poly
 
 
@@ -51,4 +68,34 @@ def test_skew_schur_text_over_the_3x3_box_is_pinned():
     assert len(lines) == 175
     assert digest(lines) == (
         "bdf9fe76a417cf12dc595d8e68c3e8078a94313d29e1372908f37ad25967efeb"
+    )
+
+
+def integer_reports():
+    """Every matrix check on one seeded integer input per (m, n), m in 1..6
+    and n in m..8; the even- and odd-only checks run at their parity."""
+    reports = []
+    for m in range(1, 7):
+        for n in range(m, 9):
+            rng = random.Random(100 * m + n)
+
+            def rand(rows, cols):
+                return Matrix(ZZ, [[rng.randint(-5, 5) for _ in range(cols)]
+                                   for _ in range(rows)])
+
+            A, B, X = rand(m, n), rand(m, n), rand(n, n)
+            reports += [check_okada(A), check_byun(A), check_main1(A, B, X),
+                        check_ab(A, B)]
+            if m % 2 == 0:
+                reports += [check_main2(A, B, X), check_cor7(A, X), check_ab2(A, B)]
+            else:
+                reports.append(check_lemma_aux(A, B, X))
+    return reports
+
+
+def test_integer_reports_are_pinned():
+    reports = integer_reports()
+    assert len(reports) == 195 and all(r.passed for r in reports)
+    assert digest(report_lines(reports)) == (
+        "05e8d9cfad26a60bd46ae07802dd86207823fa440a3acf12c3b26e948cd794c5"
     )

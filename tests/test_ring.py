@@ -307,6 +307,15 @@ def test_exponent_limit_from_pow_parse_and_constructor():
     assert R3.coerce(2) ** (EXPONENT_LIMIT + 1) == 2 ** (EXPONENT_LIMIT + 1)
 
 
+def test_parsed_exponent_beyond_the_limit_fails_before_computing():
+    # a constant's power has degree 0, so only the literal exponent can stop it
+    with pytest.raises(ExponentLimitError):
+        R3.parse("2^4000000000")
+    with pytest.raises(ExponentLimitError):
+        R3.parse(f"1^{EXPONENT_LIMIT + 1}")
+    assert R3.parse(f"1^{EXPONENT_LIMIT}") == 1
+
+
 @st.composite
 def short_divisors(draw):
     """(r, d): exponent tuples where d exceeds r in exactly one field."""
