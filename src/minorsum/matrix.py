@@ -18,6 +18,9 @@ There are three determinant kernels: `det_cofactor` (the definition),
 exactly; fastest on integers and rationals) and `det_minors` (memoised
 minors, about n 2^n products of one entry and one smaller minor, no
 division; fastest on polynomials).  `det` picks one from the input's ring.
+`det_minors` and the matrix product form their sums of products with the
+ring's `dot`, which on polynomials accumulates every product into one
+map instead of building each product and partial sum as its own value.
 
 Every identity in the paper is about one skew matrix,
 Y(A, X, B) = AXB^t - BX^tA^t: `skew_form` builds it as P - P^t with
@@ -164,12 +167,9 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        zero = self.ring.zero
+        dot = self.ring.dot
         bt = list(zip(*other._rows)) if other._rows else [()] * other.ncols
-        rows = (
-            tuple(sum((a * b for a, b in zip(r, col)), zero) for col in bt)
-            for r in self._rows
-        )
+        rows = (tuple(dot(r, col) for col in bt) for r in self._rows)
         return _wrap(self.ring, rows, other.ncols)
 
     def scale(self, scalar) -> "Matrix":
@@ -368,36 +368,39 @@ def det_bareiss(M: Matrix):
 
 def det_minors(M: Matrix):
     """Division-free determinant by memoised minors, about n 2^n products.
-    Row k extends each nonzero minor D[S] of the first k rows on the
-    columns S (a bitmask) to D[S + c] += (-1)^s a[k][c] D[S], where s counts
-    the members of S above c; zero minors and zero entries are skipped.
-    Each product is one entry times one smaller minor, and nothing is
-    divided."""
+    Row k extends the nonzero minors D[S] of the first k rows on the
+    columns S (a bitmask) to D[T] = sum (-1)^s a[k][c] D[S] over the c in T
+    with S = T - c, where s counts the members of S above c; zero minors
+    and zero entries are skipped.  Each D[T] is one `ring.dot` of signed
+    entries and smaller minors, so on polynomials its products are summed
+    in one fused accumulation, and nothing is divided."""
     _require_square(M, "det_minors")
     ring = M.ring
+    dot = ring.dot
     minors = {0: ring.one}
     for row in M._rows:
         # the sign goes on the entry, which is cheaper to negate than a minor
         picks = [(c, 1 << c, a, -a) for c, a in enumerate(row) if a]
-        extended = {}
+        extends = {}  # T -> ([signed entries], [minors of T - c])
         for S, d in minors.items():
             for c, bit, a, neg_a in picks:
                 if S & bit:
                     continue
-                term = (neg_a if (S >> c).bit_count() & 1 else a) * d
+                entry = neg_a if (S >> c).bit_count() & 1 else a
                 T = S | bit
-                prior = extended.get(T)
-                if prior is None:
-                    extended[T] = term
+                pair = extends.get(T)
+                if pair is None:
+                    extends[T] = ([entry], [d])
                 else:
-                    total = prior + term
-                    if total:
-                        extended[T] = total
-                    else:
-                        del extended[T]
-        if not extended:
+                    pair[0].append(entry)
+                    pair[1].append(d)
+        minors = {}
+        for T, (entries, smaller) in extends.items():
+            d = dot(entries, smaller)
+            if d:
+                minors[T] = d
+        if not minors:
             return ring.zero
-        minors = extended
     (result,) = minors.values()
     return result
 
@@ -405,7 +408,8 @@ def det_minors(M: Matrix):
 def det(M: Matrix):
     """Determinant by the kernel that suits the entries: `det_minors` for
     polynomials, where Bareiss's exact divisions cost more than the
-    products they undo, and `det_bareiss` for integers and rationals."""
+    products they undo and each minor is one fused `ring.dot`, and
+    `det_bareiss` for integers and rationals."""
     if isinstance(M.ring, PolynomialRing):
         return det_minors(M)
     return det_bareiss(M)

@@ -5,9 +5,9 @@ Elements are plain values: Python int, fractions.Fraction, or Poly.  All
 three overload +, -, * and unary -, and are false exactly when zero, so
 matrix and identity code does its arithmetic with operators.  A Ring object
 holds only what differs between the rings: zero and one, coercion,
-exact division, and parsing and formatting.  fractions.Fraction already
-keeps rationals reduced with a positive denominator, which is exactly the
-canonical form required here.
+exact division, the sum of products `dot`, and parsing and formatting.
+fractions.Fraction already keeps rationals reduced with a positive
+denominator, which is exactly the canonical form required here.
 
 A Poly stores each monomial as one packed int: a 16-bit field per variable,
 the first variable highest, and the total degree in the field above them.
@@ -20,6 +20,16 @@ division using dynamic arrays, heaps, and packed exponent vectors" (CASC
 2007).  A monomial's total degree may not exceed EXPONENT_LIMIT = 32767,
 which bounds every exponent below its guard bit; a product that would
 exceed it raises ExponentLimitError instead of carrying into the next field.
+
+`Ring.dot(xs, ys)` returns the sum of the products xs[i] * ys[i].  On
+polynomials it is a fused multiply-accumulate, the sparse accumulation of
+Monagan and Pearce, "Sparse polynomial multiplication and division in
+Maple 14" (2009): every monomial product of every pair is added into one
+map of packed keys, and the coefficients that cancel are deleted in place
+once at the end.  So a long sum of products that cancels heavily, such
+as a determinant's expansion, never builds each product, or a copy of
+the running sum, as its own Poly.  Poly multiplication runs the same loop
+on a single pair.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -77,6 +88,40 @@ def _poly(vars: tuple, mons: dict) -> "Poly":
     res.vars = vars
     res._mons = mons
     return res
+
+
+def _check_product_degree(a: dict, b: dict, shift: int) -> None:
+    # a product's top degree is the sum of its factors' top degrees; checked
+    # before multiplying, so no field ever carries into the next
+    degree = (max(a) >> shift) + (max(b) >> shift)
+    if degree > EXPONENT_LIMIT:
+        raise ExponentLimitError(
+            f"product of degree {degree} exceeds the limit {EXPONENT_LIMIT}"
+        )
+
+
+def _add_product(acc: dict, a: dict, b: dict, shift: int) -> None:
+    """acc += a * b on packed maps (shift = the bit width of the variable
+    fields).  Coefficients that cancel stay in acc as zeros, for
+    _strip_zeros to drop once at the end."""
+    if not a or not b:
+        return
+    _check_product_degree(a, b, shift)
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    bitems = b.items()
+    for e1, c1 in a.items():
+        for e2, c2 in bitems:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _strip_zeros(acc: dict) -> dict:
+    # in place: a filtered copy would hold two maps of the full size at once
+    for e in [e for e, c in acc.items() if not c]:
+        del acc[e]
+    return acc
 
 
 class Poly:
@@ -164,10 +209,20 @@ class Poly:
         return _poly(self.vars, {e: -c for e, c in self._mons.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce_other(other))
+        if other.__class__ is not Poly or other.vars is not self.vars:
+            other = self._coerce_other(other)
+        out = dict(self._mons)
+        get = out.get
+        for e, c in other._mons.items():
+            s = get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _poly(self.vars, out)
 
     def __rsub__(self, other):
-        return self._coerce_other(other) + (-self)
+        return self._coerce_other(other) - self
 
     def __mul__(self, other):
         if other.__class__ is not Poly or other.vars is not self.vars:
@@ -175,27 +230,15 @@ class Poly:
         a, b = self._mons, other._mons
         if len(a) > len(b):
             a, b = b, a
-        if not a:
-            return _poly(self.vars, {})
-        shift = _FIELD * len(self.vars)
-        degree = (max(a) >> shift) + (max(b) >> shift)
-        if degree > EXPONENT_LIMIT:
-            raise ExponentLimitError(
-                f"product of degree {degree} exceeds the limit {EXPONENT_LIMIT}"
-            )
         if len(a) == 1:
             # a term times a polynomial: keys stay distinct, no coefficient
             # vanishes
+            _check_product_degree(a, b, _FIELD * len(self.vars))
             ((e1, c1),) = a.items()
             return _poly(self.vars, {e1 + e: c1 * c for e, c in b.items()})
         out = {}
-        get = out.get
-        bitems = b.items()
-        for e1, c1 in a.items():
-            for e2, c2 in bitems:
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        return _poly(self.vars, {e: c for e, c in out.items() if c})
+        _add_product(out, a, b, _FIELD * len(self.vars))
+        return _poly(self.vars, _strip_zeros(out))
 
     __rmul__ = __mul__
 
@@ -460,6 +503,11 @@ class Ring:
     def exact_divide(self, x, y):
         raise NotImplementedError
 
+    def dot(self, xs: Sequence, ys: Sequence) -> Scalar:
+        """Sum of xs[i] * ys[i] over two sequences of equal length, in
+        canonical form; the empty sum is this ring's zero."""
+        return sum(map(mul, xs, ys), self.zero)
+
     def parse(self, text: str) -> Scalar:
         raise NotImplementedError
 
@@ -590,6 +638,23 @@ class PolynomialRing(Ring):
 
     def exact_divide(self, x, y):
         return x.exact_div(y)
+
+    def dot(self, xs, ys):
+        """Sum of xs[i] * ys[i], fused: every monomial product of every pair
+        is added into one map, and the coefficients that cancel are dropped
+        once at the end, so no product or partial sum is built as a Poly.
+        Each pair's degree is checked as in Poly.__mul__; the inputs are
+        not changed."""
+        vars = self.vars
+        shift = _FIELD * len(vars)
+        acc = {}
+        for x, y in zip(xs, ys):
+            if x.__class__ is not Poly or x.vars is not vars:
+                x = self.coerce(x)
+            if y.__class__ is not Poly or y.vars is not vars:
+                y = self.coerce(y)
+            _add_product(acc, x._mons, y._mons, shift)
+        return _poly(vars, _strip_zeros(acc))
 
     def parse(self, text):
         return _PolyParser(self, text).parse()

@@ -41,21 +41,52 @@ def xy_ring(kx: int, ky: int):
     return ring, gens[:kx], gens[kx:]
 
 
+def _h_table(ring: PolynomialRing, degree: int, block: Sequence[Poly]) -> list:
+    """[h_0, ..., h_degree] of the block, in one pass: built one variable
+    at a time by h_d(x_1..x_k) = h_d(x_1..x_{k-1}) + x_k h_{d-1}(x_1..x_k),
+    which computes every lower degree on the way to the top one."""
+    h = [ring.one] + [ring.zero] * degree  # h_0..h_degree of no variables
+    for g in block:
+        for d in range(1, degree + 1):
+            h[d] = h[d] + g * h[d - 1]
+    return h
+
+
 def h_complete(ring: PolynomialRing, degree: int, block: Sequence[Poly]) -> Poly:
     """Complete homogeneous symmetric polynomial of the given degree.
 
     Sum of all monomials x_{i_1}...x_{i_d} with i_1 <= ... <= i_d drawn
     from the block.  degree 0 gives 1; negative degree gives 0 (the
-    convention the Jacobi-Trudi determinant relies on).  Built one variable
-    at a time by h_d(x_1..x_k) = h_d(x_1..x_{k-1}) + x_k h_{d-1}(x_1..x_k).
+    convention the Jacobi-Trudi determinant relies on).
     """
     if degree < 0:
         return ring.zero
-    h = [ring.one] + [ring.zero] * degree  # h_0..h_degree of no variables
-    for g in block:
-        for d in range(1, degree + 1):
-            h[d] = h[d] + g * h[d - 1]
-    return h[degree]
+    return _h_table(ring, degree, block)[degree]
+
+
+def _padded(lam: Sequence[int], mu: Sequence[int]):
+    """(lam, mu) as partitions padded with zeros to one length, or None
+    when mu is not contained in lam."""
+    lam = as_partition(lam)
+    mu = as_partition(mu)
+    size = max(len(lam), len(mu))
+    lam = lam + (0,) * (size - len(lam))
+    mu = mu + (0,) * (size - len(mu))
+    if any(m > l for l, m in zip(lam, mu)):
+        return None
+    return lam, mu
+
+
+def _jacobi_trudi(ring: PolynomialRing, lam: tuple, mu: tuple, h: list) -> Poly:
+    # det(h_{lam_j - j - mu_i + i}) for padded shapes with mu inside lam;
+    # the table h = [h_0, h_1, ...] must reach lam_1 - 1 + len - mu_len
+    zero = ring.zero
+    size = len(lam)
+    rows = [
+        [h[d] if d >= 0 else zero for d in (lam[j] - j - mu[i] + i for j in range(size))]
+        for i in range(size)
+    ]
+    return det(Matrix(ring, rows, ncols=size))
 
 
 def skew_schur(
@@ -68,27 +99,15 @@ def skew_schur(
 
     Entry (i, j) of the matrix is h_{lam_j - j - mu_i + i}; the shorter
     partition is padded with zeros.  When mu is not contained in lam the
-    determinant vanishes, so 0 is returned directly.
+    determinant vanishes, so 0 is returned directly.  The entries come from
+    one table h_0..h_D (`_h_table`), D the largest index in the matrix.
     """
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    size = max(len(lam), len(mu))
-    lam = lam + (0,) * (size - len(lam))
-    mu = mu + (0,) * (size - len(mu))
-    if any(m > l for l, m in zip(lam, mu)):
+    shapes = _padded(lam, mu)
+    if shapes is None:
         return ring.zero
-    if size == 0:
-        return ring.one
-
-    @cache
-    def h(d: int) -> Poly:
-        return h_complete(ring, d, block)
-
-    rows = [
-        [h(lam[j] - (j + 1) - mu[i] + (i + 1)) for j in range(size)]
-        for i in range(size)
-    ]
-    return det(Matrix(ring, rows))
+    lam, mu = shapes
+    top = lam[0] - 1 + len(lam) - mu[-1] if lam else 0
+    return _jacobi_trudi(ring, lam, mu, _h_table(ring, top, block))
 
 
 def check_cauchy(m: int, n: int, kx: int, ky: int) -> IdentityReport:
@@ -113,13 +132,11 @@ def check_cauchy(m: int, n: int, kx: int, ky: int) -> IdentityReport:
     ring, xs, ys = xy_ring(kx, ky)
     half = m // 2
 
-    @cache
-    def h_x(d: int) -> Poly:
-        return h_complete(ring, d, xs)
-
-    @cache
-    def h_y(d: int) -> Poly:
-        return h_complete(ring, d, ys)
+    # one table per block: a skew Schur here has half rows and
+    # lambda(I)_1 <= n - half, so its Jacobi-Trudi indices stay below n,
+    # as do those of H(x) and H(y)
+    h_x = _h_table(ring, n - 1, xs)
+    h_y = _h_table(ring, n - 1, ys)
 
     # LHS: enumerate (I, J) pairs once, reuse skew Schur values across splits
     half_subsets = list(subsets(n, half))
@@ -131,15 +148,17 @@ def check_cauchy(m: int, n: int, kx: int, ky: int) -> IdentityReport:
             if is_horizontal_strip(lam_j, lam_i):
                 pairs.append((lam_i, lam_j))
 
-    @cache
-    def s_x(lam, mu) -> Poly:
-        return skew_schur(ring, lam, mu, xs)
+    def skew_schur_from(h):
+        @cache
+        def s(lam, mu) -> Poly:
+            shapes = _padded(lam, mu)
+            return ring.zero if shapes is None else _jacobi_trudi(ring, *shapes, h)
+        return s
 
-    @cache
-    def s_y(lam, mu) -> Poly:
-        return skew_schur(ring, lam, mu, ys)
+    s_x, s_y = skew_schur_from(h_x), skew_schur_from(h_y)
 
-    lhs = ring.zero
+    # one fused sum over the signed (s_x, s_y) products
+    xs_terms, ys_terms = [], []
     for R in subsets(m, half):
         S = R.complement()
         negative = sum(r - 1 for r in R) % 2 == 1
@@ -152,12 +171,13 @@ def check_cauchy(m: int, n: int, kx: int, ky: int) -> IdentityReport:
             b = s_y(lam_j, lam_s)
             if not b:
                 continue
-            term = a * b
-            lhs = lhs + (-term if negative else term)
+            xs_terms.append(-a if negative else a)
+            ys_terms.append(b)
+    lhs = ring.dot(xs_terms, ys_terms)
 
     # RHS: the coupled h-matrix as the paper's skew form
     H_x, H_y = (
-        Matrix(ring, [[h(k - i) for k in range(n)] for i in range(m)])
+        Matrix(ring, [[h[k - i] if k >= i else ring.zero for k in range(n)] for i in range(m)])
         for h in (h_x, h_y)
     )
     UI = upper_ones(n, ring) + identity(n, ring)

@@ -120,6 +120,26 @@ def test_matmul_generic_ring_path():
     assert (M @ N).entry(1, 1) == a * a + b * b
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, KERNEL_POLY], ids=["int", "rat", "poly"])
+def test_empty_inner_dimension_gives_the_rings_zero(ring):
+    for m, n in ((1, 1), (2, 3), (0, 2), (3, 0)):
+        product = Matrix(ring, [[]] * m, ncols=0) @ Matrix(ring, [], ncols=n)
+        assert (product.nrows, product.ncols) == (m, n)
+        assert product == Matrix.zeros(ring, m, n)
+        for row in product._rows:
+            for x in row:
+                assert type(x) is type(ring.zero) and x == ring.zero
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, KERNEL_POLY], ids=["int", "rat", "poly"])
+def test_empty_pfaffian_and_determinant_are_the_rings_one(ring):
+    empty = Matrix(ring, [], ncols=0)
+    for kernel in (det, det_bareiss, det_minors, det_cofactor,
+                   pfaffian_matchings, pfaffian_bareiss):
+        value = kernel(empty)
+        assert type(value) is type(ring.one) and value == ring.one, kernel.__name__
+
+
 def test_submatrix_and_selection():
     M = Matrix(ZZ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert M.submatrix((1, 3), (2, 3)) == Matrix(ZZ, [[2, 3], [8, 9]])

@@ -344,3 +344,95 @@ def test_ring_json_tags():
     assert ZZ.to_json_tag() == "int"
     assert QQ.to_json_tag() == "rat"
     assert R3.to_json_tag() == {"poly": ["x", "y", "z"]}
+
+
+# -- fused sum of products -----------------------------------------------
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+R2 = PolynomialRing(("x", "z"))
+
+
+def snapshot(values):
+    return [dict(v._mons) if isinstance(v, Poly) else v for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-99, 99), st.integers(-99, 99)), max_size=8))
+def test_dot_is_the_sum_of_products_on_integers(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    assert ZZ.dot(xs, ys) == sum(x * y for x, y in pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(fractions, fractions), max_size=8))
+def test_dot_is_the_sum_of_products_on_rationals(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    total = QQ.dot(xs, ys)
+    assert total == sum((x * y for x, y in pairs), Fraction(0))
+    assert isinstance(total, Fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(polys(), polys()), max_size=6), st.data())
+def test_dot_is_the_sum_of_products_on_polys(pairs, data):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    # alias some inputs across the two sequences: xs[i] is ys[j]
+    for i in range(len(xs)):
+        if data.draw(st.booleans()):
+            ys[data.draw(st.integers(0, len(ys) - 1))] = xs[i]
+    before = snapshot(xs + ys)
+    expected = R3.zero
+    for x, y in zip(xs, ys):
+        expected = expected + x * y
+    total = R3.dot(xs, ys)
+    assert total == expected
+    assert total._mons == expected._mons and all(total._mons.values())
+    assert snapshot(xs + ys) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(polys(), polys()), min_size=1, max_size=5))
+def test_dot_cancelling_to_zero_is_canonical_zero(pairs):
+    # each product appears once with each sign
+    xs = [x for x, _ in pairs] + [-x for x, _ in pairs]
+    ys = [y for _, y in pairs] * 2
+    before = snapshot(xs + ys)
+    total = R3.dot(xs, ys)
+    assert total._mons == {}
+    assert total == 0 and total == R3.zero and not total
+    assert hash(total) == hash(0)
+    assert snapshot(xs + ys) == before
+
+
+def test_dot_of_nothing_is_the_rings_zero():
+    assert ZZ.dot([], []) == 0 and type(ZZ.dot([], [])) is int
+    assert type(QQ.dot([], [])) is Fraction and QQ.dot([], []) == 0
+    empty = R3.dot([], [])
+    assert isinstance(empty, Poly) and empty == R3.zero and empty._mons == {}
+    assert empty.vars is R3.vars
+
+
+def test_dot_mixes_ints_with_polys_and_aliases_one_input():
+    p = X + Y
+    assert R3.dot([p, 2], [p, Z]) == p * p + 2 * Z
+    assert R3.dot([p], [p]) == X * X + 2 * X * Y + Y * Y
+    assert p._mons == (X + Y)._mons
+
+
+def test_dot_checks_the_degree_of_every_pair():
+    top = X**EXPONENT_LIMIT
+    with pytest.raises(ExponentLimitError):
+        R3.dot([Y, top], [Y, Y + 1])
+    with pytest.raises(ExponentLimitError):
+        R3.dot([top + 1], [X])
+    assert R3.dot([top, Y], [1, Z]) == top + Y * Z
+
+
+def test_dot_rejects_polys_over_other_variables():
+    other = R2.gen("x")
+    with pytest.raises(RingMismatchError):
+        R3.dot([X, other], [Y, Y])
+    with pytest.raises(RingMismatchError):
+        R3.dot([X], [other])
+    with pytest.raises(RingMismatchError):
+        R3.dot([X], [Fraction(1, 2)])
