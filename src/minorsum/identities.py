@@ -28,7 +28,6 @@ from .combinat import IndexSet, inv_word
 from .errors import IndexRangeError, ParityError, RingMismatchError, ShapeError
 from .matrix import (
     Matrix,
-    _wrap,
     all_ones,
     augment_hat,
     concat_columns,
@@ -143,34 +142,34 @@ def _apply_sign(sign: int, x):
 
 
 def _minor_walk(ring: Ring, rows, nxt):
-    """Yield (path, det) for each column path with a nonzero determinant.
+    """Yield (prefix, leaves, dets, sign), one leaf row for each column
+    prefix one short of a full path: `leaves` is the range of positions the
+    last column may take, and the determinant of the path prefix + (t,) is
+    sign * dets[i] for the i-th position t of leaves (zeros included; sign
+    is +1 or -1).
 
     `rows` hold the columns at positions 0, 1, ...; a path picks
     len(rows) of them, in order.  `nxt(path)` gives the positions the next
-    column may take and the first position any later column may take.
-    Paths are walked depth first, and pushing a column does one Bareiss
-    step on the residual rows, so paths sharing a prefix share its
-    elimination (Sylvester's identity); the last residual row holds the
-    leaf determinants.  A pushed column with no nonzero residual entry
-    depends on the prefix, so every path through it is skipped."""
-    if not rows:
-        yield (), ring.one
-        return
+    column may take, as a range, and the first position any later column
+    may take, which lies at or before that range and at or after the one
+    it gave for path[:-1].  Paths are walked depth first, and pushing a
+    column does one Bareiss step on the residual rows, so paths sharing a
+    prefix share its elimination (Sylvester's identity).  The last step
+    reduces the one row left at the leaf positions only.  A pushed column
+    with no nonzero residual entry depends on the prefix, so every path
+    through it is skipped.  `rows` must not be empty: the empty path's
+    determinant, 1, is the caller's."""
     div = ring.exact_divide
     cand, keep = nxt(())
+    if len(rows) == 1:
+        yield (), cand, [rows[0][t] for t in cand], 1
+        return
     # one frame per pushed prefix: (candidates left, residual rows, position
     # of their first entry, prefix, sign flipped, last pivot)
     stack = [(iter(cand), rows, 0, (), False, ring.one)]
     while stack:
         todo, res, base, path, negative, prev = stack[-1]
-        if len(res) == 1:
-            last = res[0]
-            for t in todo:
-                v = last[t - base]
-                if v:
-                    yield path + (t,), -v if negative else v
-            stack.pop()
-            continue
+        last_step = len(res) == 2
         for t in todo:
             k = t - base
             for r, prow in enumerate(res):
@@ -181,6 +180,18 @@ def _minor_walk(ring: Ring, rows, nxt):
                 continue
             child = path + (t,)
             cand, keep = nxt(child)
+            # the pivot row moves to the front past r rows
+            flipped = negative ^ (r % 2 == 1)
+            if last_step:
+                if cand:
+                    row = res[1 - r]
+                    rk = row[k]
+                    # a nonempty range starts at or after base
+                    at = slice(cand.start - base, cand.stop - base, cand.step)
+                    dets = [div(piv * x - rk * y, prev)
+                            for x, y in zip(row[at], prow[at])]
+                    yield child, cand, dets, -1 if flipped else 1
+                continue
             cut = keep - base
             ptail = prow[cut:]
             reduced = []
@@ -190,11 +201,22 @@ def _minor_walk(ring: Ring, rows, nxt):
                     reduced.append(
                         [div(piv * x - rk * y, prev) for x, y in zip(row[cut:], ptail)]
                     )
-            # the pivot row moves to the front past r rows
-            stack.append((iter(cand), reduced, keep, child, negative ^ (r % 2 == 1), piv))
+            stack.append((iter(cand), reduced, keep, child, flipped, piv))
             break
         else:
             stack.pop()
+
+
+def _walk_sum(ring: Ring, rows, nxt):
+    """Sum of the determinants of every path `nxt` allows (see _minor_walk),
+    one row of leaves at a time; 1 for no rows, the empty path."""
+    if not rows:
+        return ring.one
+    total = ring.zero
+    for _, _, dets, sign in _minor_walk(ring, rows, nxt):
+        row_sum = sum(dets, ring.zero)
+        total = total - row_sum if sign < 0 else total + row_sum
+    return total
 
 
 def _increasing(floors, ceils):
@@ -239,34 +261,32 @@ def _check_abx(A: Matrix, B: Matrix, X: Matrix):
 
 def minor_sum(A: Matrix):
     """Sum of all maximal minors det(A^I), |I| = row count; 0 when m > n."""
-    walk = _minor_walk(A.ring, A._rows, _maximal(A.nrows, A.ncols))
-    return sum((d for _, d in walk), A.ring.zero)
+    return _walk_sum(A.ring, A._rows, _maximal(A.nrows, A.ncols))
 
 
-def _x_minor_table(ring: Ring, rows, p: int, border: bool) -> dict:
-    """{I: {J: det}} for the nonzero minors of the square matrix with these
-    rows: I is an increasing tuple of p 0-based rows, J a bitmask of p
-    columns, or of p - 1 columns behind a ones column when `border`.  A
-    missing I or J means the minor is 0.
+def _minor_levels(ring: Ring, rows, size: int, tight: bool) -> list:
+    """[level 0, ..., level size] of the nonzero minors of the square matrix
+    with these rows.  Level k is {I: {J: det}} for the k x k minors: I is an
+    increasing tuple of k 0-based rows, J a bitmask of k columns, and a
+    missing I or J means the minor is 0.  When `tight`, level k keeps only
+    the row sets that can still grow to `size` rows.
 
-    Level k holds the k x k minors.  Each extends a minor on the rows I[:-1]
-    by the row i = I[-1], as det_minors does with the next row:
+    Each minor of level k + 1 extends one on the rows I[:-1] by the row
+    i = I[-1], as det_minors does with the next row:
     D[I][S + c] += (-1)^s x[i][c] D[I[:-1]][S], s counting the members of S
-    above c.  So row sets share their prefixes, and nothing is divided.  A
-    bordered minor expands along its ones column:
-    det(1 X_IJ) = sum_r (-1)^r det(X_{I - i_r, J})."""
+    above c.  So this is a row (cofactor) expansion in which row sets share
+    their prefixes, and nothing is divided."""
     n = len(rows)
-    size = p - 1 if border else p
-    # the sign goes on the entry, which is cheaper to negate than a minor;
-    # a bordered table with p = 1 extends nothing
+    # the sign goes on the entry, which is cheaper to negate than a minor
     picks = [[(c, 1 << c, a, -a) for c, a in enumerate(row) if a]
              for row in rows] if size else []
-    level = {(): {0: ring.one}}
+    levels = [{(): {0: ring.one}}]
     for k in range(size):
-        # row k of a size-subset lies at most size - 1 - k rows from the end
-        last = n - size + k
+        # when tight: row k of a size-subset lies at most size - 1 - k rows
+        # from the end
+        last = n - size + k if tight else n - 1
         grown = {}
-        for I, minors in level.items():
+        for I, minors in levels[-1].items():
             for i in range(I[-1] + 1 if I else 0, last + 1):
                 extended = {}
                 for S, d in minors.items():
@@ -286,9 +306,15 @@ def _x_minor_table(ring: Ring, rows, p: int, border: bool) -> dict:
                                 del extended[T]
                 if extended:
                     grown[I + (i,)] = extended
-        level = grown
-    if not border:
-        return level
+        levels.append(grown)
+    return levels
+
+
+def _bordered(level: dict, n: int, p: int) -> dict:
+    """{I: {J: det(1 X_IJ)}} over the p-subsets I of n rows, from the level
+    of the (p - 1) x (p - 1) minors, with the ones column in front:
+    det(1 X_IJ) = sum_r (-1)^r det(X_{I - i_r, J}).  Only the nonzero
+    minors are kept."""
     bordered = {}
     for I in combinations(range(n), p):
         expanded = {}
@@ -302,16 +328,27 @@ def _x_minor_table(ring: Ring, rows, p: int, border: bool) -> dict:
     return bordered
 
 
+def _x_minor_table(ring: Ring, rows, p: int, border: bool) -> dict:
+    """{I: {J: det}} for the nonzero minors of the square matrix with these
+    rows on p rows: of X_IJ (J a bitmask of p columns), or of 1 X_IJ (p - 1
+    columns behind a ones column) when `border`; see _minor_levels."""
+    size = p - 1 if border else p
+    level = _minor_levels(ring, rows, size, tight=True)[-1]
+    return _bordered(level, len(rows), p) if border else level
+
+
 def _double_minor_sum(A: Matrix, B: Matrix, Xs: Sequence[Matrix], p: int,
                       border: bool) -> list:
     """[sum over |I| = p, |J| = m - p of det(X_IJ) * det(A^I B^J) for X in
     Xs], with a ones column in front of X_IJ when `border`.
 
-    One walk over [A | B] gives every nonzero det(A^I B^J) once, for all
-    of Xs; the det(X_IJ) of each X come from its minor table
-    (_x_minor_table), built once per call."""
+    One walk over [A | B] gives, for each prefix one column short, the row
+    of det(A^I B^J) over its leaves, once for all of Xs; each X's minors
+    det(X_IJ) for those leaves come from its minor table (_x_minor_table),
+    built once per call, and meet the row in one ring.dot."""
     m, n = A.nrows, A.ncols
     ring = A.ring
+    zero = ring.zero
     q = m - p
     # depth-wise bounds: A^I on [0, n), then J on [n, 2n)
     rule = _increasing(
@@ -320,21 +357,28 @@ def _double_minor_sum(A: Matrix, B: Matrix, Xs: Sequence[Matrix], p: int,
     )
     tables = [_x_minor_table(ring, X._rows, p, border) for X in Xs]
     stacked = [a + b for a, b in zip(A._rows, B._rows)]
-    totals = [ring.zero] * len(Xs)
+    totals = [zero] * len(Xs)
+    dot = ring.dot
     I = None
-    for path, dAB in _minor_walk(ring, stacked, rule):
-        if path[:p] != I:
-            I = path[:p]
-            dX_of = [(k, t[I]) for k, t in enumerate(tables) if I in t]
-        if not dX_of:
-            continue
-        J = 0
-        for j in path[p:]:
-            J |= 1 << (j - n)
-        for k, minors in dX_of:
-            dX = minors.get(J)
-            if dX is not None:
-                totals[k] = totals[k] + dX * dAB
+    for prefix, leaves, dets, sign in _minor_walk(ring, stacked, rule):
+        if q:
+            # the leaves complete J
+            if prefix[:p] != I:
+                I = prefix[:p]
+                gets = [(k, t[I].get) for k, t in enumerate(tables) if I in t]
+            if not gets:
+                continue
+            J = 0
+            for j in prefix[p:]:
+                J |= 1 << (j - n)
+            for k, get in gets:
+                s = dot(dets, [get(J | 1 << (t - n), zero) for t in leaves])
+                totals[k] = totals[k] - s if sign < 0 else totals[k] + s
+        else:
+            # m = 1 (g_AB): the leaves complete I, and J is empty
+            for k, t in enumerate(tables):
+                s = dot(dets, [t.get((i,), {}).get(0, zero) for i in leaves])
+                totals[k] = totals[k] - s if sign < 0 else totals[k] + s
     return totals
 
 
@@ -463,7 +507,7 @@ def _chain_sum(first: Matrix, second: Matrix, weak_within: bool):
         s = d % 2
         return range(2 * lo + s, 2 * (n - 1 - room[d]) + s + 1, 2), 2 * lo
 
-    return sum((d for _, d in _minor_walk(ring, rows, nxt)), ring.zero)
+    return _walk_sum(ring, rows, nxt)
 
 
 # -- checkers -----------------------------------------------------------------
@@ -643,10 +687,15 @@ def check_iswa(A: Matrix, Y: Matrix) -> IdentityReport:
         raise ShapeError(f"Y must be {n}x{n}")
     require_skew(Y, "iswa")
     ring = A.ring
-    lhs = ring.zero
-    for path, d in _minor_walk(ring, A._rows, _maximal(m, n)):
-        I = [c + 1 for c in path]
-        lhs = lhs + pfaffian_matchings(Y.submatrix(I, I)) * d
+    # with no rows the one term is the empty minor times the empty Pfaffian
+    lhs = ring.zero if m else ring.one
+    walk = _minor_walk(ring, A._rows, _maximal(m, n)) if m else ()
+    for prefix, leaves, dets, sign in walk:
+        for t, d in zip(leaves, dets):
+            if d:
+                I = [c + 1 for c in prefix + (t,)]
+                term = pfaffian_matchings(Y.submatrix(I, I)) * d
+                lhs = lhs - term if sign < 0 else lhs + term
     rhs = pfaffian_matchings(A @ Y @ A.T)
     return IdentityReport(
         "iswa", _digest_of(A=A, Y=Y), lhs, rhs, lhs == rhs, ring=ring
@@ -762,26 +811,28 @@ def check_cor7(A: Matrix, X: Matrix) -> IdentityReport:
 
 
 def check_closed_forms(ring: Ring, diag: Sequence) -> IdentityReport:
-    """Exhaustive comparison of the x1/x2 closed forms against cofactor
+    """Exhaustive comparison of the x1/x2 closed forms against the
     determinants of the ones-above-diagonal matrix X, over every admissible
-    (I, J) pair for the given diagonal.  Both minors are read off [1 | X]:
-    det(X_IJ) skips the ones column and det(1 X_IJ) keeps it."""
+    (I, J) pair for the given diagonal.  det(X_IJ) and det(1 X_IJ) come from
+    one table of every minor of X (_minor_levels, a memoised row expansion
+    built in one pass over the sizes; the bordered minors expand along the
+    ones column), not from the chain products the closed forms take."""
     d = [ring.coerce(x) for x in diag]
     n = len(d)
-    # the rows of [1 | X]: position 0 is the ones column, so X's 1-based
-    # column j sits at position j
-    bordered = [(ring.one,) + row for row in ones_above_diagonal(ring, d)._rows]
+    zero = ring.zero
+    levels = _minor_levels(ring, ones_above_diagonal(ring, d)._rows, n, tight=False)
     checked = 0
     mismatches = []
-    forms = (("x1", x1_closed_form, ()), ("x2", x2_closed_form, (0,)))
+    forms = (("x1", x1_closed_form, 0), ("x2", x2_closed_form, 1))
     for form, closed, border in forms:
-        for ell in range(n + 1 - len(border)):
-            for I in combinations(range(1, n + 1), ell + len(border)):
-                rows = [bordered[i - 1] for i in I]
+        for ell in range(n + 1 - border):
+            p = ell + border
+            table = _bordered(levels[ell], n, p) if border else levels[ell]
+            for rows in combinations(range(n), p):
+                I = tuple(i + 1 for i in rows)
+                minors = table.get(rows, {})
                 for J in combinations(range(1, n + 1), ell):
-                    cols = border + J
-                    minor = (tuple(r[c] for c in cols) for r in rows)
-                    expect = det_cofactor(_wrap(ring, minor, len(cols)))
+                    expect = minors.get(sum(1 << (j - 1) for j in J), zero)
                     got = closed(ring, d, I, J)
                     checked += 1
                     if got != expect:

@@ -5,7 +5,8 @@ and enumerate the index sets and chains directly, so they share nothing
 with the prefix-sharing elimination the evaluators use.  The rank-deficient
 inputs make whole subtrees of that elimination vanish, which is where it
 prunes.  The minor table of X that f_AB and g_AB read is checked entry by
-entry against cofactor determinants.
+entry against cofactor determinants.  The walk's edge shapes (no rows, one
+row, more rows than columns) are pinned on integers and polynomials.
 """
 
 import random
@@ -14,7 +15,18 @@ from itertools import combinations
 import pytest
 from oracles import ref_chain_sum, ref_f, ref_g, ref_minor_sum
 
-from minorsum import ZZ, Matrix, PolynomialRing, det_cofactor, f_AB, g_AB, minor_sum
+from minorsum import (
+    ZZ,
+    Matrix,
+    PolynomialRing,
+    check_ab2,
+    check_cauchy_binet_pf,
+    check_iswa,
+    det_cofactor,
+    f_AB,
+    g_AB,
+    minor_sum,
+)
 from minorsum.identities import _apply_sign, _chain_sum, _f_sign, _x_minor_table
 
 
@@ -161,3 +173,48 @@ def test_f_BA_is_signed_f_AB_of_the_transpose(m, n):
     rng = random.Random(8000 * m + n)
     A, B, Y = (Matrix(ZZ, rand_rows(rng, r, n)) for r in (m, m, n))
     assert f_AB(B, A, Y) == _apply_sign(_f_sign(m), f_AB(A, B, Y.T))
+
+
+# -- edge shapes of the walk ---------------------------------------------------
+
+EDGE_RINGS = [ZZ, PolynomialRing(("s", "t"))]
+
+
+@pytest.mark.parametrize("ring", EDGE_RINGS, ids=["ZZ", "Poly"])
+@pytest.mark.parametrize("n", range(0, 4))
+def test_minor_sum_of_no_rows_is_one(ring, n):
+    assert minor_sum(Matrix(ring, [], ncols=n)) == ring.one
+
+
+@pytest.mark.parametrize("ring", EDGE_RINGS, ids=["ZZ", "Poly"])
+def test_minor_sum_of_one_row_is_its_row_sum(ring):
+    s, t = (ring.gen(v) for v in ("s", "t")) if ring is not ZZ else (3, -7)
+    row = [2, s, 0, t, -5]
+    expect = sum((ring.coerce(x) for x in row), ring.zero)
+    assert minor_sum(Matrix(ring, [row])) == expect
+    assert minor_sum(Matrix(ring, [[0, 0, 0]])) == ring.zero
+
+
+@pytest.mark.parametrize("ring", EDGE_RINGS, ids=["ZZ", "Poly"])
+@pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (4, 0), (5, 3)])
+def test_minor_sum_is_zero_when_overdetermined(ring, m, n):
+    rows = [[i + j + 1 for j in range(n)] for i in range(m)]
+    assert minor_sum(Matrix(ring, rows, ncols=n)) == ring.zero
+
+
+@pytest.mark.parametrize("ring", EDGE_RINGS, ids=["ZZ", "Poly"])
+@pytest.mark.parametrize("n", range(0, 4))
+def test_chain_sums_of_no_rows_are_one(ring, n):
+    A, B = Matrix(ring, [], ncols=n), Matrix(ring, [], ncols=n)
+    for weak_within in (True, False):
+        assert _chain_sum(A, B, weak_within) == ring.one
+
+
+@pytest.mark.parametrize("ring", EDGE_RINGS, ids=["ZZ", "Poly"])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_zero_row_checks_pass_with_one(ring, n):
+    A, B = Matrix(ring, [], ncols=n), Matrix(ring, [], ncols=n)
+    Y = Matrix(ring, [[j - i for j in range(n)] for i in range(n)], ncols=n)
+    for rep in (check_ab2(A, B), check_iswa(A, Y), check_cauchy_binet_pf(A, B)):
+        assert rep.passed
+        assert (rep.lhs, rep.rhs) == ("1", "1")

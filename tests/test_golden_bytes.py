@@ -18,10 +18,12 @@ from test_symfun import box_partitions, sub_partitions
 from minorsum import (
     ZZ,
     Matrix,
+    PolynomialRing,
     check_ab,
     check_ab2,
     check_byun,
     check_cauchy,
+    check_closed_forms,
     check_cor7,
     check_lemma_aux,
     check_main1,
@@ -98,4 +100,26 @@ def test_integer_reports_are_pinned():
     assert len(reports) == 195 and all(r.passed for r in reports)
     assert digest(report_lines(reports)) == (
         "05e8d9cfad26a60bd46ae07802dd86207823fa440a3acf12c3b26e948cd794c5"
+    )
+
+
+def closed_forms_reports():
+    """Criterion 4's closed-forms reports: symbolic diagonals n = 1..4,
+    then 100 seeded integer diagonals of length trial % 6 + 1."""
+    reports = []
+    for n in range(1, 5):
+        ring = PolynomialRing(tuple(f"d{i}" for i in range(1, n + 1)))
+        reports.append(check_closed_forms(ring, ring.gens()))
+    rng = random.Random(77)
+    for trial in range(100):
+        diag = [rng.randint(-5, 5) for _ in range(trial % 6 + 1)]
+        reports.append(check_closed_forms(ZZ, diag))
+    return reports
+
+
+def test_closed_forms_reports_are_pinned():
+    reports = closed_forms_reports()
+    assert len(reports) == 104 and all(r.passed for r in reports)
+    assert digest(report_lines(reports)) == (
+        "991b137f130960ce46d419db37829e73a2705bfc6e2a91ac4e47bb2afe755ed8"
     )

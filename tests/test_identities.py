@@ -586,6 +586,70 @@ def test_check_closed_forms_random_int():
         assert rep.passed
 
 
+# (I, J) pairs whose closed form is perturbed: per form one nonzero minor and
+# one zero minor (a broken interlacing)
+PERTURBED = {
+    "x1": [((1, 3), (1, 3)), ((2, 3), (1, 3))],
+    "x2": [((1, 2), (1,)), ((2, 3), (1,))],
+}
+
+
+@pytest.mark.parametrize("symbolic", [False, True], ids=["ZZ", "Poly"])
+def test_check_closed_forms_reports_each_mismatch_with_its_determinant(
+        monkeypatch, symbolic):
+    import minorsum.identities as identities
+
+    if symbolic:
+        ring = PolynomialRing(("d1", "d2", "d3", "d4"))
+        diag = ring.gens()
+    else:
+        ring, diag = ZZ, (2, 0, -3, 1)
+
+    def perturbed(real, form):
+        def closed(ring_, d, I, J):
+            value = real(ring_, d, I, J)
+            return value + 1 if (tuple(I), tuple(J)) in PERTURBED[form] else value
+        return closed
+
+    monkeypatch.setattr(identities, "x1_closed_form", perturbed(x1_closed_form, "x1"))
+    monkeypatch.setattr(identities, "x2_closed_form", perturbed(x2_closed_form, "x2"))
+    rep = check_closed_forms(ring, diag)
+    assert not rep.passed
+    mismatches = rep.details["mismatches"]
+    assert [(e["form"], tuple(e["I"]), tuple(e["J"])) for e in mismatches] == [
+        (form, I, J) for form in ("x1", "x2") for I, J in PERTURBED[form]
+    ]
+    X = ones_above_diagonal(ring, diag)
+    bordered = Matrix(ring, [[1] + list(row) for row in X._rows])
+    for e in mismatches:
+        I, J = e["I"], e["J"]
+        if e["form"] == "x1":
+            expect = det_cofactor(X.submatrix(I, J))
+            closed = x1_closed_form(ring, diag, I, J)
+        else:
+            expect = det_cofactor(bordered.submatrix(I, [1] + [j + 1 for j in J]))
+            closed = x2_closed_form(ring, diag, I, J)
+        assert e["det"] == ring.format(expect)
+        assert e["formula"] == ring.format(closed + 1)
+    # the zero minors read "0": a key missing from the minor table
+    assert [e["det"] for e in mismatches][1::2] == ["0", "0"]
+    checked = rep.details["checked"]
+    assert rep.rhs == f"{checked - 4} matching cofactor determinants"
+
+
+def test_check_closed_forms_does_not_call_det_cofactor(monkeypatch):
+    import minorsum.identities as identities
+
+    def refuse(M):
+        raise AssertionError("det_cofactor called")
+
+    monkeypatch.setattr(identities, "det_cofactor", refuse)
+    ring = PolynomialRing(("d1", "d2", "d3"))
+    assert check_closed_forms(ring, ring.gens()).passed
+    for diag in ((2, 0, -3, 1, 4, -1), (1, 1, 1), (0, 0)):
+        assert check_closed_forms(ZZ, diag).passed
+
+
 # -- remaining checkers --------------------------------------------------------
 
 
