@@ -8,12 +8,16 @@ total is a sum of maximal minors, which the Pfaffian identities compress
 into a single Pfaffian or determinant.  The exhaustive route that
 cross-checks them counts vertex-disjoint families over all endpoint
 subsets in one depth-first walk, with each path a bitmask of its vertices.
+The last start's paths are indexed by vertex instead (the numbers of the
+paths through each vertex, as one bitmask), so that a partial family's
+extensions are counted with one bitmask operation per vertex of it.
 
 Endpoint subsets are 1-based column selections, matching the matrix module.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple, Union
@@ -151,21 +155,27 @@ def _step_bounds(steps: Sequence[Point]) -> Tuple[Point, Point, Point]:
     return f1, f2, w if w != (0, 0) else r1
 
 
-def _walk_region(start: Point, end: Point, steps: Sequence[Point]) -> list:
-    """The points of walks from start that _step_bounds does not prune
-    towards end, ordered so that every step goes to an earlier point."""
-    bounds = [(a, b, a * end[0] + b * end[1]) for a, b in _step_bounds(steps)]
+def _walk_region(start: Point, end: Point, steps: Sequence[Point], bounds) -> list:
+    """The points of walks from start that the bounds _step_bounds(steps)
+    do not prune towards end, ordered so that every step goes to an
+    earlier point."""
+    (a1, b1), (a2, b2), (a3, b3) = bounds
+    ex, ey = end
+    c1, c2, c3 = a1 * ex + b1 * ey, a2 * ex + b2 * ey, a3 * ex + b3 * ey
     seen = set()
     todo = [start]
     while todo:
         u = todo.pop()
-        if u in seen or any(a * u[0] + b * u[1] > c for a, b, c in bounds):
+        if u in seen:
+            continue
+        x, y = u
+        if a1 * x + b1 * y > c1 or a2 * x + b2 * y > c2 or a3 * x + b3 * y > c3:
             continue
         seen.add(u)
         if u != end:
-            todo.extend((u[0] + sx, u[1] + sy) for sx, sy in steps)
-    a, b, _ = bounds[-1]
-    return sorted(seen, key=lambda u: a * u[0] + b * u[1], reverse=True)
+            for sx, sy in steps:
+                todo.append((x + sx, y + sy))
+    return sorted(seen, key=lambda u: a3 * u[0] + b3 * u[1], reverse=True)
 
 
 def count_paths(start: Point, end: Point, steps: Sequence[Point] = NE_STEPS) -> int:
@@ -176,18 +186,18 @@ def count_paths(start: Point, end: Point, steps: Sequence[Point] = NE_STEPS) -> 
         dx, dy = end[0] - start[0], end[1] - start[1]
         return math.comb(dx + dy, dx) if dx >= 0 and dy >= 0 else 0
     counts: dict = {}
-    for u in _walk_region(start, end, steps):
+    for u in _walk_region(start, end, steps, _step_bounds(steps)):
         counts[u] = 1 if u == end else sum(
             counts.get((u[0] + sx, u[1] + sy), 0) for sx, sy in steps
         )
     return counts.get(start, 0)
 
 
-def _path_masks(start: Point, end: Point, steps: Sequence[Point], bit) -> list:
+def _path_masks(start: Point, end: Point, steps: Sequence[Point], bounds, bit) -> list:
     """Every path from start to end as the bitmask of its vertices, where
-    bit(u) is the bit of vertex u."""
+    bit(u) is the bit of vertex u and bounds is _step_bounds(steps)."""
     masks: dict = {}
-    for u in _walk_region(start, end, steps):
+    for u in _walk_region(start, end, steps, bounds):
         tails = [0] if u == end else [
             t for sx, sy in steps for t in masks.get((u[0] + sx, u[1] + sy), ())
         ]
@@ -239,6 +249,9 @@ def _disjoint_families(p: PathProblem, counts: Sequence[Sequence[int]]) -> int:
     disjoint from the paths already chosen) serves every selection: a path
     is the bitmask of its vertices, so disjointness is one `&`, and the
     paths of each (start, column) pair are listed once, when first used.
+    The last start's paths go into a vertex index (_PathIndex), which
+    counts the ones that avoid a partial family with a few big-int
+    operations per vertex of the family instead of one test per path.
     """
     # live[k]: the columns of row k that some nonzero c_k < ... < c_m uses,
     # so that no pair on a zero-count selection has its paths listed
@@ -248,38 +261,110 @@ def _disjoint_families(p: PathProblem, counts: Sequence[Sequence[int]]) -> int:
         live.append(cols)
         limit = cols[-1] if cols else -1
     live.reverse()
+    bounds = _step_bounds(p.steps)
     numbering: dict = {}
     listed: dict = {}
 
     def bit(u: Point) -> int:
         return 1 << numbering.setdefault(u, len(numbering))
 
+    def masks(k: int, c: int) -> list:
+        return _path_masks(p.starts[k], p.candidate_ends[c], p.steps, bounds, bit)
+
     def paths(k: int, c: int) -> list:
         if (k, c) not in listed:
-            listed[k, c] = _path_masks(p.starts[k], p.candidate_ends[c], p.steps, bit)
+            listed[k, c] = masks(k, c)
         return listed[k, c]
 
+    last = len(live) - 1
+    index = _PathIndex(live[last], lambda c: masks(last, c))
     # a recursive closure would be a reference cycle holding the path lists
     # after the return, until the next collection; _extensions is not one
-    return _extensions(0, -1, 0, live, paths)
+    return _extensions(0, -1, 0, live, paths, index)
 
 
-def _extensions(k: int, prev: int, used: int, live: list, paths) -> int:
+def _extensions(k: int, prev: int, used: int, live: list, paths, index) -> int:
     """The walk of _disjoint_families from start k on: families of the
     paths of starts k, k+1, ... onto live columns after prev, disjoint from
-    the vertices in used and from each other.  The last start counts its
-    paths without recursing."""
+    the vertices in used and from each other.  The last start's paths are
+    counted by its index."""
     if k == len(live) - 1:
-        return sum(
-            len([b for b in paths(k, c) if not b & used]) for c in live[k] if c > prev
-        )
+        return index.count(prev, used)
     return sum(
-        _extensions(k + 1, c, used | b, live, paths)
+        _extensions(k + 1, c, used | b, live, paths, index)
         for c in live[k]
         if c > prev
         for b in paths(k, c)
         if not b & used
     )
+
+
+class _PathIndex:
+    """The paths of one start to its live columns, numbered in the order
+    they are listed.  through[v] is the set of numbers of the paths through
+    vertex bit v, touched the vertices of every listed path, and
+    after[prev] the numbers of the paths to columns after prev; each set
+    is an int bitmask.  A column is listed the first time a count needs
+    it, exactly when a walk testing each path would have listed it."""
+
+    __slots__ = ("columns", "masks", "first", "size", "span", "through", "touched", "after")
+
+    def __init__(self, columns: list, masks):
+        self.columns = columns
+        self.masks = masks
+        self.first = len(columns)  # columns[first:] are numbered
+        self.size = 0
+        self.span: dict = {}  # column -> its path numbers
+        self.through: dict = {}
+        self.touched = 0
+        self.after: dict = {}
+
+    def count(self, prev: int, used: int) -> int:
+        """The paths to columns after prev that avoid the vertices in used."""
+        after = self.after.get(prev)
+        if after is None:
+            after = self.after[prev] = self._number_after(prev)
+        through, blocked = self.through, 0
+        hit = used & self.touched
+        while hit:
+            v = hit & -hit
+            blocked |= through[v]
+            hit ^= v
+        return (after & ~blocked).bit_count()
+
+    def _number_after(self, prev: int) -> int:
+        i = bisect.bisect_right(self.columns, prev)
+        for c in self.columns[i:self.first]:
+            self._number(c)
+        self.first = min(self.first, i)
+        after = 0
+        for c in self.columns[i:]:
+            after |= self.span[c]
+        return after
+
+    def _number(self, c: int) -> None:
+        # the numbers of the paths through each vertex, as one bytearray
+        # per vertex, so that setting a bit does not copy a big int
+        masks = self.masks(c)
+        width, union, rows = (len(masks) + 7) >> 3, 0, {}
+        for b in masks:
+            union |= b
+        self.touched |= union
+        while union:
+            v = union & -union
+            rows[v] = bytearray(width)
+            union ^= v
+        for j, b in enumerate(masks):
+            byte, flag = j >> 3, 1 << (j & 7)
+            while b:
+                v = b & -b
+                rows[v][byte] |= flag
+                b ^= v
+        through, base = self.through, self.size
+        for v, row in rows.items():
+            through[v] = through.get(v, 0) | int.from_bytes(row, "little") << base
+        self.span[c] = ((1 << len(masks)) - 1) << base
+        self.size = base + len(masks)
 
 
 def brute_force_nonintersecting(

@@ -137,6 +137,30 @@ def count_free_families(starts, candidate_ends, steps=((1, 0), (0, 1))):
     return total
 
 
+# -- the region walk of the exhaustive path route ----------------------------
+# Any steps in one open half-plane; bounds are the pruning functionals.
+
+
+def walk_region(start, end, steps, bounds):
+    """Reference for the exhaustive path route's region walk: the points
+    reachable from start by steps that none of the functionals in bounds
+    prunes towards end (a point u is pruned when f.u > f.end), ordered by
+    the last functional, largest first.  A straight copy of the set-based
+    walk the library replaced, with its generator expressions kept."""
+    bounds = [(a, b, a * end[0] + b * end[1]) for a, b in bounds]
+    seen = set()
+    todo = [start]
+    while todo:
+        u = todo.pop()
+        if u in seen or any(a * u[0] + b * u[1] > c for a, b, c in bounds):
+            continue
+        seen.add(u)
+        if u != end:
+            todo.extend((u[0] + sx, u[1] + sy) for sx, sy in steps)
+    a, b, _ = bounds[-1]
+    return sorted(seen, key=lambda u: a * u[0] + b * u[1], reverse=True)
+
+
 # -- determinant sums by the Leibniz formula ---------------------------------
 # Entries only need +, * and comparison with 0, so these work for int,
 # Fraction and Poly entries alike.

@@ -3,16 +3,18 @@
 `run_verify` keeps only failed reports, so a change to how values are
 formatted, or to the per-route values a passed report carries in its
 details, would not show in a passing run.  These tests hash the full
-`to_json_dict()` of passed symbolic and integer reports, and the canonical
-text of skew Schur polynomials, against digests taken from a known-good
-tree.
+`to_json_dict()` of passed symbolic and integer reports, the canonical
+text of skew Schur polynomials, and the `paths` command's output with the
+route values behind it, against digests taken from a known-good tree.
 """
 
 import hashlib
 import json
 import random
 
+from click.testing import CliRunner
 from test_acceptance import CAUCHY_SHAPES, symbolic_suite
+from test_paths import DELANNOY, seeded_staircases
 from test_symfun import box_partitions, sub_partitions
 
 from minorsum import (
@@ -32,6 +34,8 @@ from minorsum import (
     skew_schur,
     xy_ring,
 )
+from minorsum.cli import main
+from minorsum.paths import NE_STEPS, PathProblem, count_free_routes
 from minorsum.ring import format_poly
 
 
@@ -122,4 +126,43 @@ def test_closed_forms_reports_are_pinned():
     assert len(reports) == 104 and all(r.passed for r in reports)
     assert digest(report_lines(reports)) == (
         "991b137f130960ce46d419db37829e73a2705bfc6e2a91ac4e47bb2afe755ed8"
+    )
+
+
+def paths_problems():
+    """The README example, the instance beyond the enumeration guard, and
+    seeded NE and Delannoy staircases with m = 1..4 starts."""
+    problems = [
+        {"starts": [[0, 0], [1, -1]], "ends": [[1, 2], [2, 1], [3, 0], [3, -1]], "choose": 2},
+        {"starts": [[0, 0], [1, -1], [2, -2]], "ends": [[6 + k, 6 - k] for k in range(8)]},
+    ]
+    for steps, seed, highest_end in ((NE_STEPS, 16, 5), (DELANNOY, 17, 4)):
+        for p in seeded_staircases(seed, steps, highest_end) + seeded_staircases(
+            seed + 100, steps, highest_end
+        )[:2]:
+            problem = {"starts": [list(s) for s in p.starts],
+                       "ends": [list(e) for e in p.candidate_ends]}
+            if steps != NE_STEPS:
+                problem["steps"] = [list(s) for s in steps]
+            problems.append(problem)
+    return problems
+
+
+def test_paths_output_and_routes_are_pinned(tmp_path):
+    problems = paths_problems()
+    assert len(problems) == 30
+    lines = []
+    for k, problem in enumerate(problems):
+        path = tmp_path / f"problem{k}.json"
+        path.write_text(json.dumps(problem))
+        result = CliRunner().invoke(main, ["paths", str(path)])
+        assert result.exit_code == 0, result.output
+        assert set(json.loads(result.output)) == {"count", "routes"}
+        routes = count_free_routes(PathProblem(
+            starts=problem["starts"], candidate_ends=problem["ends"],
+            steps=problem.get("steps", NE_STEPS),
+        ))
+        lines += [result.output, json.dumps(routes, sort_keys=True)]
+    assert digest(lines) == (
+        "a1a70e1a428f891d9434587a6d929661e52db6080543b026a587f9ec28864d93"
     )

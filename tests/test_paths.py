@@ -1,10 +1,17 @@
+import gc
+import hashlib
 import math
 import random
 from itertools import combinations
 
 import pytest
 
-from oracles import count_disjoint_families, count_free_families, lattice_paths
+from oracles import (
+    count_disjoint_families,
+    count_free_families,
+    lattice_paths,
+    walk_region,
+)
 from minorsum import (
     EnumerationGuardError,
     IndexSet,
@@ -18,7 +25,7 @@ from minorsum import (
     count_paths,
     lindstrom_matrix,
 )
-from minorsum.paths import NE_STEPS, count_free_routes
+from minorsum.paths import NE_STEPS, _step_bounds, _walk_region, count_free_routes
 
 STARTS = ((0, 0), (1, -1))
 CANDIDATES = ((1, 1), (2, 0), (2, 2))
@@ -79,6 +86,39 @@ def test_count_paths_long_walks_do_not_recurse():
     assert count_paths((0, 0), (1, 1100), DELANNOY) == 2201
     p = PathProblem(starts=((0, 0),), candidate_ends=((0, 1500),))
     assert count_free_routes(p) == {"okada": 1, "byun": 1, "brute": 1}
+
+
+def random_half_plane_steps(rng):
+    """Two to five distinct steps with components in -2..2, all on the
+    positive side of a random direction."""
+    while True:
+        d = (rng.randint(-3, 3), rng.randint(-3, 3))
+        pool = [(x, y) for x in range(-2, 3) for y in range(-2, 3)
+                if d[0] * x + d[1] * y > 0]
+        if len(pool) >= 2:
+            return tuple(rng.sample(pool, rng.randint(2, min(5, len(pool)))))
+
+
+def test_walk_region_matches_the_reference_walk():
+    # same points in the same order as the set-based walk it replaced, on
+    # step sets with negative components and with three or more steps
+    rng = random.Random(14)
+    shapes = set()
+    for _ in range(300):
+        steps = random_half_plane_steps(rng)
+        bounds = _step_bounds(steps)
+        start = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if rng.random() < 0.8:
+            end = start
+            for _ in range(rng.randint(0, 6)):
+                s = rng.choice(steps)
+                end = (end[0] + s[0], end[1] + s[1])
+        else:
+            end = (rng.randint(-6, 6), rng.randint(-6, 6))
+        got = _walk_region(start, end, steps, bounds)
+        assert got == walk_region(start, end, steps, bounds)
+        shapes.add((len(steps) >= 3, any(min(s) < 0 for s in steps), len(got) > 1))
+    assert shapes >= {(True, True, True), (False, True, True), (True, False, True)}
 
 
 # -- problem validation ---------------------------------------------------------
@@ -235,13 +275,21 @@ def test_count_free_routes_disagreeing_without_brute(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "steps,highest_end", [(NE_STEPS, 5), (DELANNOY, 4)], ids=["ne", "delannoy"]
+    "steps,highest_end,most_starts",
+    [(NE_STEPS, 5, 4), (DELANNOY, 4, 4), (((1, 0), (0, 1), (2, 1)), 4, 1)],
+    ids=["ne", "delannoy", "two-one"],
 )
-def test_brute_route_is_the_sum_over_selections(steps, highest_end):
-    # ends may lie below or left of starts, so some pairs have no path
+def test_brute_route_is_the_sum_over_selections(steps, highest_end, most_starts):
+    # ends may lie below or left of starts, so some pairs have no path;
+    # m = 1 makes the last start the only one, with no column before it.
+    # A (2, 1) step can jump over a (0, 1) step of another path, so two
+    # such paths may cross without sharing a vertex: that step set is
+    # outside the Gessel-Viennot setting for m > 1 and runs with m = 1 only
     rng = random.Random(7)
+    ms = set()
     for _ in range(20):
-        m = rng.randint(1, 4)
+        m = rng.randint(1, most_starts)
+        ms.add(m)
         n = rng.randint(m, 7)
         p = staircase_instance(
             rng, m, n, lowest_end=0, highest_end=highest_end, steps=steps
@@ -252,6 +300,7 @@ def test_brute_route_is_the_sum_over_selections(steps, highest_end):
         )
         assert routes["brute"] == per_selection
         assert per_selection == count_free_families(p.starts, p.candidate_ends, steps)
+    assert ms == set(range(1, most_starts + 1))
 
 
 def test_brute_route_lists_no_path_that_no_selection_uses():
@@ -276,3 +325,66 @@ def test_count_free_random_staircases_three_routes():
         got = count_free(p)
         if k % 3 == 0:
             assert got == count_free_families(p.starts, p.candidate_ends)
+
+
+# -- what the exhaustive route lists, and what it leaves behind -------------------
+
+
+def seeded_staircases(seed, steps, highest_end):
+    """Three seeded staircase problems for each m in 1..4 whose ends may lie
+    below or left of the starts, so some (start, end) pairs have no path."""
+    rng = random.Random(seed)
+    return [
+        staircase_instance(rng, m, rng.randint(m, 7), lowest_end=0,
+                           highest_end=highest_end, steps=steps)
+        for m in (1, 2, 3, 4)
+        for _ in range(3)
+    ]
+
+
+def listed_pairs(monkeypatch, p):
+    """The (start, end) pairs whose paths count_free_routes lists, in order."""
+    import minorsum.paths
+
+    pairs, path_masks = [], minorsum.paths._path_masks
+
+    def record(start, end, *rest):
+        pairs.append((start, end))
+        return path_masks(start, end, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(minorsum.paths, "_path_masks", record)
+        count_free_routes(p)
+    return pairs
+
+
+def test_brute_route_lists_the_pinned_pairs(monkeypatch):
+    # the exhaustive route lists the paths of a (start, end) pair only when
+    # some partial family reaches it; these sets were taken from the walk
+    # that tested every path of the last start against every partial family
+    lines = []
+    for steps, seed, highest_end in ((NE_STEPS, 14, 5), (DELANNOY, 15, 4)):
+        for p in seeded_staircases(seed, steps, highest_end):
+            pairs = listed_pairs(monkeypatch, p)
+            assert len(pairs) == len(set(pairs))
+            lines.append(repr((p.starts, p.candidate_ends, sorted(pairs))))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "dbe5179ad88d8d293f70b62fde02d277b88b38515962ee8095de41a0293eb2e3"
+    p = PathProblem(starts=((0, 30), (1, 0)), candidate_ends=((0, 20), (40, 19)))
+    assert listed_pairs(monkeypatch, p) == []
+
+
+def test_count_free_routes_leaves_no_cyclic_garbage():
+    # reference cycles would keep every listed path alive after the call
+    # until the collector next runs; none may be made
+    p = staircase_instance(random.Random(3), 3, 6, lowest_end=0, highest_end=4,
+                           steps=DELANNOY)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert "brute" in count_free_routes(p)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
