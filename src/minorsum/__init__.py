@@ -11,6 +11,7 @@ import importlib
 
 from .errors import (
     ConfigError,
+    CrossingStepsError,
     EnumerationGuardError,
     ExponentLimitError,
     IndexRangeError,
@@ -109,6 +110,7 @@ def __getattr__(name):
 
 __all__ = [
     "ConfigError",
+    "CrossingStepsError",
     "EnumerationGuardError",
     "ExponentLimitError",
     "IndexRangeError",

@@ -45,6 +45,11 @@ class StaircaseError(MinorSumError):
     would not be sign-free."""
 
 
+class CrossingStepsError(MinorSumError):
+    """A step set lets vertex-disjoint paths cross between lattice points,
+    so path counting with two or more starts would not be sign-free."""
+
+
 class EnumerationGuardError(MinorSumError):
     """Brute-force path enumeration would exceed the configured guard;
     shrink the instance."""

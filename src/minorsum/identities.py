@@ -42,7 +42,7 @@ from .matrix import (
     skew_form,
     upper_ones,
 )
-from .ring import Ring
+from .ring import PolynomialRing, Ring
 
 IDENTITY_IDS = (
     "okada",
@@ -141,12 +141,20 @@ def _apply_sign(sign: int, x):
     return -x if sign < 0 else x
 
 
-def _minor_walk(ring: Ring, rows, nxt):
+def _minor_walk(ring: Ring, rows, nxt, stop: int | None = None):
     """Yield (prefix, leaves, dets, sign), one leaf row for each column
     prefix one short of a full path: `leaves` is the range of positions the
     last column may take, and the determinant of the path prefix + (t,) is
     sign * dets[i] for the i-th position t of leaves (zeros included; sign
     is +1 or -1).
+
+    Given a `stop` below len(rows), yield instead (path, residual, sign,
+    pivot) for each path of `stop` independent columns, without going on:
+    `residual` holds the len(rows) - stop rows left by its elimination,
+    over the positions from the first one nxt(path) gives for a later
+    column, and `pivot` is its last pivot.  The determinant of the path
+    completed by the columns at positions J is then
+    sign * det(residual_J) / pivot^(len(residual) - 1) (Sylvester).
 
     `rows` hold the columns at positions 0, 1, ...; a path picks
     len(rows) of them, in order.  `nxt(path)` gives the positions the next
@@ -169,7 +177,7 @@ def _minor_walk(ring: Ring, rows, nxt):
     stack = [(iter(cand), rows, 0, (), False, ring.one)]
     while stack:
         todo, res, base, path, negative, prev = stack[-1]
-        last_step = len(res) == 2
+        last_step = stop is None and len(res) == 2
         for t in todo:
             k = t - base
             for r, prow in enumerate(res):
@@ -201,6 +209,9 @@ def _minor_walk(ring: Ring, rows, nxt):
                     reduced.append(
                         [div(piv * x - rk * y, prev) for x, y in zip(row[cut:], ptail)]
                     )
+            if len(child) == stop:
+                yield child, reduced, -1 if flipped else 1, piv
+                continue
             stack.append((iter(cand), reduced, keep, child, flipped, piv))
             break
         else:
@@ -342,25 +353,68 @@ def _double_minor_sum(A: Matrix, B: Matrix, Xs: Sequence[Matrix], p: int,
     """[sum over |I| = p, |J| = m - p of det(X_IJ) * det(A^I B^J) for X in
     Xs], with a ones column in front of X_IJ when `border`.
 
-    One walk over [A | B] gives, for each prefix one column short, the row
-    of det(A^I B^J) over its leaves, once for all of Xs; each X's minors
-    det(X_IJ) for those leaves come from its minor table (_x_minor_table),
-    built once per call, and meet the row in one ring.dot."""
+    One walk over [A | B] serves all of Xs.  On integers and rationals it
+    stops once the p columns of A^I are pushed: with R their q = m - p
+    residual rows over B's columns, det(A^I B^J) = sign * det(R_J) /
+    piv^(q - 1) (Sylvester), so by Cauchy-Binet the sum over J is
+    sign * det(X_I R^t) / piv^(q - 1), X_I the rows I of X, with the ones
+    column in front of the p x q product when `border`.  That p x p
+    determinant is taken by the walk itself, on its one path.  Polynomials
+    walk on to the leaves instead (_leaf_double_minor_sum): there the
+    collapsed determinant is a large polynomial divided by a many-term
+    pivot, which costs more than the leaves it replaces."""
+    ring = A.ring
+    if isinstance(ring, PolynomialRing):
+        return _leaf_double_minor_sum(A, B, Xs, p, border)
+    m, n = A.nrows, A.ncols
+    zero = ring.zero
+    q = m - p
+    if not q:
+        # m = 1 (g_AB): J is empty and det(1) det(A^{i}) = a_i
+        return [sum(A._rows[0], zero)] * len(Xs)
+    stacked = [a + b for a, b in zip(A._rows, B._rows)]
+    dot, div = ring.dot, ring.exact_divide
+    lead = [ring.one] if border else []
+    one_path = _increasing(range(p), range(p))
+    totals = [zero] * len(Xs)
+    for I, R, sign, piv in _minor_walk(ring, stacked, _double_rule(n, p, q), stop=p):
+        scale = piv ** (q - 1)
+        for k, X in enumerate(Xs):
+            rows = [lead + [dot(X._rows[i], r) for r in R] for i in I]
+            d = _walk_sum(ring, rows, one_path)
+            if d:
+                if q > 1:
+                    d = div(d, scale)
+                totals[k] = totals[k] - d if sign < 0 else totals[k] + d
+    return totals
+
+
+def _double_rule(n: int, p: int, q: int):
+    """Walk rule over the 2n columns of [A | B] for the paths I + J, I a
+    p-subset of A's columns [0, n) and J a q-subset of B's [n, 2n)."""
+    return _increasing(
+        [0] * p + [n] * q,
+        [n - p + d for d in range(p)] + [2 * n - q + d for d in range(q)],
+    )
+
+
+def _leaf_double_minor_sum(A: Matrix, B: Matrix, Xs: Sequence[Matrix], p: int,
+                           border: bool) -> list:
+    """_double_minor_sum walked to the leaves: the walk gives, for each
+    prefix one column short, the row of det(A^I B^J) over its leaves, once
+    for all of Xs; each X's minors det(X_IJ) for those leaves come from its
+    minor table (_x_minor_table), built once per call, and meet the row in
+    one ring.dot."""
     m, n = A.nrows, A.ncols
     ring = A.ring
     zero = ring.zero
     q = m - p
-    # depth-wise bounds: A^I on [0, n), then J on [n, 2n)
-    rule = _increasing(
-        [0] * p + [n] * q,
-        [n - p + d for d in range(p)] + [2 * n - q + d for d in range(q)],
-    )
     tables = [_x_minor_table(ring, X._rows, p, border) for X in Xs]
     stacked = [a + b for a, b in zip(A._rows, B._rows)]
     totals = [zero] * len(Xs)
     dot = ring.dot
     I = None
-    for prefix, leaves, dets, sign in _minor_walk(ring, stacked, rule):
+    for prefix, leaves, dets, sign in _minor_walk(ring, stacked, _double_rule(n, p, q)):
         if q:
             # the leaves complete J
             if prefix[:p] != I:
@@ -391,7 +445,10 @@ def _f_sign(m: int) -> int:
 def f_AB(A: Matrix, B: Matrix, X: Matrix):
     """Even-order evaluator:
     sum over |I| = |J| = m/2 of det(X_IJ) * det(A^I B^J), from one walk
-    over [A | B] and one minor table of X (see _double_minor_sum)."""
+    over [A | B] (see _double_minor_sum): on integers and rationals the
+    walk stops at each A^I and sums over J by Cauchy-Binet on its residual
+    rows; on polynomials it goes on to the leaves and reads det(X_IJ) from
+    one minor table of X."""
     _check_abx(A, B, X)
     if A.nrows % 2:
         raise ParityError(f"f_AB needs even m, got {A.nrows}")
@@ -401,7 +458,9 @@ def f_AB(A: Matrix, B: Matrix, X: Matrix):
 def g_AB(A: Matrix, B: Matrix, X: Matrix):
     """Odd-order evaluator: sum over |I| = (m+1)/2, |J| = (m-1)/2 of
     det(1 X_IJ) * det(A^I B^J), the bordered minor taking an all-ones
-    first column; evaluated as f_AB is."""
+    first column; evaluated as f_AB is, with the ones column in front of
+    the Cauchy-Binet product (integers, rationals) or of the minor table
+    (polynomials)."""
     _check_abx(A, B, X)
     if A.nrows % 2 == 0:
         raise ParityError(f"g_AB needs odd m, got {A.nrows}")

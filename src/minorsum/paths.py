@@ -2,6 +2,7 @@
 
 A path problem has m starting points and n >= m candidate endpoints.  With
 both point lists on a staircase (x weakly increasing, y weakly decreasing),
+and steps whose edges meet only at lattice points (checked for m >= 2),
 every m-subset of endpoints admits exactly one non-crossing connection
 pattern, the path-count determinant is sign-free, and the free-endpoint
 total is a sum of maximal minors, which the Pfaffian identities compress
@@ -20,10 +21,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .combinat import IndexSet
 from .errors import (
+    CrossingStepsError,
     EnumerationGuardError,
     RouteMismatchError,
     ShapeError,
@@ -73,7 +76,10 @@ class PathProblem:
     choose defaults to the number of starts and must equal it: every start
     gets exactly one path.  The step model is pluggable; its steps must lie
     in one open half-plane (some integer vector has a positive dot product
-    with every step), so that every walk ends.
+    with every step), so that every walk ends.  With two or more starts,
+    no two vertex-disjoint paths may cross between lattice points
+    (_require_planar), or the path-count determinant would count signed
+    crossings.
     """
 
     starts: Tuple[Point, ...]
@@ -96,6 +102,8 @@ class PathProblem:
         if not steps or any(s == (0, 0) for s in steps):
             raise ShapeError("steps must be nonzero lattice vectors")
         _step_bounds(steps)
+        if len(starts) > 1:
+            _require_planar(steps)
         choose = self.choose if self.choose is not None else len(starts)
         if choose != len(starts):
             raise ShapeError(
@@ -155,6 +163,33 @@ def _step_bounds(steps: Sequence[Point]) -> Tuple[Point, Point, Point]:
     return f1, f2, w if w != (0, 0) else r1
 
 
+def _require_planar(steps: Sequence[Point]) -> None:
+    """Raise CrossingStepsError if two vertex-disjoint paths can meet
+    between lattice points.
+
+    Edges u -> u + s and v -> v + t meet exactly when v - u = a s - b t for
+    some a, b in [0, 1], so finitely many offsets v - u matter: the lattice
+    points of the parallelogram with corners 0, s, -t and s - t.  At a
+    corner the edges share an endpoint, so their paths share a vertex; at
+    any other point two vertex-disjoint paths meet.  By Pick's theorem the
+    corners are the only lattice points when s = t is primitive or
+    |det(s, t)| = 1, and there are more otherwise (a parallel pair s != t
+    in one half-plane has a non-primitive member)."""
+    for s in steps:
+        if math.gcd(*s) != 1:
+            raise CrossingStepsError(
+                f"step {list(s)} passes over a lattice point, so vertex-disjoint "
+                f"paths can meet between their vertices; use one start"
+            )
+    for s, t in combinations(steps, 2):
+        if abs(_cross(s, t)) > 1:
+            raise CrossingStepsError(
+                f"steps {list(s)} and {list(t)} span a parallelogram of area "
+                f"{abs(_cross(s, t))}, so vertex-disjoint paths can cross "
+                f"between lattice points; use one start"
+            )
+
+
 def _walk_region(start: Point, end: Point, steps: Sequence[Point], bounds) -> list:
     """The points of walks from start that the bounds _step_bounds(steps)
     do not prune towards end, ordered so that every step goes to an
@@ -182,11 +217,22 @@ def count_paths(start: Point, end: Point, steps: Sequence[Point] = NE_STEPS) -> 
     """Number of single paths from start to end in the step model.  Raises
     ShapeError unless the steps lie in one open half-plane."""
     steps = tuple(steps)
-    if steps == NE_STEPS:
+    return _count_paths(start, end, steps, _bounds_of(steps))
+
+
+def _bounds_of(steps: Tuple[Point, ...]):
+    """_step_bounds(steps), or None for the north-east steps, which
+    _count_paths counts in closed form."""
+    return None if steps == NE_STEPS else _step_bounds(steps)
+
+
+def _count_paths(start: Point, end: Point, steps: Tuple[Point, ...], bounds) -> int:
+    """count_paths with bounds = _bounds_of(steps)."""
+    if bounds is None:
         dx, dy = end[0] - start[0], end[1] - start[1]
         return math.comb(dx + dy, dx) if dx >= 0 and dy >= 0 else 0
     counts: dict = {}
-    for u in _walk_region(start, end, steps, _step_bounds(steps)):
+    for u in _walk_region(start, end, steps, bounds):
         counts[u] = 1 if u == end else sum(
             counts.get((u[0] + sx, u[1] + sy), 0) for sx, sy in steps
         )
@@ -210,8 +256,10 @@ def _path_masks(start: Point, end: Point, steps: Sequence[Point], bounds, bit) -
 def lindstrom_matrix(p: PathProblem) -> Matrix:
     """Integer matrix of single-path counts, entry (i, j) = #paths from
     start i to candidate endpoint j."""
+    bounds = _bounds_of(p.steps)
     rows = [
-        [count_paths(s, e, p.steps) for e in p.candidate_ends] for s in p.starts
+        [_count_paths(s, e, p.steps, bounds) for e in p.candidate_ends]
+        for s in p.starts
     ]
     return Matrix(ZZ, rows)
 

@@ -161,6 +161,48 @@ def walk_region(start, end, steps, bounds):
     return sorted(seen, key=lambda u: a * u[0] + b * u[1], reverse=True)
 
 
+# -- edges that meet between lattice points ---------------------------------
+
+
+def _orientation(a, b, c):
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (v > 0) - (v < 0)
+
+
+def _within_box(a, b, c):
+    return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+
+
+def segments_meet(a, b, c, d):
+    """Whether the closed segments [a, b] and [c, d] have a common point."""
+    o1, o2 = _orientation(a, b, c), _orientation(a, b, d)
+    o3, o4 = _orientation(c, d, a), _orientation(c, d, b)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    return ((o1 == 0 and _within_box(a, b, c)) or (o2 == 0 and _within_box(a, b, d))
+            or (o3 == 0 and _within_box(c, d, a)) or (o4 == 0 and _within_box(c, d, b)))
+
+
+def steps_can_cross(steps):
+    """Whether an edge 0 -> s and an edge d -> d + t, for steps s and t
+    and a lattice offset d, meet while sharing no endpoint.  Every offset
+    at which they meet lies in the box |d_x| <= |s_x| + |t_x|,
+    |d_y| <= |s_y| + |t_y|, which is searched whole."""
+    origin = (0, 0)
+    for s in steps:
+        for t in steps:
+            wx, wy = abs(s[0]) + abs(t[0]), abs(s[1]) + abs(t[1])
+            for dx in range(-wx, wx + 1):
+                for dy in range(-wy, wy + 1):
+                    d, e = (dx, dy), (dx + t[0], dy + t[1])
+                    if {origin, s} & {d, e}:
+                        continue
+                    if segments_meet(origin, s, d, e):
+                        return True
+    return False
+
+
 # -- determinant sums by the Leibniz formula ---------------------------------
 # Entries only need +, * and comparison with 0, so these work for int,
 # Fraction and Poly entries alike.

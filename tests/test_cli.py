@@ -474,6 +474,9 @@ def test_paths_command_malformed_json(tmp_path):
                      "not a list of lattice points", id="paths-starts-not-a-list"),
         pytest.param("paths", '{"starts": [[0, 0]], "ends": [[1, 1]], "steps": [[1, 0], [-1, 0]]}',
                      "steps must all lie in one open half-plane", id="paths-steps-never-end"),
+        pytest.param("paths", '{"starts": [[0, 0], [1, -1]], "ends": [[2, 2], [3, 1]], '
+                     '"steps": [[1, 0], [0, 1], [2, 1]]}',
+                     "can cross between lattice points", id="paths-steps-cross"),
         pytest.param("eval", '{"ring": "int", "rows": 1, "cols": 1, "entries": 5}',
                      "bad matrix JSON", id="eval-entries-not-a-list"),
         pytest.param("eval", '{"ring": "int", "rows": 1, "cols": 1, "entries": [5]}',

@@ -10,12 +10,15 @@ row, more rows than columns) are pinned on integers and polynomials.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from oracles import ref_chain_sum, ref_f, ref_g, ref_minor_sum
 
+import minorsum
 from minorsum import (
+    QQ,
     ZZ,
     Matrix,
     PolynomialRing,
@@ -27,7 +30,13 @@ from minorsum import (
     g_AB,
     minor_sum,
 )
-from minorsum.identities import _apply_sign, _chain_sum, _f_sign, _x_minor_table
+from minorsum.identities import (
+    _apply_sign,
+    _chain_sum,
+    _double_minor_sum,
+    _f_sign,
+    _x_minor_table,
+)
 
 
 def assert_evaluators_match(ring, a, b, x):
@@ -173,6 +182,116 @@ def test_f_BA_is_signed_f_AB_of_the_transpose(m, n):
     rng = random.Random(8000 * m + n)
     A, B, Y = (Matrix(ZZ, rand_rows(rng, r, n)) for r in (m, m, n))
     assert f_AB(B, A, Y) == _apply_sign(_f_sign(m), f_AB(A, B, Y.T))
+
+
+# -- the Cauchy-Binet collapse of the integer and rational double sums ---------
+# On ZZ and QQ, f_AB and g_AB stop the walk once A^I is pushed and sum over
+# J by Cauchy-Binet on its residual rows; polynomial entries walk on to the
+# leaves.  m = 1..7 covers J of size 0..3; m > n leaves some sums empty.
+
+COLLAPSE_SHAPES = [(1, 1), (1, 4), (2, 1), (2, 5), (3, 1), (3, 2), (3, 6), (4, 3),
+                   (4, 6), (5, 2), (5, 3), (5, 6), (6, 2), (6, 4), (7, 3), (7, 4)]
+
+
+def double_sum_matches_leibniz(ring, a, b, x):
+    A, B, X = (Matrix(ring, rows) for rows in (a, b, x))
+    if len(a) % 2 == 0:
+        return f_AB(A, B, X) == ref_f(a, b, x)
+    return g_AB(A, B, X) == ref_g(a, b, x)
+
+
+def rand_fractions(rng, m, n):
+    return [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+            for _ in range(m)]
+
+
+@pytest.mark.parametrize("m,n", COLLAPSE_SHAPES)
+def test_collapsed_sum_matches_leibniz(m, n):
+    rng = random.Random(9000 * m + n)
+    a, b, x = rand_rows(rng, m, n), rand_rows(rng, m, n), rand_rows(rng, n, n)
+    assert double_sum_matches_leibniz(ZZ, a, b, x)
+    assert double_sum_matches_leibniz(ZZ, a, [row[:] for row in a], x)
+    a, b, x = rand_fractions(rng, m, n), rand_fractions(rng, m, n), rand_fractions(rng, n, n)
+    assert double_sum_matches_leibniz(QQ, a, b, x)
+
+
+def zero_first_column(a):
+    return [[0] + row[1:] for row in a]
+
+
+def pivots_below(a):
+    # the first row is zero but for its last entry, and the second row
+    # zero on the first half, so pivots come from lower rows
+    n = len(a[0])
+    out = [row[:] for row in a]
+    out[0] = [0] * (n - 1) + [out[0][-1] or 1]
+    if len(out) > 1:
+        out[1][: n // 2] = [0] * (n // 2)
+    return out
+
+
+# test_repeated_columns above gives A^I of lower rank
+A_KINDS = {
+    "zero first column": zero_first_column,
+    "pivots below": pivots_below,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(A_KINDS))
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 4), (5, 5), (6, 6), (7, 5)])
+def test_collapsed_sum_on_degenerate_A(kind, m, n):
+    rng = random.Random(9500 * m + n)
+    a = A_KINDS[kind](rand_rows(rng, m, n))
+    b, x = rand_rows(rng, m, n), rand_rows(rng, n, n)
+    assert double_sum_matches_leibniz(ZZ, a, b, x)
+    assert double_sum_matches_leibniz(ZZ, a, [row[:] for row in a], x)
+    assert double_sum_matches_leibniz(QQ, a, b, x)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 8) for n in (3, 5, 7)])
+def test_integer_and_polynomial_routes_agree(m, n):
+    # the same integers as ZZ entries (the collapse) and as constant
+    # polynomials (the leaf walk), two Xs sharing one walk
+    rng = random.Random(9900 * m + n)
+    a, b = rand_rows(rng, m, n, bound=9), rand_rows(rng, m, n, bound=9)
+    xs = [rand_rows(rng, n, n, bound=9) for _ in range(2)]
+    p, border = (m + 1) // 2, m % 2 == 1
+    poly = PolynomialRing(("z",))
+    values = []
+    for ring in (ZZ, QQ, poly):
+        A, B = Matrix(ring, a), Matrix(ring, b)
+        Xs = [Matrix(ring, x) for x in xs]
+        values.append([ring.format(v) for v in _double_minor_sum(A, B, Xs, p, border)])
+    assert values[0] == values[1] == values[2]
+
+
+FORBIDDEN_KERNELS = ("det", "det_bareiss", "det_minors", "pfaffian_matchings",
+                     "pfaffian_bareiss")
+
+
+def test_evaluators_call_no_determinant_or_pfaffian_kernel(monkeypatch):
+    # the evaluators are one side of every identity whose other side is a
+    # det or a Pfaffian, so they may not reach those kernels by any name
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an evaluator called a det or Pfaffian kernel")
+
+    for module in (minorsum, minorsum.matrix, minorsum.identities):
+        for name in FORBIDDEN_KERNELS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    rng = random.Random(77)
+    poly = PolynomialRing(("s", "t"))
+    s, t = poly.gens()
+    for m, n in [(1, 3), (2, 4), (3, 4), (4, 5), (5, 5), (6, 6)]:
+        a, b, x = rand_rows(rng, m, n), rand_rows(rng, m, n), rand_rows(rng, n, n)
+        a_poly = [[v * s + t if (i + j) % 3 == 0 else v for j, v in enumerate(row)]
+                  for i, row in enumerate(a)]
+        for ring, rows in ((ZZ, a), (QQ, a), (poly, a_poly)):
+            A, B, X = Matrix(ring, rows), Matrix(ring, b), Matrix(ring, x)
+            minor_sum(A)
+            (g_AB if m % 2 else f_AB)(A, B, X)
+            for weak_within in (True, False):
+                _chain_sum(A, B, weak_within)
 
 
 # -- edge shapes of the walk ---------------------------------------------------

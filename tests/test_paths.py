@@ -10,9 +10,11 @@ from oracles import (
     count_disjoint_families,
     count_free_families,
     lattice_paths,
+    steps_can_cross,
     walk_region,
 )
 from minorsum import (
+    CrossingStepsError,
     EnumerationGuardError,
     IndexSet,
     PathProblem,
@@ -153,6 +155,59 @@ def test_step_sets_whose_walks_need_not_end(steps):
         count_paths((0, 0), (1, 1), steps)
 
 
+TWO_ONE = ((1, 0), (0, 1), (2, 1))
+
+
+def test_steps_that_cross_between_lattice_points_need_one_start():
+    # a (2, 1) edge passes over the midpoint of a (0, 1) edge one column
+    # to its right: two vertex-disjoint paths can cross there, and the
+    # determinant routes would count the crossing pair with a sign
+    # (okada 40, byun 40, brute 42 on this instance)
+    with pytest.raises(CrossingStepsError, match=r"\[0, 1\] and \[2, 1\]"):
+        PathProblem(starts=((0, 0), (1, -1)), candidate_ends=((2, 2), (3, 1)),
+                    steps=TWO_ONE)
+    # a step over a lattice point lets a path pass another's vertex
+    with pytest.raises(CrossingStepsError, match=r"\[2, 0\]"):
+        PathProblem(starts=STARTS, candidate_ends=CANDIDATES, steps=((2, 0), (0, 1)))
+    one = PathProblem(starts=((0, 0),), candidate_ends=((2, 2), (3, 1)), steps=TWO_ONE)
+    assert count_free_routes(one) == {"okada": 14, "byun": 14, "brute": 14}
+
+
+@pytest.mark.parametrize("steps", [NE_STEPS, DELANNOY, ((1, 0), (-2, 1)),
+                                   ((1, 2), (0, 1), (1, 1))],
+                         ids=["ne", "delannoy", "negative", "steep"])
+def test_planar_step_sets_take_many_starts(steps):
+    # NE is the step set of criterion 8; every pair of these steps spans
+    # a parallelogram of area 1
+    p = PathProblem(starts=STARTS, candidate_ends=CANDIDATES, steps=steps)
+    assert p.steps == steps
+
+
+def test_crossing_check_matches_an_edge_search():
+    # the check decides by step pairs; the oracle tries every lattice
+    # offset at which two edges could meet
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(300):
+        steps = random_half_plane_steps(rng)
+        if rng.random() < 0.3:
+            steps = steps + ((rng.choice((-3, 3)), rng.choice((1, 2))),)
+            try:
+                _step_bounds(steps)
+            except ShapeError:
+                continue
+        crosses = steps_can_cross(steps)
+        try:
+            PathProblem(starts=STARTS, candidate_ends=CANDIDATES, steps=steps)
+            rejected = False
+        except CrossingStepsError:
+            rejected = True
+        assert rejected == crosses, steps
+        PathProblem(starts=STARTS[:1], candidate_ends=CANDIDATES, steps=steps)
+        seen.add(crosses)
+    assert seen == {True, False}
+
+
 # -- the path-count matrix ------------------------------------------------------
 
 
@@ -160,6 +215,26 @@ def test_lindstrom_matrix_frozen_example():
     p = PathProblem(starts=STARTS, candidate_ends=CANDIDATES)
     M = lindstrom_matrix(p)
     assert [list(r) for r in M._rows] == [[2, 1, 6], [1, 2, 4]]
+
+
+def test_lindstrom_matrix_takes_the_step_bounds_once(monkeypatch):
+    import minorsum.paths
+
+    rng = random.Random(5)
+    for steps, bound_calls in ((DELANNOY, 1), (NE_STEPS, 0)):
+        p = staircase_instance(rng, 4, 7, lowest_end=0, highest_end=4, steps=steps)
+        expect = [[count_paths(s, e, steps) for e in p.candidate_ends] for s in p.starts]
+        calls, step_bounds = [], minorsum.paths._step_bounds
+
+        def counted(steps):
+            calls.append(steps)
+            return step_bounds(steps)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(minorsum.paths, "_step_bounds", counted)
+            M = lindstrom_matrix(p)
+        assert [list(r) for r in M._rows] == expect
+        assert len(calls) == bound_calls
 
 
 def test_lindstrom_matrix_against_enumeration():
