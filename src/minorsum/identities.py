@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .combinat import IndexSet, inv_word
@@ -141,32 +143,25 @@ def _apply_sign(sign: int, x):
     return -x if sign < 0 else x
 
 
-def _minor_walk(ring: Ring, rows, nxt, stop: int | None = None):
+def _minor_walk(ring: Ring, rows, nxt):
     """Yield (prefix, leaves, dets, sign), one leaf row for each column
     prefix one short of a full path: `leaves` is the range of positions the
     last column may take, and the determinant of the path prefix + (t,) is
     sign * dets[i] for the i-th position t of leaves (zeros included; sign
     is +1 or -1).
 
-    Given a `stop` below len(rows), yield instead (path, residual, sign,
-    pivot) for each path of `stop` independent columns, without going on:
-    `residual` holds the len(rows) - stop rows left by its elimination,
-    over the positions from the first one nxt(path) gives for a later
-    column, and `pivot` is its last pivot.  The determinant of the path
-    completed by the columns at positions J is then
-    sign * det(residual_J) / pivot^(len(residual) - 1) (Sylvester).
-
     `rows` hold the columns at positions 0, 1, ...; a path picks
     len(rows) of them, in order.  `nxt(path)` gives the positions the next
     column may take, as a range, and the first position any later column
     may take, which lies at or before that range and at or after the one
-    it gave for path[:-1].  Paths are walked depth first, and pushing a
-    column does one Bareiss step on the residual rows, so paths sharing a
-    prefix share its elimination (Sylvester's identity).  The last step
-    reduces the one row left at the leaf positions only.  A pushed column
-    with no nonzero residual entry depends on the prefix, so every path
-    through it is skipped.  `rows` must not be empty: the empty path's
-    determinant, 1, is the caller's."""
+    it gave for path[:-1] (_walk_rule reads both off a route).  Paths are
+    walked depth first, and pushing a column does one Bareiss step on the
+    residual rows, with an exact division by the last pivot, so paths
+    sharing a prefix share its elimination (Sylvester's identity).  The
+    last step reduces the one row left at the leaf positions only.  A
+    pushed column with no nonzero residual entry depends on the prefix, so
+    every path through it is skipped.  `rows` must not be empty: the empty
+    path's determinant, 1, is the caller's."""
     div = ring.exact_divide
     cand, keep = nxt(())
     if len(rows) == 1:
@@ -177,7 +172,7 @@ def _minor_walk(ring: Ring, rows, nxt, stop: int | None = None):
     stack = [(iter(cand), rows, 0, (), False, ring.one)]
     while stack:
         todo, res, base, path, negative, prev = stack[-1]
-        last_step = stop is None and len(res) == 2
+        last_step = len(res) == 2
         for t in todo:
             k = t - base
             for r, prow in enumerate(res):
@@ -209,45 +204,205 @@ def _minor_walk(ring: Ring, rows, nxt, stop: int | None = None):
                     reduced.append(
                         [div(piv * x - rk * y, prev) for x, y in zip(row[cut:], ptail)]
                     )
-            if len(child) == stop:
-                yield child, reduced, -1 if flipped else 1, piv
-                continue
             stack.append((iter(cand), reduced, keep, child, flipped, piv))
             break
         else:
             stack.pop()
 
 
-def _walk_sum(ring: Ring, rows, nxt):
-    """Sum of the determinants of every path `nxt` allows (see _minor_walk),
-    one row of leaves at a time; 1 for no rows, the empty path."""
-    if not rows:
+# -- routes: sums of minors over monotone column picks ------------------------
+# A route describes a set of picks: one column per depth, depth d taking a
+# column of the block route[d][0] among the columns 0..n-1 that every block
+# shares, with the relation route[d][1] to the previous depth's column.  A
+# pick's determinant is that of the square matrix with its columns in depth
+# order, one row per depth.  Both evaluators below sum the determinants of
+# every pick of a route; _route_sum runs the one a count of work prefers.
+
+STRICT, WEAK, EQUAL = "strict", "weak", "equal"
+
+
+def _route(n: int, block_of: Sequence[int], relations: Sequence[str]) -> tuple:
+    """The route whose depth d takes a column of block block_of[d] that is
+    greater than (STRICT), at least (WEAK) or equal to (EQUAL) the previous
+    depth's column, relations[d] saying which (relations[0] is unused), as
+    a tuple of depths (block, relation, lo, hi).  [lo, hi] is the window of
+    the columns that depth's pick can take in a complete pick: lo counts
+    the strict steps up to the depth, n - 1 - hi those after it."""
+    strict = [d > 0 and rel == STRICT for d, rel in enumerate(relations)]
+    return tuple(
+        (block_of[d], relations[d], sum(strict[:d + 1]), n - 1 - sum(strict[d + 1:]))
+        for d in range(len(block_of))
+    )
+
+
+@lru_cache(maxsize=None)
+def _minor_route(m: int, n: int) -> tuple:
+    """The maximal minors of one m x n block: strictly increasing picks."""
+    return _route(n, [0] * m, [STRICT] * m)
+
+
+@lru_cache(maxsize=None)
+def _chain_route(m: int, n: int, weak_within: bool) -> tuple:
+    """Picks alternating between blocks 0 and 1, weak inside a pair and
+    strict between pairs (weak_within), or the other way round."""
+    return _route(
+        n, [d % 2 for d in range(m)],
+        [WEAK if (weak_within if d % 2 else not weak_within) else STRICT
+         for d in range(m)],
+    )
+
+
+@lru_cache(maxsize=None)
+def _pair_route(n: int, p: int) -> tuple:
+    """p pairs of a column of block 0 and the same column of block 1, the
+    pairs strictly increasing."""
+    return _route(n, [d % 2 for d in range(2 * p)],
+                  [EQUAL if d % 2 else STRICT for d in range(2 * p)])
+
+
+@lru_cache(maxsize=None)
+def _walk_rule(route: tuple, width: int):
+    """Walk rule (see _minor_walk) for the picks of a route over `width`
+    blocks with their columns interleaved: column c of block b sits at
+    position width * c + b."""
+    # per depth: block, window, the step past the previous column, and
+    # whether the pick repeats that column
+    depths = [(block, lo, hi, int(relation == STRICT), relation == EQUAL)
+              for block, relation, lo, hi in route]
+
+    def nxt(path):
+        block, lo, hi, step, same = depths[len(path)]
+        if path:
+            c = path[-1] // width + step
+            if c > lo:
+                lo = c
+            if same:
+                hi = lo
+        return range(width * lo + block, width * hi + block + 1, width), width * lo
+
+    return nxt
+
+
+def _walk_sum(ring: Ring, blocks: Sequence, route: tuple):
+    """Sum of the determinants of the picks of `route` from `blocks` (row
+    lists, one row per depth), walked depth first by _minor_walk, one row
+    of leaves at a time; 1 for no depths, the empty pick."""
+    if not route:
         return ring.one
+    # the walk's rows: the blocks' columns interleaved, as _walk_rule reads them
+    rows = blocks[0] if len(blocks) == 1 else [
+        [x for column in zip(*parts) for x in column] for parts in zip(*blocks)
+    ]
     total = ring.zero
-    for _, _, dets, sign in _minor_walk(ring, rows, nxt):
+    for _, _, dets, sign in _minor_walk(ring, rows, _walk_rule(route, len(blocks))):
         row_sum = sum(dets, ring.zero)
         total = total - row_sum if sign < 0 else total + row_sum
     return total
 
 
-def _increasing(floors, ceils):
-    """Walk rule for strictly increasing paths whose depth-d column lies in
-    [floors[d], ceils[d]]."""
+def _sweep_sum(ring: Ring, blocks: Sequence, route: tuple):
+    """Sum of the determinants of the picks of `route` from `blocks` (row
+    lists, one row per depth) by one pass over the columns, with no
+    division; 1 for no depths.
 
-    def nxt(path):
-        d = len(path)
-        lo = floors[d]
-        if path and path[-1] >= lo:
-            lo = path[-1] + 1
-        return range(lo, ceils[d] + 1), lo
+    After column c, depth d keeps a map {row bitmask S: sum} over its
+    partial picks c_0 <= ... <= c_d, of the minors on the rows S of the
+    picked columns: the picks with c_d <= c, or with c_d = c alone when the
+    next depth takes the same column (EQUAL).  Column v at depth d extends
+    the map the depth reads by one Laplace step along the new last column,
+    D[S | r] += (-1)^(members of S above r) * v[r] * D[S] for each row r
+    outside S with v[r] nonzero, so every pick ending in the same column is
+    extended at once.  A STRICT depth reads the previous depth's map before
+    this column enters it, a WEAK or EQUAL one after, so each column visits
+    the depths in runs that start at a STRICT depth, the last run first.
+    Cf. Rote, "Division-free algorithms for the determinant and the
+    Pfaffian", LNCS 2122 (2001)."""
+    m = len(route)
+    if not m:
+        return ring.one
+    n = len(blocks[0][0])
+    # column c of each block as (row, bit, entry, -entry), nonzero entries
+    columns = [
+        [[(r, 1 << r, row[c], -row[c]) for r, row in enumerate(rows) if row[c]]
+         for c in range(n)]
+        for rows in blocks
+    ]
+    fresh = [d + 1 < m and route[d + 1][1] == EQUAL for d in range(m)]
+    run = [0] * m
+    for d in range(1, m):
+        run[d] = d if route[d][1] == STRICT else run[d - 1]
+    order = sorted(range(m), key=lambda d: (-run[d], d))
+    maps = [{} for _ in range(m)]
+    root = {0: ring.one}
+    for c in range(n):
+        for d in order:
+            block, _, lo, hi = route[d]
+            if not lo <= c <= hi:
+                continue
+            kept = {} if fresh[d] else maps[d]
+            get = kept.get
+            for S, value in (maps[d - 1] if d else root).items():
+                for r, bit, a, neg_a in columns[block][c]:
+                    if S & bit:
+                        continue
+                    T = S | bit
+                    term = (neg_a if (S >> r).bit_count() & 1 else a) * value
+                    prior = get(T)
+                    kept[T] = term if prior is None else prior + term
+            maps[d] = kept
+    return maps[-1].get((1 << m) - 1, ring.zero)
 
-    return nxt
+
+@lru_cache(maxsize=None)
+def _sweep_is_cheaper(route: tuple, n: int, width: int, polynomial: bool) -> bool:
+    """Whether the sweep does less work than the walk on this route shape,
+    over n columns of `width` blocks, on polynomial entries or not.
+
+    The sweep at depth d makes up to C(m, d + 1) entries per column of its
+    window, each from d + 1 terms and the entry it adds to: a product and a
+    sum apiece.  The walk pushing the column at depth d < m - 2 of a prefix
+    updates m - d - 1 rows over the positions any later column may take,
+    and at depth m - 2 one row over the last depth's candidates.  Such an
+    entry is a (d + 2)-minor, from two products of (d + 1)-minors, a
+    difference and an exact division by a d-minor.  On integers and
+    rationals the size of the factors matters little, so an entry weighs
+    two sweep terms.  Polynomial minors grow with their order, and a
+    sweep term multiplies one by a single entry, so there an entry weighs
+    (d + 2)^2 terms."""
+    m = len(route)
+    sweep = sum((hi - lo + 1) * comb(m, d + 1) * (d + 2)
+                for d, (_, _, lo, hi) in enumerate(route) if lo <= hi)
+    rule = _walk_rule(route, width)
+    # prefixes[c]: how many prefixes of the current length end in column c;
+    # the rule reads only a path's length and last column
+    prefixes = {t // width: 1 for t in rule(())[0]}
+    walk = len(prefixes) if m == 1 else 0
+    for d in range(m - 1):
+        weight = (d + 2) ** 2 if polynomial else 2
+        grown = {}
+        for c, count in prefixes.items():
+            cand, keep = rule((width * c,) * (d + 1))
+            if d < m - 2:
+                walk += weight * count * (m - d - 1) * (width * n - keep)
+            else:
+                walk += weight * count * len(cand)
+            for t in cand:
+                grown[t // width] = grown.get(t // width, 0) + count
+        prefixes = grown
+    return sweep < walk
 
 
-def _maximal(m: int, n: int):
-    """Walk rule for the maximal minors of an m x n block: increasing
-    m-subsets of its columns."""
-    return _increasing([0] * m, [n - m + d for d in range(m)])
+def _route_sum(ring: Ring, blocks: Sequence, route: tuple):
+    """Sum of the determinants of the picks of `route` from `blocks`, by
+    the sweep or the walk, whichever _sweep_is_cheaper says does less
+    work on the shape and the kind of ring."""
+    if not route:
+        return ring.one
+    n = len(blocks[0][0])
+    polynomial = isinstance(ring, PolynomialRing)
+    if _sweep_is_cheaper(route, n, len(blocks), polynomial):
+        return _sweep_sum(ring, blocks, route)
+    return _walk_sum(ring, blocks, route)
 
 
 def _check_ab(A: Matrix, B: Matrix):
@@ -272,7 +427,7 @@ def _check_abx(A: Matrix, B: Matrix, X: Matrix):
 
 def minor_sum(A: Matrix):
     """Sum of all maximal minors det(A^I), |I| = row count; 0 when m > n."""
-    return _walk_sum(A.ring, A._rows, _maximal(A.nrows, A.ncols))
+    return _route_sum(A.ring, [A._rows], _minor_route(A.nrows, A.ncols))
 
 
 def _minor_levels(ring: Ring, rows, size: int, tight: bool) -> list:
@@ -339,13 +494,17 @@ def _bordered(level: dict, n: int, p: int) -> dict:
     return bordered
 
 
-def _x_minor_table(ring: Ring, rows, p: int, border: bool) -> dict:
-    """{I: {J: det}} for the nonzero minors of the square matrix with these
-    rows on p rows: of X_IJ (J a bitmask of p columns), or of 1 X_IJ (p - 1
-    columns behind a ones column) when `border`; see _minor_levels."""
-    size = p - 1 if border else p
-    level = _minor_levels(ring, rows, size, tight=True)[-1]
-    return _bordered(level, len(rows), p) if border else level
+def _pair_blocks(A: Matrix, B: Matrix, X: Matrix, border: bool) -> list:
+    """[A, H] with H = B X^t, entry by entry: column i of H is
+    sum_j X_ij B^{j}.  When `border`, a zero row goes on top of A and a
+    ones row on top of H (the hat augmentation)."""
+    ring = A.ring
+    dot = ring.dot
+    H = [[dot(b, x) for x in X._rows] for b in B._rows]
+    if not border:
+        return [A._rows, H]
+    n = A.ncols
+    return [[[ring.zero] * n, *A._rows], [[ring.one] * n, *H]]
 
 
 def _double_minor_sum(A: Matrix, B: Matrix, Xs: Sequence[Matrix], p: int,
@@ -353,87 +512,23 @@ def _double_minor_sum(A: Matrix, B: Matrix, Xs: Sequence[Matrix], p: int,
     """[sum over |I| = p, |J| = m - p of det(X_IJ) * det(A^I B^J) for X in
     Xs], with a ones column in front of X_IJ when `border`.
 
-    One walk over [A | B] serves all of Xs.  On integers and rationals it
-    stops once the p columns of A^I are pushed: with R their q = m - p
-    residual rows over B's columns, det(A^I B^J) = sign * det(R_J) /
-    piv^(q - 1) (Sylvester), so by Cauchy-Binet the sum over J is
-    sign * det(X_I R^t) / piv^(q - 1), X_I the rows I of X, with the ones
-    column in front of the p x q product when `border`.  That p x p
-    determinant is taken by the walk itself, on its one path.  Polynomials
-    walk on to the leaves instead (_leaf_double_minor_sum): there the
-    collapsed determinant is a large polynomial divided by a many-term
-    pivot, which costs more than the leaves it replaces."""
-    ring = A.ring
-    if isinstance(ring, PolynomialRing):
-        return _leaf_double_minor_sum(A, B, Xs, p, border)
-    m, n = A.nrows, A.ncols
-    zero = ring.zero
-    q = m - p
-    if not q:
-        # m = 1 (g_AB): J is empty and det(1) det(A^{i}) = a_i
-        return [sum(A._rows[0], zero)] * len(Xs)
-    stacked = [a + b for a, b in zip(A._rows, B._rows)]
-    dot, div = ring.dot, ring.exact_divide
-    lead = [ring.one] if border else []
-    one_path = _increasing(range(p), range(p))
-    totals = [zero] * len(Xs)
-    for I, R, sign, piv in _minor_walk(ring, stacked, _double_rule(n, p, q), stop=p):
-        scale = piv ** (q - 1)
-        for k, X in enumerate(Xs):
-            rows = [lead + [dot(X._rows[i], r) for r in R] for i in I]
-            d = _walk_sum(ring, rows, one_path)
-            if d:
-                if q > 1:
-                    d = div(d, scale)
-                totals[k] = totals[k] - d if sign < 0 else totals[k] + d
-    return totals
-
-
-def _double_rule(n: int, p: int, q: int):
-    """Walk rule over the 2n columns of [A | B] for the paths I + J, I a
-    p-subset of A's columns [0, n) and J a q-subset of B's [n, 2n)."""
-    return _increasing(
-        [0] * p + [n] * q,
-        [n - p + d for d in range(p)] + [2 * n - q + d for d in range(q)],
-    )
-
-
-def _leaf_double_minor_sum(A: Matrix, B: Matrix, Xs: Sequence[Matrix], p: int,
-                           border: bool) -> list:
-    """_double_minor_sum walked to the leaves: the walk gives, for each
-    prefix one column short, the row of det(A^I B^J) over its leaves, once
-    for all of Xs; each X's minors det(X_IJ) for those leaves come from its
-    minor table (_x_minor_table), built once per call, and meet the row in
-    one ring.dot."""
-    m, n = A.nrows, A.ncols
-    ring = A.ring
-    zero = ring.zero
-    q = m - p
-    tables = [_x_minor_table(ring, X._rows, p, border) for X in Xs]
-    stacked = [a + b for a, b in zip(A._rows, B._rows)]
-    totals = [zero] * len(Xs)
-    dot = ring.dot
-    I = None
-    for prefix, leaves, dets, sign in _minor_walk(ring, stacked, _double_rule(n, p, q)):
-        if q:
-            # the leaves complete J
-            if prefix[:p] != I:
-                I = prefix[:p]
-                gets = [(k, t[I].get) for k, t in enumerate(tables) if I in t]
-            if not gets:
-                continue
-            J = 0
-            for j in prefix[p:]:
-                J |= 1 << (j - n)
-            for k, get in gets:
-                s = dot(dets, [get(J | 1 << (t - n), zero) for t in leaves])
-                totals[k] = totals[k] - s if sign < 0 else totals[k] + s
-        else:
-            # m = 1 (g_AB): the leaves complete I, and J is empty
-            for k, t in enumerate(tables):
-                s = dot(dets, [t.get((i,), {}).get(0, zero) for i in leaves])
-                totals[k] = totals[k] - s if sign < 0 else totals[k] + s
-    return totals
+    By Cauchy-Binet in the last q = m - p columns, with H = B X^t,
+    sum_J det(X_KJ) det(A^I B^J) = det(A^I H^K) for any q-set K.  Without a
+    border p = q and K = I, so the sum is sum_I det(A^I H^I); interleaving
+    the columns as a_i1 h_i1 a_i2 h_i2 ... costs the sign (-1)^binom(p,2),
+    and what is left is the pick sum of p pairs over [A, H] (_pair_route).
+    With the border p = q + 1, and expanding det(1 X_IJ) along its ones
+    column gives sum_r (-1)^(r-1) det(A^I H^(I - i_r)).  That is
+    (-1)^p det(A^I H^I) of the hat-augmented blocks, a zero row on top of
+    A and a ones row on top of H (expand along that row), so the same pick
+    sum on them takes the sign (-1)^binom(p+1,2).  One pick sum per X."""
+    if p == 1 and border:
+        # m = 1: J is empty and det(1) det(A^{i}) = a_i
+        return [sum(A._rows[0], A.ring.zero)] * len(Xs)
+    route = _pair_route(A.ncols, p)
+    sign = sign_from_binom2(p + 1 if border else p)
+    return [_apply_sign(sign, _route_sum(A.ring, _pair_blocks(A, B, X, border), route))
+            for X in Xs]
 
 
 def _f_sign(m: int) -> int:
@@ -444,11 +539,10 @@ def _f_sign(m: int) -> int:
 
 def f_AB(A: Matrix, B: Matrix, X: Matrix):
     """Even-order evaluator:
-    sum over |I| = |J| = m/2 of det(X_IJ) * det(A^I B^J), from one walk
-    over [A | B] (see _double_minor_sum): on integers and rationals the
-    walk stops at each A^I and sums over J by Cauchy-Binet on its residual
-    rows; on polynomials it goes on to the leaves and reads det(X_IJ) from
-    one minor table of X."""
+    sum over |I| = |J| = m/2 of det(X_IJ) * det(A^I B^J).  By Cauchy-Binet
+    this is sum_I det(A^I H^I) with H = B X^t, which is (-1)^binom(m/2,2)
+    times the sum over the picks a_i1 h_i1 a_i2 h_i2 ..., i1 < i2 < ...,
+    of [A | H] (see _double_minor_sum)."""
     _check_abx(A, B, X)
     if A.nrows % 2:
         raise ParityError(f"f_AB needs even m, got {A.nrows}")
@@ -458,9 +552,9 @@ def f_AB(A: Matrix, B: Matrix, X: Matrix):
 def g_AB(A: Matrix, B: Matrix, X: Matrix):
     """Odd-order evaluator: sum over |I| = (m+1)/2, |J| = (m-1)/2 of
     det(1 X_IJ) * det(A^I B^J), the bordered minor taking an all-ones
-    first column; evaluated as f_AB is, with the ones column in front of
-    the Cauchy-Binet product (integers, rationals) or of the minor table
-    (polynomials)."""
+    first column.  It is f_AB's pick sum on the hat-augmented pair, a zero
+    row on top of A and a ones row on top of H = B X^t, with p = (m+1)/2
+    pairs and the sign (-1)^binom(p+1,2) (see _double_minor_sum)."""
     _check_abx(A, B, X)
     if A.nrows % 2 == 0:
         raise ParityError(f"g_AB needs odd m, got {A.nrows}")
@@ -546,27 +640,10 @@ def _chain_sum(first: Matrix, second: Matrix, weak_within: bool):
                        strict between pairs)
     weak_within=False: c1 < c2 <= c3 < c4 <= ...
 
-    Walked over first and second with their columns interleaved (position
-    2c + s is column c of first for s = 0, of second for s = 1), so the
-    chains continuing a prefix draw from the suffix from its last column."""
-    m, n = first.nrows, first.ncols
-    ring = first.ring
-    rows = [
-        [x for pair in zip(fr, sr) for x in pair]
-        for fr, sr in zip(first._rows, second._rows)
-    ]
-    # weak[d]: may the depth-d column repeat the previous one's index;
-    # room[d]: strict steps still to come after depth d
-    weak = [weak_within if d % 2 else not weak_within for d in range(m)]
-    room = [sum(not w for w in weak[d + 1:]) for d in range(m)]
-
-    def nxt(path):
-        d = len(path)
-        lo = 0 if not path else path[-1] // 2 + (0 if weak[d] else 1)
-        s = d % 2
-        return range(2 * lo + s, 2 * (n - 1 - room[d]) + s + 1, 2), 2 * lo
-
-    return _walk_sum(ring, rows, nxt)
+    One route over [first, second] (_chain_route)."""
+    rows = (first._rows, second._rows)
+    route = _chain_route(first.nrows, first.ncols, weak_within)
+    return _route_sum(first.ring, rows, route)
 
 
 # -- checkers -----------------------------------------------------------------
@@ -651,13 +728,13 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     lhs = det(rank_one_form(A, X, B))
     values = {}
     if m % 2 == 0:
-        # f_BA(J - X^t) = (-1)^(m/2) f_AB(J - X), so one walk serves both
+        # f_BA(J - X^t) = (-1)^(m/2) f_AB(J - X), so one call serves both
         fx, fy = _double_minor_sum(A, B, [X, J_n - X], m // 2, border=False)
         rhs = fx * _apply_sign(_f_sign(m), fy)
         passed = lhs == rhs
     else:
         gx = g_AB(A, B, X)
-        # one walk over [B | A] for g_BA(J - X^t) and g_BA(X^t)
+        # one call on (B, A) for g_BA(J - X^t) and g_BA(X^t)
         gy, gt = _double_minor_sum(B, A, [J_n - X.T, X.T], (m + 1) // 2, border=True)
         rhs = gx * gy
         alt = _apply_sign(-1 if ((m - 1) // 2) % 2 else 1, gx * gt)
@@ -748,7 +825,8 @@ def check_iswa(A: Matrix, Y: Matrix) -> IdentityReport:
     ring = A.ring
     # with no rows the one term is the empty minor times the empty Pfaffian
     lhs = ring.zero if m else ring.one
-    walk = _minor_walk(ring, A._rows, _maximal(m, n)) if m else ()
+    rule = _walk_rule(_minor_route(m, n), 1)
+    walk = _minor_walk(ring, A._rows, rule) if m else ()
     for prefix, leaves, dets, sign in walk:
         for t, d in zip(leaves, dets):
             if d:
@@ -807,7 +885,7 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
     passed = lhs == rhs
     if m % 2 == 0:
         s = sign_from_binom2(m // 2)
-        # f_BA(U) = (-1)^(m/2) f_AB(U^t), so one walk serves both
+        # f_BA(U) = (-1)^(m/2) f_AB(U^t), so one call serves both
         f1, f2 = _double_minor_sum(A, B, [UI, U.T], m // 2, border=False)
         c1 = _apply_sign(s, f1) == factor1
         c2 = _apply_sign(s * _f_sign(m), f2) == factor2

@@ -64,6 +64,13 @@ def h_complete(ring: PolynomialRing, degree: int, block: Sequence[Poly]) -> Poly
     return _h_table(ring, degree, block)[degree]
 
 
+def _h_matrix(ring: PolynomialRing, h: list, m: int, n: int) -> Matrix:
+    """The m x n matrix H with H_ik = h_{k-i}, from the table [h_0, ...]
+    (_h_table) of degree at least n - 1; zero below the diagonal."""
+    return Matrix(ring, [[h[k - i] if k >= i else ring.zero for k in range(n)]
+                         for i in range(m)])
+
+
 def _padded(lam: Sequence[int], mu: Sequence[int]):
     """(lam, mu) as partitions padded with zeros to one length, or None
     when mu is not contained in lam."""
@@ -176,10 +183,7 @@ def check_cauchy(m: int, n: int, kx: int, ky: int) -> IdentityReport:
     lhs = ring.dot(xs_terms, ys_terms)
 
     # RHS: the coupled h-matrix as the paper's skew form
-    H_x, H_y = (
-        Matrix(ring, [[h[k - i] if k >= i else ring.zero for k in range(n)] for i in range(m)])
-        for h in (h_x, h_y)
-    )
+    H_x, H_y = (_h_matrix(ring, h, m, n) for h in (h_x, h_y))
     UI = upper_ones(n, ring) + identity(n, ring)
     rhs = pfaffian_matchings(skew_form(H_x, UI, H_y))
 

@@ -230,6 +230,28 @@ def leibniz_det(rows):
     return total
 
 
+def gauss_det(rows):
+    """Determinant by Gaussian elimination over Fraction, for int or
+    Fraction entries; 1 for 0 x 0.  Polynomial in the size, for the sizes
+    the permutation sum cannot reach."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    n = len(work)
+    total = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if work[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            work[k], work[pivot] = work[pivot], work[k]
+            total = -total
+        total *= work[k][k]
+        for i in range(k + 1, n):
+            ratio = work[i][k] / work[k][k]
+            if ratio:
+                work[i] = [u - ratio * v for u, v in zip(work[i], work[k])]
+    return total
+
+
 def _pick(rows, cols):
     return [[row[c] for c in cols] for row in rows]
 
@@ -267,8 +289,9 @@ def ref_g(a, b, x):
 
 def ref_chain_sum(first, second, weak_within):
     """Sum of det(first^{c1} second^{c2} first^{c3} ...) over the chains
-    c1 <= c2 < c3 <= ... (weak_within) or c1 < c2 <= c3 < ... (not)."""
-    m, n = len(first), len(first[0])
+    c1 <= c2 < c3 <= ... (weak_within) or c1 < c2 <= c3 < ... (not); 1 for
+    no rows, the empty chain."""
+    m, n = len(first), len(first[0]) if first else 0
     total = 0
     for chain in itertools.product(range(n), repeat=m):
         ok = True

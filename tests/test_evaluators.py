@@ -2,19 +2,24 @@
 
 The references in oracles.py expand every determinant over permutations
 and enumerate the index sets and chains directly, so they share nothing
-with the prefix-sharing elimination the evaluators use.  The rank-deficient
-inputs make whole subtrees of that elimination vanish, which is where it
-prunes.  The minor table of X that f_AB and g_AB read is checked entry by
-entry against cofactor determinants.  The walk's edge shapes (no rows, one
-row, more rows than columns) are pinned on integers and polynomials.
+with the column sweep or the prefix-sharing elimination the evaluators
+use.  The rank-deficient inputs make whole subtrees of that elimination
+vanish, which is where it prunes.  Each route is summed by both
+evaluators, forced, on integers, fractions and polynomials; the sweep is
+shown to divide nothing, and the choice between them to depend on the
+shape and the kind of ring alone.  The minor table closed-forms reads is
+checked entry by entry against cofactor determinants.  The edge shapes
+(no rows, one row, more rows than columns) are pinned on integers and
+polynomials.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from oracles import ref_chain_sum, ref_f, ref_g, ref_minor_sum
+from oracles import gauss_det, ref_chain_sum, ref_f, ref_g, ref_minor_sum
 
 import minorsum
 from minorsum import (
@@ -30,13 +35,24 @@ from minorsum import (
     g_AB,
     minor_sum,
 )
+from minorsum import identities
 from minorsum.identities import (
     _apply_sign,
+    _bordered,
+    _chain_route,
     _chain_sum,
     _double_minor_sum,
     _f_sign,
-    _x_minor_table,
+    _minor_levels,
+    _minor_route,
+    _pair_blocks,
+    _pair_route,
+    _sweep_is_cheaper,
+    _sweep_sum,
+    _walk_sum,
+    sign_from_binom2,
 )
+from minorsum.ring import IntegerRing, Poly, RationalRing
 
 
 def assert_evaluators_match(ring, a, b, x):
@@ -122,6 +138,13 @@ def test_generic_poly_inputs_match_leibniz(m, n):
     assert_evaluators_match(ring, generic("a", m, n), generic("b", m, n), generic("x", n, n))
 
 
+def minor_table(ring, rows, p, border):
+    # the minors on p rows of X, or of [1 | X] with the ones column kept
+    size = p - 1 if border else p
+    level = _minor_levels(ring, rows, size, tight=True)[-1]
+    return _bordered(level, len(rows), p) if border else level
+
+
 def assert_minor_table_matches_cofactors(ring, x):
     """Every minor of X on p rows, and of [1 | X] on p rows with the ones
     column kept, against the table: a present entry is the nonzero cofactor
@@ -132,7 +155,7 @@ def assert_minor_table_matches_cofactors(ring, x):
         M = Matrix(ring, [[1] + row for row in x] if border else x)
         lead = (1,) if border else ()
         for p in range(1, n + 1):
-            table = _x_minor_table(ring, rows, p, border)
+            table = minor_table(ring, rows, p, border)
             seen = 0
             for I in combinations(range(n), p):
                 for J in combinations(range(n), p - border):
@@ -178,16 +201,16 @@ def test_minor_table_generic_poly():
 
 @pytest.mark.parametrize("m,n", [(2, 3), (2, 5), (4, 4), (4, 6), (6, 6), (6, 7)])
 def test_f_BA_is_signed_f_AB_of_the_transpose(m, n):
-    # the identity that lets one walk over [A | B] give f_BA as well
+    # the identity that lets one call with A and B give f_BA as well
     rng = random.Random(8000 * m + n)
     A, B, Y = (Matrix(ZZ, rand_rows(rng, r, n)) for r in (m, m, n))
     assert f_AB(B, A, Y) == _apply_sign(_f_sign(m), f_AB(A, B, Y.T))
 
 
-# -- the Cauchy-Binet collapse of the integer and rational double sums ---------
-# On ZZ and QQ, f_AB and g_AB stop the walk once A^I is pushed and sum over
-# J by Cauchy-Binet on its residual rows; polynomial entries walk on to the
-# leaves.  m = 1..7 covers J of size 0..3; m > n leaves some sums empty.
+# -- the double sums as pick sums over [A | B X^t] ----------------------------
+# f_AB and g_AB sum det(A^I H^I), H = B X^t, over I by Cauchy-Binet in J, g
+# on the hat-augmented pair.  m = 1..7 covers J of size 0..3; m > n leaves
+# some sums empty.
 
 COLLAPSE_SHAPES = [(1, 1), (1, 4), (2, 1), (2, 5), (3, 1), (3, 2), (3, 6), (4, 3),
                    (4, 6), (5, 2), (5, 3), (5, 6), (6, 2), (6, 4), (7, 3), (7, 4)]
@@ -250,8 +273,8 @@ def test_collapsed_sum_on_degenerate_A(kind, m, n):
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 8) for n in (3, 5, 7)])
 def test_integer_and_polynomial_routes_agree(m, n):
-    # the same integers as ZZ entries (the collapse) and as constant
-    # polynomials (the leaf walk), two Xs sharing one walk
+    # the same integers as ZZ and QQ entries and as constant polynomials,
+    # two Xs in one call
     rng = random.Random(9900 * m + n)
     a, b = rand_rows(rng, m, n, bound=9), rand_rows(rng, m, n, bound=9)
     xs = [rand_rows(rng, n, n, bound=9) for _ in range(2)]
@@ -294,7 +317,187 @@ def test_evaluators_call_no_determinant_or_pfaffian_kernel(monkeypatch):
                 _chain_sum(A, B, weak_within)
 
 
-# -- edge shapes of the walk ---------------------------------------------------
+# -- the two evaluators of a route --------------------------------------------
+# Every route is summed by the sweep and by the walk, each forced, against
+# the Leibniz references: on integers, on fractions and on polynomials in
+# two variables, with no rows, no columns, more rows than columns, A == B
+# and a zero column of A.
+
+
+def route_cases(ring, a, b, x, n):
+    """(name, blocks, route, sign, reference) for each route of these rows:
+    the minor sum of A, both chain sums of (A, B), and f or g of (A, B, X)
+    as the signed pick sum over the pairs of [A | B X^t]."""
+    m = len(a)
+    A, B, X = (Matrix(ring, rows, ncols=n) for rows in (a, b, x))
+    cases = [("minor", [A._rows], _minor_route(m, n), 1, ref_minor_sum(a, n))]
+    for weak_within in (True, False):
+        cases.append((f"chain weak_within={weak_within}", [A._rows, B._rows],
+                      _chain_route(m, n, weak_within), 1,
+                      ref_chain_sum(a, b, weak_within)))
+    border = m % 2 == 1
+    p = (m + 1) // 2
+    reference = ref_g(a, b, x) if border else ref_f(a, b, x)
+    sign = sign_from_binom2(p + 1 if border else p)
+    cases.append(("g" if border else "f", _pair_blocks(A, B, X, border),
+                  _pair_route(n, p), sign, reference))
+    return cases
+
+
+def assert_both_evaluators_match(ring, a, b, x, n):
+    for name, blocks, route, sign, reference in route_cases(ring, a, b, x, n):
+        expect = ring.coerce(reference)
+        for evaluate in (_sweep_sum, _walk_sum):
+            got = _apply_sign(sign, evaluate(ring, blocks, route))
+            assert got == expect, (name, evaluate.__name__)
+
+
+ROUTE_SHAPES = [(0, 0), (0, 3), (1, 0), (1, 1), (1, 4), (2, 0), (2, 1), (2, 3), (2, 5),
+                (3, 2), (3, 4), (3, 6), (4, 3), (4, 4), (4, 6), (5, 3), (5, 5),
+                (6, 3), (6, 4), (7, 3), (7, 4)]
+
+ROUTE_INPUTS = {
+    "random": lambda a, b: (a, b),
+    "A equals B": lambda a, b: (a, [row[:] for row in a]),
+    "zero column": lambda a, b: ([[0] * min(1, len(row)) + row[1:] for row in a], b),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTE_INPUTS))
+@pytest.mark.parametrize("m,n", ROUTE_SHAPES)
+def test_sweep_and_walk_match_leibniz_on_integers_and_fractions(kind, m, n):
+    rng = random.Random(11000 * m + 10 * n + len(kind))
+    a, b = ROUTE_INPUTS[kind](rand_rows(rng, m, n), rand_rows(rng, m, n))
+    assert_both_evaluators_match(ZZ, a, b, rand_rows(rng, n, n), n)
+    if n:
+        a, b = ROUTE_INPUTS[kind](rand_fractions(rng, m, n), rand_fractions(rng, m, n))
+    assert_both_evaluators_match(QQ, a, b, rand_fractions(rng, n, n), n)
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (1, 0), (1, 3), (2, 3), (3, 2), (3, 4), (4, 3),
+                                 (4, 4), (5, 3)])
+def test_sweep_and_walk_match_leibniz_on_polynomials(m, n):
+    poly = PolynomialRing(("s", "t"))
+    s, t = poly.gens()
+    rng = random.Random(12000 * m + n)
+
+    def rows(r, c):
+        # a third of the entries linear in s and t, the rest constants
+        return [[v * s + rng.randint(-2, 2) * t if rng.random() < 0.34 else poly.coerce(v)
+                 for v in row] for row in rand_rows(rng, r, c, bound=3)]
+
+    assert_both_evaluators_match(poly, rows(m, n), rows(m, n), rows(n, n), n)
+
+
+class DivisionUsed(AssertionError):
+    pass
+
+
+# shapes on which the chooser takes the sweep for every route named, on
+# every ring
+SWEEP_SHAPES = {"minor": [(4, 8), (3, 9)], "chain": [(4, 6), (5, 7), (6, 8)],
+                "f": [(4, 8), (4, 9)], "g": [(3, 8), (3, 9)]}
+
+
+def test_sweep_divides_nothing(monkeypatch):
+    def refuse(*args):
+        raise DivisionUsed("the sweep divided")
+
+    monkeypatch.setattr(IntegerRing, "exact_divide", refuse)
+    monkeypatch.setattr(RationalRing, "exact_divide", refuse)
+    monkeypatch.setattr(Poly, "exact_div", refuse)
+    poly = PolynomialRing(("s", "t"))
+    s, t = poly.gens()
+    rng = random.Random(13)
+    for kind, shapes in SWEEP_SHAPES.items():
+        for m, n in shapes:
+            a, b, x = rand_rows(rng, m, n), rand_rows(rng, m, n), rand_rows(rng, n, n)
+            a_poly = [[v * s + t if (i + j) % 3 == 0 else v for j, v in enumerate(row)]
+                      for i, row in enumerate(a)]
+            for ring, rows in ((ZZ, a), (QQ, a), (poly, a_poly)):
+                A, B, X = Matrix(ring, rows), Matrix(ring, b), Matrix(ring, x)
+                if kind == "minor":
+                    route, width = _minor_route(m, n), 1
+                    minor_sum(A)
+                elif kind == "chain":
+                    route, width = _chain_route(m, n, True), 2
+                    assert _sweep_is_cheaper(_chain_route(m, n, False), n, 2, False)
+                    for weak_within in (True, False):
+                        _chain_sum(A, B, weak_within)
+                else:
+                    route, width = _pair_route(n, (m + 1) // 2), 2
+                    (g_AB if m % 2 else f_AB)(A, B, X)
+                for polynomial in (False, True):
+                    assert _sweep_is_cheaper(route, n, width, polynomial), (kind, m, n)
+    # and the walk on the same route does divide
+    A = Matrix(ZZ, rand_rows(rng, 4, 8))
+    with pytest.raises(DivisionUsed):
+        _walk_sum(ZZ, [A._rows], _minor_route(4, 8))
+
+
+def test_sixteen_rows_take_the_walks_single_path():
+    # a square minor sum and f_AB at m = 2n have one pick, which the chooser
+    # gives to the walk rather than the sweep's 2^16 row subsets
+    rng = random.Random(14)
+    a = rand_rows(rng, 16, 16)
+    t0 = time.perf_counter()
+    got = minor_sum(Matrix(ZZ, a))
+    elapsed = time.perf_counter() - t0
+    assert got == gauss_det(a)
+    assert elapsed < 1.0, f"16 x 16 minor sum took {elapsed:.2f} s"
+    a, b, x = rand_rows(rng, 16, 8), rand_rows(rng, 16, 8), rand_rows(rng, 8, 8)
+    t0 = time.perf_counter()
+    got = f_AB(Matrix(ZZ, a), Matrix(ZZ, b), Matrix(ZZ, x))
+    elapsed = time.perf_counter() - t0
+    # the one term: I = J = all eight columns
+    assert got == gauss_det(x) * gauss_det([ra + rb for ra, rb in zip(a, b)])
+    assert elapsed < 1.0, f"f_AB at (16, 8) took {elapsed:.2f} s"
+
+
+def test_choice_of_evaluator_depends_on_the_shape_and_kind_of_ring(monkeypatch):
+    # integers and rationals of one shape take one evaluator, as do any two
+    # polynomial inputs of one shape, whatever their entries; polynomials
+    # take the sweep wherever integers do, and on more shapes
+    calls = []
+
+    def recording(evaluate):
+        def wrapper(ring, blocks, route):
+            calls.append((evaluate.__name__, len(route), len(blocks[0][0])))
+            return evaluate(ring, blocks, route)
+        return wrapper
+
+    for evaluate in (_sweep_sum, _walk_sum):
+        monkeypatch.setattr(identities, evaluate.__name__, recording(evaluate))
+    poly = PolynomialRing(("s",))
+    s = poly.gen("s")
+    rng = random.Random(15)
+    seen = {}
+    for name, ring, entry in (("int", ZZ, int), ("rat", QQ, Fraction),
+                              ("constant poly", poly, poly.coerce),
+                              ("poly", poly, lambda v: v * s + 1)):
+        calls.clear()
+        for m in range(1, 7):
+            for n in range(1, 9):
+                A, B, X = (Matrix(ring, [[entry(v) for v in row] for row in rand_rows(rng, r, n)])
+                           for r in (m, m, n))
+                minor_sum(A)
+                _chain_sum(A, B, True)
+                _chain_sum(A, B, False)
+                (g_AB if m % 2 else f_AB)(A, B, X)
+        seen[name] = list(calls)
+    assert seen["int"] == seen["rat"]
+    assert seen["constant poly"] == seen["poly"]
+    assert len(seen["int"]) == len(seen["poly"])
+    pairs = list(zip(seen["int"], seen["poly"]))
+    assert all(p[0] == "_sweep_sum" for i, p in pairs if i[0] == "_sweep_sum")
+    assert any(i[0] == "_walk_sum" and p[0] == "_sweep_sum" for i, p in pairs)
+    assert {name for name, _, _ in seen["int"]} == {"_sweep_sum", "_walk_sum"}
+    # a square minor sum and f_AB at m = 2n stay on the walk's one pick
+    for polynomial in (False, True):
+        assert not _sweep_is_cheaper(_minor_route(16, 16), 16, 1, polynomial)
+        assert not _sweep_is_cheaper(_pair_route(8, 8), 8, 2, polynomial)
+
+# -- edge shapes --------------------------------------------------------------
 
 EDGE_RINGS = [ZZ, PolynomialRing(("s", "t"))]
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -14,7 +15,9 @@ from minorsum import (
     skew_schur,
     xy_ring,
 )
-from minorsum.matrix import identity, upper_ones
+from minorsum.identities import _chain_route, _chain_sum, _sweep_is_cheaper
+from minorsum.matrix import identity, pfaffian_matchings, skew_form, upper_ones
+from minorsum.symfun import _h_matrix, _h_table
 
 
 def permute_exponents(ring, p, perm):
@@ -191,3 +194,21 @@ def test_cauchy_rhs_is_h_matrix_pfaffian():
     assert rep.passed
     assert ring.format(pf) == rep.rhs
     assert check_ab2(A, B).passed
+
+
+def test_cauchy_pfaffian_is_the_weak_chain_sum_of_the_h_matrices():
+    # By the Ishikawa-Wakayama expansion of Pf(M Z M^t), M = [H(x) | H(y)],
+    # check_cauchy's right side Pf(Y(H(x), U + Id, H(y))) is the ab2 weak
+    # chain sum of the h-matrices; the sweep takes it at (4,6,3,3), while
+    # the walk took about a second, and the Pfaffian side is the matching sum
+    m, n, kx, ky = 4, 6, 3, 3
+    ring, xs, ys = xy_ring(kx, ky)
+    H_x, H_y = (_h_matrix(ring, _h_table(ring, n - 1, block), m, n) for block in (xs, ys))
+    assert _sweep_is_cheaper(_chain_route(m, n, True), n, 2, True)
+    t0 = time.perf_counter()
+    chain = _chain_sum(H_x, H_y, weak_within=True)
+    elapsed = time.perf_counter() - t0
+    UI = upper_ones(n, ring) + identity(n, ring)
+    assert chain == pfaffian_matchings(skew_form(H_x, UI, H_y))
+    assert chain
+    assert elapsed < 5.0, f"weak chain sum took {elapsed:.2f} s"
