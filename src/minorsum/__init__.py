@@ -58,8 +58,10 @@ from .matrix import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     outer_product,
+    pfaffian,
     pfaffian_bareiss,
     pfaffian_matchings,
+    pfaffian_walk,
 )
 from .identities import (
     IDENTITY_IDS,
@@ -151,8 +153,10 @@ __all__ = [
     "matrix_from_json_dict",
     "matrix_to_json_dict",
     "outer_product",
+    "pfaffian",
     "pfaffian_bareiss",
     "pfaffian_matchings",
+    "pfaffian_walk",
     "IDENTITY_IDS",
     "IdentityReport",
     "check_ab",

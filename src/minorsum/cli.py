@@ -51,7 +51,7 @@ from .matrix import (
     det,
     matrix_from_json_dict,
     matrix_to_json_dict,
-    pfaffian_bareiss,
+    pfaffian,
 )
 from .paths import NE_STEPS, PathProblem, count_free_routes
 from .ring import PolynomialRing, ZZ
@@ -462,7 +462,7 @@ def eval_cmd(operation, files):
     mats = [_load_matrix(path) for path in files]
     try:
         if operation == "pf":
-            value = pfaffian_bareiss(mats[0])
+            value = pfaffian(mats[0])
         elif operation == "det":
             value = det(mats[0])
         elif operation == "minorsum":

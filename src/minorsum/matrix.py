@@ -9,9 +9,9 @@ Every kernel is one loop for every ring: arithmetic is the entries' own
 operators, zero tests are `not x`, and the two fraction-free eliminations
 (the Bareiss determinant and its skew analogue for the Pfaffian, both
 O(n^3)) divide with the ring's `exact_divide`.  The cofactor determinant
-and the perfect-matching Pfaffian are the reference definitions; the
-Pfaffian elimination never calls a determinant, so Pf^2 = det compares
-two independent kernels.
+and the perfect-matching Pfaffian are the reference definitions and the
+tests' oracles; no Pfaffian kernel calls a determinant, so Pf^2 = det
+compares two independent kernels.
 
 There are three determinant kernels: `det_cofactor` (the definition),
 `det_bareiss` (O(n^3), each step multiplies two minors and divides
@@ -21,6 +21,13 @@ division; fastest on polynomials).  `det` picks one from the input's ring.
 `det_minors` and the matrix product form their sums of products with the
 ring's `dot`, which on polynomials accumulates every product into one
 map instead of building each product and partial sum as its own value.
+
+There are three Pfaffian kernels: `pfaffian_matchings` (the definition,
+(n-1)!! signed matchings), `pfaffian_bareiss` (O(n^3) skew elimination
+with exact divisions; fastest on integers and rationals) and
+`pfaffian_walk` (a scan of the vertices over the subsets of open ones,
+each state one `ring.dot`, no division; fastest on polynomials).
+`pfaffian` picks one from the input's ring, as `det` does.
 
 Every identity in the paper is about one skew matrix,
 Y(A, X, B) = AXB^t - BX^tA^t: `skew_form` builds it as P - P^t with
@@ -492,6 +499,64 @@ def pfaffian_bareiss(Y: Matrix):
         prev = piv
     result = a[n - 2][n - 1]
     return -result if negative else result
+
+
+def pfaffian_walk(Y: Matrix):
+    """Division-free Pfaffian by a walk over the subsets of open vertices.
+    The vertices are scanned in order; after vertex v, P[S] sums the signed
+    products of the partial matchings of the vertices up to v that leave
+    the set S (a bitmask) unmatched.  Vertex v either opens, P[S + v] =
+    P[S], or closes some open u, P[S - u] += (-1)^s y[u][v] P[S] with s the
+    count of open vertices strictly between u and v: each crossing of two
+    arcs is counted once, when the arc that ends first closes.  A state
+    with more open vertices than vertices left is dropped.  Each closing
+    state is one `ring.dot` of signed entries and earlier states, so on
+    polynomials its products are summed in one fused accumulation, and
+    nothing is divided.  Pf of the empty matrix is 1."""
+    _assert_pfaffian_input(Y)
+    ring = Y.ring
+    dot = ring.dot
+    n = Y.nrows
+    rows = Y._rows
+    states = {0: ring.one}
+    for v in range(n):
+        left = n - v - 1
+        # the sign goes on the entry, which is cheaper to negate than a state
+        closers = [(u + 1, 1 << u, rows[u][v], -rows[u][v])
+                   for u in range(v) if rows[u][v]]
+        grown = {}
+        closes = {}  # S - u -> ([signed entries], [states S])
+        for S, value in states.items():
+            if S.bit_count() < left:
+                grown[S | 1 << v] = value
+            for above, bit, a, neg_a in closers:
+                if not S & bit:
+                    continue
+                entry = neg_a if (S >> above).bit_count() & 1 else a
+                T = S ^ bit
+                pair = closes.get(T)
+                if pair is None:
+                    closes[T] = ([entry], [value])
+                else:
+                    pair[0].append(entry)
+                    pair[1].append(value)
+        for T, (entries, values) in closes.items():
+            value = dot(entries, values)
+            if value:
+                grown[T] = value
+        states = grown
+    return states.get(0, ring.zero)
+
+
+def pfaffian(Y: Matrix):
+    """Pfaffian by the kernel that suits the entries: `pfaffian_walk` for
+    polynomials, where the elimination's exact divisions cost more than
+    the products they undo, and `pfaffian_bareiss` for integers and
+    rationals.  Neither calls a determinant kernel, so Pf^2 = det compares
+    two independent computations."""
+    if isinstance(Y.ring, PolynomialRing):
+        return pfaffian_walk(Y)
+    return pfaffian_bareiss(Y)
 
 
 # -- JSON interchange --------------------------------------------------------

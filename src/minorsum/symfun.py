@@ -21,7 +21,7 @@ from typing import Sequence
 from .combinat import as_partition, is_horizontal_strip, lambda_of, subsets
 from .errors import ParityError, ShapeError
 from .identities import _digest_of, IdentityReport
-from .matrix import Matrix, det, identity, pfaffian_matchings, skew_form, upper_ones
+from .matrix import Matrix, det, identity, pfaffian, skew_form, upper_ones
 from .ring import Poly, PolynomialRing
 
 
@@ -135,7 +135,6 @@ def check_cauchy(m: int, n: int, kx: int, ky: int) -> IdentityReport:
         raise ShapeError(f"m and n must be positive, got {m}, {n}")
     if kx < 1 or ky < 1:
         raise ShapeError(f"need at least one variable per block, got {kx}, {ky}")
-    digest = _digest_of(identity="cauchy", m=m, n=n, kx=kx, ky=ky)
     ring, xs, ys = xy_ring(kx, ky)
     half = m // 2
 
@@ -185,8 +184,11 @@ def check_cauchy(m: int, n: int, kx: int, ky: int) -> IdentityReport:
     # RHS: the coupled h-matrix as the paper's skew form
     H_x, H_y = (_h_matrix(ring, h, m, n) for h in (h_x, h_y))
     UI = upper_ones(n, ring) + identity(n, ring)
-    rhs = pfaffian_matchings(skew_form(H_x, UI, H_y))
+    rhs = pfaffian(skew_form(H_x, UI, H_y))
 
     passed = lhs == rhs
     details = {"strip_pairs": len(pairs)}
-    return IdentityReport("cauchy", digest, lhs, rhs, passed, details, ring=ring)
+    return IdentityReport(
+        "cauchy", lambda: _digest_of(identity="cauchy", m=m, n=n, kx=kx, ky=ky),
+        lhs, rhs, passed, details, ring=ring,
+    )

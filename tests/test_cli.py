@@ -544,3 +544,40 @@ def test_schur_command_errors():
 
 def test_registry_covers_every_identity():
     assert tuple(_REGISTRY) == IDENTITY_IDS
+
+
+@pytest.mark.parametrize("ident,m,n", [("det-pf-square", 12, 12), ("okada", 16, 18)])
+def test_large_pfaffian_sides_take_no_factorial_kernel(ident, m, n):
+    # through the matching sum and the cofactor determinant these single
+    # trials took 17 s (okada) and over 100 s (det-pf-square)
+    start = time.perf_counter()
+    report = run_verify(VerifyConfig(identities=(ident,), ms=(m,), ns=(n,), trials=1))
+    assert report.summary == {
+        "total_trials": 1, "failures": 0,
+        "per_identity": {ident: {"trials": 1, "failed": 0}},
+    }
+    assert time.perf_counter() - start < 10
+
+
+def test_a_passing_verify_run_computes_no_digest(monkeypatch):
+    import minorsum.identities as identities
+
+    calls = []
+    real = identities.input_digest
+
+    def counted(payload):
+        calls.append(payload)
+        return real(payload)
+
+    monkeypatch.setattr(identities, "input_digest", counted)
+    for ring, ms in (("int", (1, 2, 3, 4)), ("poly", (1, 2, 3))):
+        report = run_verify(VerifyConfig(identities=IDENTITY_IDS, ms=ms, ns=(2, 3, 4),
+                                         trials=2, ring=ring))
+        assert report.summary["failures"] == 0
+        assert set(report.summary["per_identity"]) == set(IDENTITY_IDS)
+    assert minorsum.check_cauchy(2, 2, 1, 1).passed
+    assert calls == []
+    # a report hashes its inputs once, when its digest is first read
+    rep = minorsum.check_okada(minorsum.Matrix(minorsum.ZZ, [[1, 1, 1], [1, 2, 3]]))
+    digest = rep.input_digest
+    assert rep.input_digest == digest and len(calls) == 1

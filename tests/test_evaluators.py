@@ -13,7 +13,10 @@ checked entry by entry against cofactor determinants.  The edge shapes
 polynomials.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -288,8 +291,33 @@ def test_integer_and_polynomial_routes_agree(m, n):
     assert values[0] == values[1] == values[2]
 
 
-FORBIDDEN_KERNELS = ("det", "det_bareiss", "det_minors", "pfaffian_matchings",
-                     "pfaffian_bareiss")
+FORBIDDEN_KERNELS = ("det", "det_bareiss", "det_minors", "pfaffian",
+                     "pfaffian_matchings", "pfaffian_bareiss", "pfaffian_walk")
+
+
+def test_import_builds_no_sweep_table_or_plan():
+    # the sweep's tables are built on the first sweep of each shape, so that
+    # importing the package (and its command line) costs nothing for them
+    src = os.path.dirname(os.path.dirname(minorsum.__file__))
+    code = ("import minorsum, minorsum.cli\n"
+            "from minorsum import identities as i\n"
+            "print(i._sweep_table.cache_info().currsize,"
+            " i._sweep_plan.cache_info().currsize)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "0"]
+
+
+def test_sweep_table_lists_each_laplace_step():
+    table = identities._sweep_table(4)
+    assert len(table) == 16
+    assert sum(len(steps) for steps in table) == 4 * 2 ** 3
+    for S, steps in enumerate(table):
+        assert [r for r, _, _ in steps] == [r for r in range(4) if not S >> r & 1]
+        for r, T, odd in steps:
+            assert T == S | 1 << r
+            assert odd == sum(1 for s in range(r + 1, 4) if S >> s & 1) % 2
 
 
 def test_evaluators_call_no_determinant_or_pfaffian_kernel(monkeypatch):

@@ -611,9 +611,15 @@ def test_check_closed_forms_reports_each_mismatch_with_its_determinant(
             return value + 1 if (tuple(I), tuple(J)) in PERTURBED[form] else value
         return closed
 
-    monkeypatch.setattr(identities, "x1_closed_form", perturbed(x1_closed_form, "x1"))
-    monkeypatch.setattr(identities, "x2_closed_form", perturbed(x2_closed_form, "x2"))
+    # the scan takes the closed forms unchecked, by these two names
+    monkeypatch.setattr(identities, "_chain_product",
+                        perturbed(identities._chain_product, "x1"))
+    monkeypatch.setattr(identities, "_bordered_chain_product",
+                        perturbed(identities._bordered_chain_product, "x2"))
     rep = check_closed_forms(ring, diag)
+    # the public closed forms share those names: the references below are
+    # the unperturbed ones
+    monkeypatch.undo()
     assert not rep.passed
     mismatches = rep.details["mismatches"]
     assert [(e["form"], tuple(e["I"]), tuple(e["J"])) for e in mismatches] == [
@@ -638,12 +644,13 @@ def test_check_closed_forms_reports_each_mismatch_with_its_determinant(
 
 
 def test_check_closed_forms_does_not_call_det_cofactor(monkeypatch):
-    import minorsum.identities as identities
+    import minorsum.matrix as matrix
 
     def refuse(M):
         raise AssertionError("det_cofactor called")
 
-    monkeypatch.setattr(identities, "det_cofactor", refuse)
+    # identities no longer imports det_cofactor, so patch its definition
+    monkeypatch.setattr(matrix, "det_cofactor", refuse)
     ring = PolynomialRing(("d1", "d2", "d3"))
     assert check_closed_forms(ring, ring.gens()).passed
     for diag in ((2, 0, -3, 1, 4, -1), (1, 1, 1), (0, 0)):
@@ -651,6 +658,30 @@ def test_check_closed_forms_does_not_call_det_cofactor(monkeypatch):
 
 
 # -- remaining checkers --------------------------------------------------------
+
+
+def test_no_checker_calls_the_reference_kernels(monkeypatch):
+    # the matching-sum Pfaffian and the cofactor determinant are the tests'
+    # oracles: every checker's sides run on the eliminations and the walks
+    import minorsum
+    from minorsum import VerifyConfig, check_cauchy, run_verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checker called a reference kernel")
+
+    for module in (minorsum, minorsum.matrix, minorsum.identities, minorsum.symfun,
+                   minorsum.cli):
+        for name in ("pfaffian_matchings", "det_cofactor"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for ring, ms, ns in (("int", (1, 2, 3, 4, 5, 6), (2, 3, 4, 6)),
+                         ("poly", (1, 2, 3), (2, 3))):
+        report = run_verify(VerifyConfig(identities=IDENTITY_IDS, ms=ms, ns=ns,
+                                         trials=2, ring=ring))
+        assert report.summary["failures"] == 0
+        assert set(report.summary["per_identity"]) == set(IDENTITY_IDS)
+    for shape in ((2, 2, 1, 1), (4, 4, 2, 2)):
+        assert check_cauchy(*shape).passed
 
 
 def test_det_pf_square_symbolic_4x4():

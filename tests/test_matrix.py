@@ -9,9 +9,11 @@ from minorsum import (
     QQ,
     IndexRangeError,
     IndexSet,
+    IntegerRing,
     Matrix,
     Poly,
     PolynomialRing,
+    RationalRing,
     RingMismatchError,
     ScalarParseError,
     ShapeError,
@@ -24,8 +26,10 @@ from minorsum import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     outer_product,
+    pfaffian,
     pfaffian_bareiss,
     pfaffian_matchings,
+    pfaffian_walk,
 )
 from minorsum.matrix import (
     all_ones,
@@ -614,6 +618,124 @@ def test_kernels_agree_over_every_ring(ring):
         x = rand_element(rng, ring)
         assert bool(x) == (x != ring.zero)
     assert not (ring.one * 2 - ring.one - ring.one)
+
+
+# -- one Pfaffian entry point, three kernels ----------------------------------
+
+PFAFFIAN_KERNELS = (pfaffian, pfaffian_bareiss, pfaffian_walk, pfaffian_matchings)
+RINGS = [ZZ, QQ, KERNEL_POLY]
+RING_IDS = ["int", "rat", "poly"]
+
+
+def rand_skew_over(rng, ring, n):
+    rows = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rand_element(rng, ring)
+            rows[j][i] = -rows[i][j]
+    return Matrix(ring, rows, ncols=n)
+
+
+def zero_pivot_cases():
+    """Skew matrices whose elimination meets zero pivots: swaps with a later
+    index, a pivot row with no nonzero entry, and a zero row that appears
+    only at a later step."""
+    cases = [
+        skew_from_pairs(4, {(0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5}),
+        skew_from_pairs(6, {(0, 5): 2, (1, 3): 3, (2, 4): 5}),
+        skew_from_pairs(8, {(0, 7): 2, (1, 2): 3, (3, 5): 5, (4, 6): 7}),
+        skew_from_pairs(6, {(1, 2): 1, (3, 4): 1, (2, 5): 1}),
+    ]
+    rng = random.Random(19)
+    rows = [[rng.randint(-4, 4) for _ in range(8)] for _ in range(8)]
+    rows[2] = [x + y for x, y in zip(rows[0], rows[1])]
+    M = Matrix(ZZ, rows)
+    cases.append(M @ pair_form(8) @ M.T)
+    return cases
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_pfaffian_kernels_agree_over_every_ring_up_to_10(ring):
+    rng = random.Random(31)
+    for n in range(0, 11, 2):
+        for _ in range(6 if n < 8 else 2):
+            Y = rand_skew_over(rng, ring, n)
+            expect = pfaffian_matchings(Y)
+            assert pfaffian(Y) == expect
+            assert pfaffian_bareiss(Y) == expect
+            assert pfaffian_walk(Y) == expect
+    for Y in zero_pivot_cases():
+        Y = Matrix(ring, Y._rows)
+        expect = pfaffian_matchings(Y)
+        assert pfaffian(Y) == pfaffian_bareiss(Y) == pfaffian_walk(Y) == expect
+
+
+def test_pfaffian_walk_generic_and_empty():
+    for n in (2, 4, 6):
+        ring, Y = symbolic_skew(n)
+        assert pfaffian_walk(Y) == pfaffian_matchings(Y)
+    assert pfaffian_walk(Matrix(ZZ, [], ncols=0)) == 1
+    assert pfaffian_walk(Matrix(ZZ, [[0, 0], [0, 0]])) == 0
+
+
+@pytest.mark.parametrize("kernel", PFAFFIAN_KERNELS, ids=lambda k: k.__name__)
+def test_pfaffian_kernels_reject_odd_size_and_non_skew(kernel):
+    with pytest.raises(SkewSymmetryError):
+        kernel(Matrix(ZZ, [[0]]))
+    with pytest.raises(SkewSymmetryError):
+        kernel(Matrix(ZZ, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]))
+    with pytest.raises(SkewSymmetryError):
+        kernel(Matrix(ZZ, [[0, 1], [1, 0]]))
+    with pytest.raises(SkewSymmetryError):
+        kernel(Matrix(ZZ, [[1, 1], [-1, 0]]))
+    with pytest.raises(ShapeError):
+        kernel(Matrix(ZZ, [[0, 1]]))
+
+
+def test_pfaffian_picks_its_kernel_by_ring(monkeypatch):
+    import minorsum.matrix
+
+    ran = []
+    for name in ("pfaffian_bareiss", "pfaffian_walk"):
+        monkeypatch.setattr(minorsum.matrix, name, lambda Y, name=name: ran.append(name))
+    for ring in RINGS:
+        pfaffian(Matrix(ring, [[0, 1], [-1, 0]]))
+    assert ran == ["pfaffian_bareiss", "pfaffian_bareiss", "pfaffian_walk"]
+
+
+def test_no_pfaffian_kernel_calls_a_determinant(monkeypatch):
+    import minorsum.matrix
+
+    rng = random.Random(33)
+    cases = [rand_skew_over(rng, ring, 6) for ring in RINGS]
+    expected = [pfaffian_matchings(Y) for Y in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Pfaffian kernel called a determinant")
+
+    for name in ("det", "det_bareiss", "det_minors", "det_cofactor"):
+        monkeypatch.setattr(minorsum.matrix, name, refuse)
+    for Y, expect in zip(cases, expected):
+        for kernel in PFAFFIAN_KERNELS:
+            assert kernel(Y) == expect
+
+
+def test_pfaffian_walk_divides_nothing(monkeypatch):
+    rng = random.Random(34)
+    cases = [rand_skew_over(rng, ring, 8) for ring in RINGS]
+    _, generic = symbolic_skew(6)
+    cases.append(generic)
+    expected = [pfaffian_matchings(Y) for Y in cases]
+
+    def refuse(*args):
+        raise AssertionError("the walk divided")
+
+    monkeypatch.setattr(IntegerRing, "exact_divide", refuse)
+    monkeypatch.setattr(RationalRing, "exact_divide", refuse)
+    monkeypatch.setattr(PolynomialRing, "exact_divide", refuse)
+    monkeypatch.setattr(Poly, "exact_div", refuse)
+    assert [pfaffian_walk(Y) for Y in cases] == expected
+    assert pfaffian(generic) == expected[-1]
 
 
 # -- JSON interchange ---------------------------------------------------------
