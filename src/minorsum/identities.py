@@ -323,7 +323,9 @@ def _sweep_sum(ring: Ring, blocks: Sequence, route: tuple):
     D[S | r] += (-1)^(members of S above r) * v[r] * D[S] for each row r
     outside S with v[r] nonzero, so every pick ending in the same column is
     extended at once; the rows outside S, S | r and the sign's parity are
-    read from _sweep_table, and v[r] and -v[r] are formed once per column.
+    read from _sweep_table (formed as each step is taken past
+    SWEEP_TABLE_MAX_ROWS rows), and v[r] and -v[r] are formed once per
+    column.
     A STRICT depth reads the previous depth's map before this column enters
     it, a WEAK or EQUAL one after, so each column visits the depths in runs
     that start at a STRICT depth, the last run first (_sweep_plan).
@@ -339,7 +341,7 @@ def _sweep_sum(ring: Ring, blocks: Sequence, route: tuple):
         for rows in blocks
     ]
     steps = _sweep_plan(route)
-    table = _sweep_table(m)
+    table = _sweep_table(m) if m <= SWEEP_TABLE_MAX_ROWS else None
     maps = [{} for _ in range(m)]
     root = {0: ring.one}
     for c in range(n):
@@ -349,14 +351,27 @@ def _sweep_sum(ring: Ring, blocks: Sequence, route: tuple):
             column = columns[block][c]
             kept = {} if fresh else maps[d]
             get = kept.get
-            for S, value in (maps[d - 1] if d else root).items():
-                for r, T, odd in table[S]:
-                    pair = column[r]
-                    if pair is None:
-                        continue
-                    term = pair[odd] * value
-                    prior = get(T)
-                    kept[T] = term if prior is None else prior + term
+            source = (maps[d - 1] if d else root).items()
+            if table is None:
+                # too many rows to keep a table: each step is formed as taken
+                nonzero = [(r, 1 << r, pair) for r, pair in enumerate(column) if pair]
+                for S, value in source:
+                    for r, bit, pair in nonzero:
+                        if S & bit:
+                            continue
+                        T = S | bit
+                        term = pair[(S >> r).bit_count() & 1] * value
+                        prior = get(T)
+                        kept[T] = term if prior is None else prior + term
+            else:
+                for S, value in source:
+                    for r, T, odd in table[S]:
+                        pair = column[r]
+                        if pair is None:
+                            continue
+                        term = pair[odd] * value
+                        prior = get(T)
+                        kept[T] = term if prior is None else prior + term
             maps[d] = kept
     return maps[-1].get((1 << m) - 1, ring.zero)
 
@@ -379,11 +394,18 @@ def _sweep_plan(route: tuple) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
+# The most rows whose Laplace steps _sweep_sum reads from a kept table.
+# A table holds m 2^(m-1) steps, about 0.55 MB at 10 rows and 12.7 MB at
+# 14, so past this the sweep forms each step as it takes it.
+SWEEP_TABLE_MAX_ROWS = 10
+
+
+@lru_cache(maxsize=SWEEP_TABLE_MAX_ROWS)
 def _sweep_table(m: int) -> tuple:
     """For each bitmask S of m rows, the Laplace steps out of it:
     (r, S | 1 << r, parity of the members of S above r) for each row r
-    outside S; m 2^(m-1) steps in all."""
+    outside S; m 2^(m-1) steps in all.  _sweep_sum asks for it only up to
+    SWEEP_TABLE_MAX_ROWS rows, so the tables kept come to about 1.1 MB."""
     return tuple(
         tuple((r, S | 1 << r, (S >> r).bit_count() & 1)
               for r in range(m) if not S >> r & 1)
@@ -602,12 +624,14 @@ def g_AB(A: Matrix, B: Matrix, X: Matrix):
 # -- closed forms for near-triangular minors ---------------------------------
 
 
-def _chain_product(ring: Ring, diag: Sequence, I: tuple, J: tuple):
+def _chain_product(ring: Ring, diag: Sequence, I: tuple, J: tuple,
+                   coerce: bool = False):
     """Product over the interleaved word i1 j1 i2 j2 ... (ending in i_(l+1)
     when |I| = |J| + 1) of d_w at each step i_k = j_k = w and 1 - d_w at
     each step j_k = i_(k+1) = w; 0 unless the word is weakly increasing.
-    Unchecked: the entries of diag are ring elements, and I and J are
-    strictly increasing within 1..len(diag)."""
+    Unchecked: I and J are strictly increasing within 1..len(diag), and
+    the entries of diag are ring elements unless `coerce`, which coerces
+    each entry the product reads."""
     word = [0] * (len(I) + len(J))
     word[::2], word[1::2] = I, J
     if word != sorted(word):
@@ -616,6 +640,8 @@ def _chain_product(ring: Ring, diag: Sequence, I: tuple, J: tuple):
     for t in range(1, len(word)):
         if word[t - 1] == word[t]:
             d = diag[word[t] - 1]
+            if coerce:
+                d = ring.coerce(d)
             val = val * (d if t % 2 else ring.one - d)
     return val
 
@@ -626,16 +652,14 @@ def _bordered_chain_product(ring: Ring, diag: Sequence, I: tuple, J: tuple):
     return -val if len(J) % 2 else val
 
 
-def _checked_diagonal(ring: Ring, diag: Sequence, I: tuple, J: tuple) -> list:
-    """The diagonal coerced into the ring, after checking that I and J are
-    strictly increasing within 1..len(diag)."""
-    n = len(diag)
+def _check_chain_indices(n: int, I: tuple, J: tuple):
+    """Raise IndexRangeError unless I and J are strictly increasing within
+    1..n."""
     for idx in (I, J):
         if idx and (idx[0] < 1 or idx[-1] > n or sorted(set(idx)) != list(idx)):
             raise IndexRangeError(
                 f"index set {idx} is not strictly increasing within 1..{n}"
             )
-    return [ring.coerce(x) for x in diag]
 
 
 def x1_closed_form(ring: Ring, diag: Sequence, I, J):
@@ -645,7 +669,8 @@ def x1_closed_form(ring: Ring, diag: Sequence, I, J):
     idx_i, idx_j = tuple(I), tuple(J)
     if len(idx_i) != len(idx_j):
         raise ShapeError("index sets must have equal size")
-    return _chain_product(ring, _checked_diagonal(ring, diag, idx_i, idx_j), idx_i, idx_j)
+    _check_chain_indices(len(diag), idx_i, idx_j)
+    return _chain_product(ring, diag, idx_i, idx_j, coerce=True)
 
 
 def x2_closed_form(ring: Ring, diag: Sequence, I, J):
@@ -654,9 +679,9 @@ def x2_closed_form(ring: Ring, diag: Sequence, I, J):
     idx_i, idx_j = tuple(I), tuple(J)
     if len(idx_i) != len(idx_j) + 1:
         raise ShapeError("need |I| = |J| + 1")
-    return _bordered_chain_product(
-        ring, _checked_diagonal(ring, diag, idx_i, idx_j), idx_i, idx_j
-    )
+    _check_chain_indices(len(diag), idx_i, idx_j)
+    val = _chain_product(ring, diag, idx_i, idx_j, coerce=True)
+    return -val if len(idx_j) % 2 else val
 
 
 def ones_above_diagonal(ring: Ring, diag: Sequence) -> Matrix:

@@ -320,6 +320,21 @@ def test_sweep_table_lists_each_laplace_step():
             assert odd == sum(1 for s in range(r + 1, 4) if S >> s & 1) % 2
 
 
+def test_sweep_past_the_table_limit_keeps_no_table():
+    # past SWEEP_TABLE_MAX_ROWS rows the sweep forms each step as it takes
+    # it, and keeps no table
+    limit = identities.SWEEP_TABLE_MAX_ROWS
+    identities._sweep_table.cache_clear()
+    m, n = limit + 1, limit + 2
+    rng = random.Random(13)
+    A = Matrix(ZZ, rand_rows(rng, m, n, bound=2))
+    route = _minor_route(m, n)
+    expect = sum(gauss_det([[row[c] for c in I] for row in A._rows])
+                 for I in combinations(range(n), m))
+    assert _sweep_sum(ZZ, [A._rows], route) == _walk_sum(ZZ, [A._rows], route) == expect
+    assert identities._sweep_table.cache_info().currsize == 0
+
+
 def test_evaluators_call_no_determinant_or_pfaffian_kernel(monkeypatch):
     # the evaluators are one side of every identity whose other side is a
     # det or a Pfaffian, so they may not reach those kernels by any name

@@ -551,6 +551,16 @@ def test_closed_forms_reject_bad_index_sets(form, I, J):
         form(ZZ, [2, 3], I, J)
 
 
+def test_closed_forms_coerce_only_the_entries_they_read():
+    # the entries off the chain are never read, so they need not be in the
+    # ring; an entry on it is coerced as it is read
+    diag = [2, "not a number", 3, object()]
+    assert x1_closed_form(ZZ, diag, (1, 3), (1, 3)) == 6
+    assert x2_closed_form(ZZ, diag, (1, 3), (1,)) == -2
+    with pytest.raises(RingMismatchError):
+        x1_closed_form(ZZ, [2, 1.5], (2,), (2,))
+
+
 def test_closed_forms_match_determinants_directly():
     # independent cross-check against explicit cofactor determinants
     ring = PolynomialRing(("d1", "d2", "d3", "d4"))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -692,15 +693,31 @@ def test_pfaffian_kernels_reject_odd_size_and_non_skew(kernel):
         kernel(Matrix(ZZ, [[0, 1]]))
 
 
-def test_pfaffian_picks_its_kernel_by_ring(monkeypatch):
+def test_pfaffian_picks_its_kernel_by_ring_and_order(monkeypatch):
     import minorsum.matrix
 
     ran = []
     for name in ("pfaffian_bareiss", "pfaffian_walk"):
         monkeypatch.setattr(minorsum.matrix, name, lambda Y, name=name: ran.append(name))
-    for ring in RINGS:
-        pfaffian(Matrix(ring, [[0, 1], [-1, 0]]))
-    assert ran == ["pfaffian_bareiss", "pfaffian_bareiss", "pfaffian_walk"]
+    limit = minorsum.matrix.PFAFFIAN_WALK_MAX_ORDER
+    for n in (2, limit, limit + 2):
+        for ring in RINGS:
+            pfaffian(Matrix(ring, pair_form(n)._rows))
+    assert ran == ["pfaffian_bareiss", "pfaffian_bareiss", "pfaffian_walk"] * 2 + [
+        "pfaffian_bareiss"] * 3
+
+
+def test_pfaffian_of_a_large_polynomial_matrix_is_prompt():
+    # the walk's states grow exponentially with the order (about 31 s at
+    # order 30 with constant entries), so large orders go to the elimination
+    rng = random.Random(35)
+    ring = PolynomialRing(("x",))
+    x = ring.gens()[0]
+    Y = rand_skew_over(rng, ZZ, 30)
+    poly = Matrix(ring, [[v * x for v in row] for row in Y._rows])
+    start = time.perf_counter()
+    assert pfaffian(poly) == pfaffian_bareiss(Y) * x ** 15
+    assert time.perf_counter() - start < 5
 
 
 def test_no_pfaffian_kernel_calls_a_determinant(monkeypatch):
