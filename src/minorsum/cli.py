@@ -430,15 +430,24 @@ def verify(identity, m_range, n_range, trials, seed, ring, bound, out_path):
         raise SystemExit(1)
 
 
-def _load_matrix(path: str) -> Matrix:
-    with open(path) as fh:
-        text = fh.read()
+def _read_json(path: str):
+    """The JSON value in the file at `path`.  A file that is not UTF-8 text
+    or not JSON fails with its path and where the error is."""
     try:
-        data = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise click.ClickException(
+            f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}"
+        ) from None
     except json.JSONDecodeError as exc:
         raise click.ClickException(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from None
+
+
+def _load_matrix(path: str) -> Matrix:
+    data = _read_json(path)
     try:
         return matrix_from_json_dict(data)
     except MinorSumError as exc:
@@ -485,13 +494,7 @@ def paths_cmd(problem_file):
     "choose": m}; output reports the count and the value of each route
     that ran (brute-force enumeration only within its guard).
     """
-    with open(problem_file) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise click.ClickException(
-                f"{problem_file}:{exc.lineno}:{exc.colno}: {exc.msg}"
-            ) from None
+    data = _read_json(problem_file)
     if not isinstance(data, dict):
         raise click.ClickException(f"{problem_file}: expected a JSON object")
     try:

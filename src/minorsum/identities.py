@@ -27,15 +27,19 @@ from math import comb
 from typing import Callable, Sequence
 
 from .combinat import IndexSet, inv_word
-from .errors import IndexRangeError, ParityError, RingMismatchError, ShapeError
+from .errors import ParityError, RingMismatchError, ShapeError
 from .matrix import (
     Matrix,
+    _as_positions,
+    _extend_minors,
     _wrap,
     all_ones,
     augment_hat,
+    byun_determinant,
     det,
     identity,
     matrix_to_json_dict,
+    okada_pfaffian,
     outer_product,
     pfaffian,
     rank_one_form,
@@ -490,68 +494,23 @@ def minor_sum(A: Matrix):
     return _route_sum(A.ring, [A._rows], _minor_route(A.nrows, A.ncols))
 
 
-def _minor_levels(ring: Ring, rows, size: int, tight: bool) -> list:
-    """[level 0, ..., level size] of the nonzero minors of the square matrix
-    with these rows.  Level k is {I: {J: det}} for the k x k minors: I is an
+def _minor_levels(ring: Ring, rows, size: int) -> list:
+    """[level 0, ..., level size] of the nonzero minors of the matrix with
+    these rows.  Level k is {I: {J: det}} for the k x k minors: I is an
     increasing tuple of k 0-based rows, J a bitmask of k columns, and a
-    missing I or J means the minor is 0.  When `tight`, level k keeps only
-    the row sets that can still grow to `size` rows.
-
-    Each minor of level k + 1 extends one on the rows I[:-1] by the row
-    i = I[-1], as det_minors does with the next row:
-    D[I][S + c] += (-1)^s x[i][c] D[I[:-1]][S], s counting the members of S
-    above c.  So this is a row (cofactor) expansion in which row sets share
-    their prefixes, and nothing is divided."""
-    n = len(rows)
-    # the sign goes on the entry, which is cheaper to negate than a minor
-    picks = [[(c, 1 << c, a, -a) for c, a in enumerate(row) if a]
-             for row in rows] if size else []
+    missing I or J means the minor is 0.  Each minor on I extends one on
+    I[:-1] by the row I[-1] (matrix._extend_minors, det_minors' row step),
+    so row sets share their prefixes and nothing is divided."""
     levels = [{(): {0: ring.one}}]
-    for k in range(size):
-        # when tight: row k of a size-subset lies at most size - 1 - k rows
-        # from the end
-        last = n - size + k if tight else n - 1
+    for _ in range(size):
         grown = {}
         for I, minors in levels[-1].items():
-            for i in range(I[-1] + 1 if I else 0, last + 1):
-                extended = {}
-                for S, d in minors.items():
-                    for c, bit, a, neg_a in picks[i]:
-                        if S & bit:
-                            continue
-                        term = (neg_a if (S >> c).bit_count() & 1 else a) * d
-                        T = S | bit
-                        prior = extended.get(T)
-                        if prior is None:
-                            extended[T] = term
-                        else:
-                            total = prior + term
-                            if total:
-                                extended[T] = total
-                            else:
-                                del extended[T]
+            for i in range(I[-1] + 1 if I else 0, len(rows)):
+                extended = _extend_minors(ring, minors, rows[i])
                 if extended:
                     grown[I + (i,)] = extended
         levels.append(grown)
     return levels
-
-
-def _bordered(level: dict, n: int, p: int) -> dict:
-    """{I: {J: det(1 X_IJ)}} over the p-subsets I of n rows, from the level
-    of the (p - 1) x (p - 1) minors, with the ones column in front:
-    det(1 X_IJ) = sum_r (-1)^r det(X_{I - i_r, J}).  Only the nonzero
-    minors are kept."""
-    bordered = {}
-    for I in combinations(range(n), p):
-        expanded = {}
-        for r in range(p):
-            for J, d in level.get(I[:r] + I[r + 1:], {}).items():
-                term = -d if r % 2 else d
-                expanded[J] = expanded[J] + term if J in expanded else term
-        nonzero = {J: d for J, d in expanded.items() if d}
-        if nonzero:
-            bordered[I] = nonzero
-    return bordered
 
 
 def _pair_blocks(A: Matrix, B: Matrix, X: Matrix, border: bool) -> list:
@@ -652,16 +611,6 @@ def _bordered_chain_product(ring: Ring, diag: Sequence, I: tuple, J: tuple):
     return -val if len(J) % 2 else val
 
 
-def _check_chain_indices(n: int, I: tuple, J: tuple):
-    """Raise IndexRangeError unless I and J are strictly increasing within
-    1..n."""
-    for idx in (I, J):
-        if idx and (idx[0] < 1 or idx[-1] > n or sorted(set(idx)) != list(idx)):
-            raise IndexRangeError(
-                f"index set {idx} is not strictly increasing within 1..{n}"
-            )
-
-
 def x1_closed_form(ring: Ring, diag: Sequence, I, J):
     """Closed form for det(X_IJ) where X has the given diagonal and ones
     strictly above it: the chain product over i1 <= j1 <= i2 <= ... <= j_l,
@@ -669,7 +618,8 @@ def x1_closed_form(ring: Ring, diag: Sequence, I, J):
     idx_i, idx_j = tuple(I), tuple(J)
     if len(idx_i) != len(idx_j):
         raise ShapeError("index sets must have equal size")
-    _check_chain_indices(len(diag), idx_i, idx_j)
+    for idx in (idx_i, idx_j):
+        _as_positions(len(diag), idx)
     return _chain_product(ring, diag, idx_i, idx_j, coerce=True)
 
 
@@ -679,31 +629,28 @@ def x2_closed_form(ring: Ring, diag: Sequence, I, J):
     idx_i, idx_j = tuple(I), tuple(J)
     if len(idx_i) != len(idx_j) + 1:
         raise ShapeError("need |I| = |J| + 1")
-    _check_chain_indices(len(diag), idx_i, idx_j)
+    for idx in (idx_i, idx_j):
+        _as_positions(len(diag), idx)
     val = _chain_product(ring, diag, idx_i, idx_j, coerce=True)
     return -val if len(idx_j) % 2 else val
 
 
 def ones_above_diagonal(ring: Ring, diag: Sequence) -> Matrix:
-    """Upper-triangular matrix with the given diagonal and ones above it."""
-    d = [ring.coerce(x) for x in diag]
-    n = len(d)
+    """Upper-triangular matrix with the given diagonal, elements of `ring`,
+    and ones above it."""
+    n = len(diag)
     one, zero = ring.one, ring.zero
-    rows = [
-        [d[i] if i == j else (one if j > i else zero) for j in range(n)]
-        for i in range(n)
-    ]
-    return Matrix(ring, rows, ncols=n)
+    rows = (tuple(diag[i] if i == j else (one if j > i else zero) for j in range(n))
+            for i in range(n))
+    return _wrap(ring, rows, n)
 
 
 def strict_upper_part(Y: Matrix) -> Matrix:
     """Copy of Y with everything on or below the diagonal zeroed."""
     zero = Y.ring.zero
-    rows = [
-        [Y._rows[i][j] if j > i else zero for j in range(Y.ncols)]
-        for i in range(Y.nrows)
-    ]
-    return Matrix(Y.ring, rows, ncols=Y.ncols)
+    rows = (tuple(x if j > i else zero for j, x in enumerate(row))
+            for i, row in enumerate(Y._rows))
+    return _wrap(Y.ring, rows, Y.ncols)
 
 
 # -- interlacing-chain sums (theorem AB family) -------------------------------
@@ -741,41 +688,37 @@ def check_okada(A: Matrix) -> IdentityReport:
     with the hat augmentation for odd m.  For m > n both sides must be 0."""
     if A.nrows < 1:
         raise ShapeError("need at least one row")
-    ring = A.ring
     details = {}
     values = {}
     odd = A.nrows % 2 == 1
-    work = augment_hat(A) if odd else A
-    lhs = minor_sum(work)
+    lhs = minor_sum(augment_hat(A) if odd else A)
     passed = True
     if odd:
         raw = minor_sum(A)
         values["unaugmented_minor_sum"] = raw
         passed = lhs == raw
-    rhs = pfaffian(skew_form(work, upper_ones(work.ncols, ring), work))
+    rhs = okada_pfaffian(A)
     passed = passed and lhs == rhs
     if A.nrows > A.ncols:
         # the minor sum is empty, so lhs == rhs already requires both to vanish
         details["overdetermined"] = True
     return IdentityReport(
         "okada", lambda: _digest_of(A=A), lhs, rhs, passed, details,
-        ring=ring, values=values,
+        ring=A.ring, values=values,
     )
 
 
 def check_byun(A: Matrix) -> IdentityReport:
-    """Squared minor sum equals det(A (2U + Id) A^t), both parities of m.
-    Since 2U + Id = U + J - U^t, that matrix is rank_one_form(A, U, A)."""
+    """Squared minor sum equals det(A (2U + Id) A^t), both parities of m."""
     if A.nrows < 1:
         raise ShapeError("need at least one row")
-    ring = A.ring
     s = minor_sum(A)
     lhs = s * s
-    rhs = det(rank_one_form(A, upper_ones(A.ncols, ring), A))
+    rhs = byun_determinant(A)
     details = {"overdetermined": True} if A.nrows > A.ncols else None
     return IdentityReport(
         "byun", lambda: _digest_of(A=A), lhs, rhs, lhs == rhs, details,
-        ring=ring, values={"minor_sum": s},
+        ring=A.ring, values={"minor_sum": s},
     )
 
 
@@ -1034,18 +977,19 @@ def check_closed_forms(ring: Ring, diag: Sequence) -> IdentityReport:
     """Exhaustive comparison of the x1/x2 closed forms against the
     determinants of the ones-above-diagonal matrix X, over every admissible
     (I, J) pair for the given diagonal.  det(X_IJ) and det(1 X_IJ) come from
-    one table of every minor of X (_minor_levels, a memoised row expansion
-    built in one pass over the sizes; the bordered minors expand along the
-    ones column), not from the chain products the closed forms take.  The
-    scan builds valid index sets itself, so it calls the chain products
-    without the public forms' checks, and it builds each J and its column
-    bitmask once."""
+    one table of every minor of [1 | X] (_minor_levels, a memoised row
+    expansion), not from the chain products the closed forms take: with the
+    ones column at bit 0 and column j of X at bit j, det(X_IJ) sits at J's
+    bitmask and det(1 X_IJ) at that bitmask | 1.  The scan builds valid
+    index sets itself, so it calls the chain products without the public
+    forms' checks, and it builds each J and its column bitmask once."""
     d = [ring.coerce(x) for x in diag]
     n = len(d)
     zero = ring.zero
-    levels = _minor_levels(ring, ones_above_diagonal(ring, d)._rows, n, tight=False)
+    X = ones_above_diagonal(ring, d)
+    levels = _minor_levels(ring, [(ring.one, *row) for row in X._rows], n)
     column_sets = [
-        [(J, sum(1 << (j - 1) for j in J)) for J in combinations(range(1, n + 1), ell)]
+        [(J, sum(1 << j for j in J)) for J in combinations(range(1, n + 1), ell)]
         for ell in range(n + 1)
     ]
     checked = 0
@@ -1054,12 +998,11 @@ def check_closed_forms(ring: Ring, diag: Sequence) -> IdentityReport:
     for form, closed, border in forms:
         for ell in range(n + 1 - border):
             p = ell + border
-            table = _bordered(levels[ell], n, p) if border else levels[ell]
             for rows in combinations(range(n), p):
                 I = tuple(i + 1 for i in rows)
-                minors = table.get(rows, {})
+                minors = levels[p].get(rows, {})
                 for J, mask in column_sets[ell]:
-                    expect = minors.get(mask, zero)
+                    expect = minors.get(mask | border, zero)
                     got = closed(ring, d, I, J)
                     checked += 1
                     if got != expect:

@@ -18,7 +18,9 @@ There are three determinant kernels: `det_cofactor` (the definition),
 exactly; fastest on integers and rationals) and `det_minors` (memoised
 minors, about n 2^n products of one entry and one smaller minor, no
 division; fastest on polynomials).  `det` picks one from the input's ring.
-`det_minors` and the matrix product form their sums of products with the
+`det_minors` folds one row step, `_extend_minors`, over the rows; the
+closed-forms check runs the same step over a prefix trie of row sets.
+That step and the matrix product form their sums of products with the
 ring's `dot`, which on polynomials accumulates every product into one
 map instead of building each product and partial sum as its own value.
 
@@ -35,7 +37,11 @@ Every identity in the paper is about one skew matrix,
 Y(A, X, B) = AXB^t - BX^tA^t: `skew_form` builds it as P - P^t with
 P = AXB^t, and `rank_one_form` builds the determinant side
 AXB^t + B(J - X^t)A^t = Y(A, X, B) + (B 1)(A 1)^t, a skew matrix plus a
-rank-one matrix.
+rank-one matrix.  `okada_pfaffian` and `byun_determinant` are the
+Pfaffian and the determinant that compress a sum of maximal minors.
+
+Only the `Matrix` constructor coerces its entries; the builders here
+wrap ring elements they made themselves.
 """
 
 from __future__ import annotations
@@ -99,8 +105,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, ring: Ring, m: int, n: int) -> "Matrix":
-        z = ring.zero
-        return cls(ring, [[z] * n for _ in range(m)], ncols=n)
+        return _wrap(ring, ((ring.zero,) * n for _ in range(m)), n)
 
     # -- basic accessors ----------------------------------------------
 
@@ -246,17 +251,16 @@ def require_skew(Y: Matrix, what: str) -> None:
 def upper_ones(n: int, ring: Ring) -> Matrix:
     """U_n: 1 strictly above the diagonal, 0 elsewhere."""
     one, zero = ring.one, ring.zero
-    return Matrix(ring, [[one if i < j else zero for j in range(n)] for i in range(n)], ncols=n)
+    return _wrap(ring, (tuple(one if i < j else zero for j in range(n)) for i in range(n)), n)
 
 
 def all_ones(n: int, ring: Ring) -> Matrix:
-    one = ring.one
-    return Matrix(ring, [[one] * n for _ in range(n)], ncols=n)
+    return _wrap(ring, ((ring.one,) * n for _ in range(n)), n)
 
 
 def identity(n: int, ring: Ring) -> Matrix:
     one, zero = ring.one, ring.zero
-    return Matrix(ring, [[one if i == j else zero for j in range(n)] for i in range(n)], ncols=n)
+    return _wrap(ring, (tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
 
 
 def concat_columns(blocks: Sequence[Matrix]) -> Matrix:
@@ -375,39 +379,48 @@ def det_bareiss(M: Matrix):
     return -result if negative else result
 
 
+def _extend_minors(ring: Ring, minors: dict, row) -> dict:
+    """The nonzero minors on one more row.  From the nonzero minors D[S] of
+    some rows on the column sets S (bitmasks), the minor with `row` below
+    them on the columns T is D[T] = sum (-1)^s a[c] D[S] over the c in T
+    with S = T - c, where a is the row and s counts the members of S above
+    c; zero minors and zero entries are skipped.  Each D[T] is one
+    `ring.dot` of signed entries and smaller minors, so on polynomials its
+    products are summed in one fused accumulation, and nothing is
+    divided."""
+    # the sign goes on the entry, which is cheaper to negate than a minor
+    picks = [(c, 1 << c, a, -a) for c, a in enumerate(row) if a]
+    extends = {}  # T -> ([signed entries], [minors of T - c])
+    for S, d in minors.items():
+        for c, bit, a, neg_a in picks:
+            if S & bit:
+                continue
+            entry = neg_a if (S >> c).bit_count() & 1 else a
+            T = S | bit
+            pair = extends.get(T)
+            if pair is None:
+                extends[T] = ([entry], [d])
+            else:
+                pair[0].append(entry)
+                pair[1].append(d)
+    dot = ring.dot
+    extended = {}
+    for T, (entries, smaller) in extends.items():
+        d = dot(entries, smaller)
+        if d:
+            extended[T] = d
+    return extended
+
+
 def det_minors(M: Matrix):
-    """Division-free determinant by memoised minors, about n 2^n products.
-    Row k extends the nonzero minors D[S] of the first k rows on the
-    columns S (a bitmask) to D[T] = sum (-1)^s a[k][c] D[S] over the c in T
-    with S = T - c, where s counts the members of S above c; zero minors
-    and zero entries are skipped.  Each D[T] is one `ring.dot` of signed
-    entries and smaller minors, so on polynomials its products are summed
-    in one fused accumulation, and nothing is divided."""
+    """Division-free determinant by memoised minors, about n 2^n products:
+    the minors of the first k rows on every column set, extended row by
+    row with _extend_minors."""
     _require_square(M, "det_minors")
     ring = M.ring
-    dot = ring.dot
     minors = {0: ring.one}
     for row in M._rows:
-        # the sign goes on the entry, which is cheaper to negate than a minor
-        picks = [(c, 1 << c, a, -a) for c, a in enumerate(row) if a]
-        extends = {}  # T -> ([signed entries], [minors of T - c])
-        for S, d in minors.items():
-            for c, bit, a, neg_a in picks:
-                if S & bit:
-                    continue
-                entry = neg_a if (S >> c).bit_count() & 1 else a
-                T = S | bit
-                pair = extends.get(T)
-                if pair is None:
-                    extends[T] = ([entry], [d])
-                else:
-                    pair[0].append(entry)
-                    pair[1].append(d)
-        minors = {}
-        for T, (entries, smaller) in extends.items():
-            d = dot(entries, smaller)
-            if d:
-                minors[T] = d
+        minors = _extend_minors(ring, minors, row)
         if not minors:
             return ring.zero
     (result,) = minors.values()
@@ -576,6 +589,22 @@ def pfaffian(Y: Matrix):
     return pfaffian_bareiss(Y)
 
 
+# -- the two compressions of a maximal-minor sum ----------------------------
+
+
+def okada_pfaffian(A: Matrix):
+    """Pf(Y(W, U, W)), W = A for even m and augment_hat(A) for odd m: the
+    Pfaffian that equals the sum of A's maximal minors (Okada)."""
+    work = augment_hat(A) if A.nrows % 2 else A
+    return pfaffian(skew_form(work, upper_ones(work.ncols, A.ring), work))
+
+
+def byun_determinant(A: Matrix):
+    """det(A(2U + Id)A^t), the square of the sum of A's maximal minors
+    (Byun); as 2U + Id = U + J - U^t it is rank_one_form(A, U, A)."""
+    return det(rank_one_form(A, upper_ones(A.ncols, A.ring), A))
+
+
 # -- JSON interchange --------------------------------------------------------
 
 
@@ -602,8 +631,8 @@ def matrix_from_json_dict(obj: dict) -> Matrix:
         raise ShapeError(
             f"entries shape does not match rows={nrows} cols={ncols}"
         )
-    parsed = [
-        [ring.parse(x) if isinstance(x, str) else ring.coerce(x) for x in row]
+    parsed = (
+        tuple(ring.parse(x) if isinstance(x, str) else ring.coerce(x) for x in row)
         for row in entries
-    ]
-    return Matrix(ring, parsed, ncols=ncols)
+    )
+    return _wrap(ring, parsed, ncols)

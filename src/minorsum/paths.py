@@ -32,15 +32,7 @@ from .errors import (
     ShapeError,
     StaircaseError,
 )
-from .matrix import (
-    Matrix,
-    augment_hat,
-    det_bareiss,
-    pfaffian_bareiss,
-    rank_one_form,
-    skew_form,
-    upper_ones,
-)
+from .matrix import Matrix, _wrap, byun_determinant, det, okada_pfaffian
 from .ring import ZZ
 
 Point = Tuple[int, int]
@@ -257,11 +249,11 @@ def lindstrom_matrix(p: PathProblem) -> Matrix:
     """Integer matrix of single-path counts, entry (i, j) = #paths from
     start i to candidate endpoint j."""
     bounds = _bounds_of(p.steps)
-    rows = [
-        [_count_paths(s, e, p.steps, bounds) for e in p.candidate_ends]
+    rows = (
+        tuple(_count_paths(s, e, p.steps, bounds) for e in p.candidate_ends)
         for s in p.starts
-    ]
-    return Matrix(ZZ, rows)
+    )
+    return _wrap(ZZ, rows, len(p.candidate_ends))
 
 
 def _end_selection(p: PathProblem, ends: Union[IndexSet, Iterable[int]]):
@@ -285,7 +277,7 @@ def count_fixed(p: PathProblem, ends: Union[IndexSet, Iterable[int]]) -> int:
     _require_staircase(p.starts, "starts")
     _require_staircase(points, "selected endpoints")
     sub = lindstrom_matrix(p).columns_at(sel)
-    return det_bareiss(sub)
+    return det(sub)
 
 
 def _disjoint_families(p: PathProblem, counts: Sequence[Sequence[int]]) -> int:
@@ -471,11 +463,8 @@ def count_free_routes(p: PathProblem) -> dict:
     _require_staircase(p.candidate_ends, "candidate endpoints")
     mat = lindstrom_matrix(p)
 
-    work = mat if m % 2 == 0 else augment_hat(mat)
-    okada = pfaffian_bareiss(skew_form(work, upper_ones(work.ncols, ZZ), work))
-
-    # A(2U + Id)A^t, as 2U + Id = U + J - U^t
-    byun_det = det_bareiss(rank_one_form(mat, upper_ones(n, ZZ), mat))
+    okada = okada_pfaffian(mat)
+    byun_det = byun_determinant(mat)
     byun: Optional[int] = None
     if byun_det >= 0:
         root = math.isqrt(byun_det)

@@ -21,7 +21,7 @@ from typing import Sequence
 from .combinat import as_partition, is_horizontal_strip, lambda_of, subsets
 from .errors import ParityError, ShapeError
 from .identities import _digest_of, IdentityReport
-from .matrix import Matrix, det, identity, pfaffian, skew_form, upper_ones
+from .matrix import Matrix, _wrap, det, identity, pfaffian, skew_form, upper_ones
 from .ring import Poly, PolynomialRing
 
 
@@ -67,8 +67,8 @@ def h_complete(ring: PolynomialRing, degree: int, block: Sequence[Poly]) -> Poly
 def _h_matrix(ring: PolynomialRing, h: list, m: int, n: int) -> Matrix:
     """The m x n matrix H with H_ik = h_{k-i}, from the table [h_0, ...]
     (_h_table) of degree at least n - 1; zero below the diagonal."""
-    return Matrix(ring, [[h[k - i] if k >= i else ring.zero for k in range(n)]
-                         for i in range(m)])
+    return _wrap(ring, (tuple(h[k - i] if k >= i else ring.zero for k in range(n))
+                        for i in range(m)), n)
 
 
 def _padded(lam: Sequence[int], mu: Sequence[int]):
@@ -89,11 +89,11 @@ def _jacobi_trudi(ring: PolynomialRing, lam: tuple, mu: tuple, h: list) -> Poly:
     # the table h = [h_0, h_1, ...] must reach lam_1 - 1 + len - mu_len
     zero = ring.zero
     size = len(lam)
-    rows = [
-        [h[d] if d >= 0 else zero for d in (lam[j] - j - mu[i] + i for j in range(size))]
+    rows = (
+        tuple(h[d] if d >= 0 else zero for d in (lam[j] - j - mu[i] + i for j in range(size)))
         for i in range(size)
-    ]
-    return det(Matrix(ring, rows, ncols=size))
+    )
+    return det(_wrap(ring, rows, size))
 
 
 def skew_schur(

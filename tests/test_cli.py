@@ -387,6 +387,24 @@ def test_eval_arity_and_file_errors(tmp_path):
     assert "skew" in result.output
 
 
+@pytest.mark.parametrize("command", [["eval", "det"], ["paths"]], ids=["eval", "paths"])
+def test_unreadable_json_files_fail_cleanly(tmp_path, command):
+    # text that is not UTF-8 (here a UTF-16 byte-order mark) and text that
+    # is not JSON both name the file and exit 1, with no traceback
+    runner = CliRunner()
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"ring": "int"}'.encode("utf-16-le"))
+    result = runner.invoke(main, [*command, str(utf16)])
+    assert result.exit_code == 1
+    assert f"{utf16}: not UTF-8 text at byte 0" in result.output
+    assert "Traceback" not in result.output
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rows": 1,\n  oops}')
+    result = runner.invoke(main, [*command, str(bad)])
+    assert result.exit_code == 1
+    assert f"{bad}:2:3: " in result.output
+
+
 # -- paths command ---------------------------------------------------------------
 
 

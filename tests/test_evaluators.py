@@ -41,7 +41,6 @@ from minorsum import (
 from minorsum import identities
 from minorsum.identities import (
     _apply_sign,
-    _bordered,
     _chain_route,
     _chain_sum,
     _double_minor_sum,
@@ -142,10 +141,16 @@ def test_generic_poly_inputs_match_leibniz(m, n):
 
 
 def minor_table(ring, rows, p, border):
-    # the minors on p rows of X, or of [1 | X] with the ones column kept
-    size = p - 1 if border else p
-    level = _minor_levels(ring, rows, size, tight=True)[-1]
-    return _bordered(level, len(rows), p) if border else level
+    # the minors on p rows of X, or of [1 | X] with the ones column kept,
+    # read off the trie of [1 | X] as check_closed_forms reads them: the
+    # ones column at bit 0 and column j of X at bit j + 1
+    level = _minor_levels(ring, [(ring.one, *row) for row in rows], p)[p]
+    table = {}
+    for I, minors in level.items():
+        picked = {T >> 1: d for T, d in minors.items() if T & 1 == border}
+        if picked:
+            table[I] = picked
+    return table
 
 
 def assert_minor_table_matches_cofactors(ring, x):
@@ -291,7 +296,7 @@ def test_integer_and_polynomial_routes_agree(m, n):
     assert values[0] == values[1] == values[2]
 
 
-FORBIDDEN_KERNELS = ("det", "det_bareiss", "det_minors", "pfaffian",
+FORBIDDEN_KERNELS = ("det", "det_bareiss", "det_minors", "_extend_minors", "pfaffian",
                      "pfaffian_matchings", "pfaffian_bareiss", "pfaffian_walk")
 
 

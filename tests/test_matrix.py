@@ -435,6 +435,34 @@ def test_det_uses_bareiss_on_int_and_fraction(monkeypatch):
         assert det(M) == det_bareiss(M)
 
 
+def test_one_row_step_serves_polynomial_det_and_the_closed_forms(monkeypatch):
+    # _extend_minors is the one memoised row expansion: det_minors folds it
+    # over the rows, the closed-forms check runs it over a trie of row sets,
+    # and integer det never reaches it
+    import minorsum.identities
+    import minorsum.matrix
+    from minorsum.identities import check_closed_forms
+
+    real = minorsum.matrix._extend_minors
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in (minorsum.matrix, minorsum.identities):
+        monkeypatch.setattr(module, "_extend_minors", counted)
+    ring, Y = symbolic_skew(4)
+    assert det(Y) == det_cofactor(Y)
+    assert len(calls) == 4
+    calls.clear()
+    assert check_closed_forms(ZZ, [2, 0, -1]).passed
+    assert calls
+    calls.clear()
+    assert det(Matrix(ZZ, [[1, 2], [3, 4]])) == -2
+    assert not calls
+
+
 # -- pfaffians ---------------------------------------------------------------
 
 
@@ -765,6 +793,49 @@ def test_json_round_trip_int_rat_poly():
     assert matrix_from_json_dict(matrix_to_json_dict(Q)) == Q
     ring, Y = symbolic_skew(3)
     assert matrix_from_json_dict(matrix_to_json_dict(Y)) == Y
+
+
+def test_only_outside_input_is_coerced(monkeypatch):
+    # the builders wrap ring elements they made themselves; a JSON matrix
+    # coerces each of its non-text entries once
+    from minorsum.identities import ones_above_diagonal, strict_upper_part
+    from minorsum.paths import PathProblem, lindstrom_matrix
+    from minorsum.symfun import _h_matrix, _h_table, _jacobi_trudi
+
+    poly = PolynomialRing(("s", "t"))
+    s, t = poly.gens()
+    h = _h_table(poly, 4, (s, t))
+    _, Y = symbolic_skew(4)
+    problem = PathProblem(starts=((0, 0), (1, -1)), candidate_ends=((2, 2), (3, 1), (4, 0)))
+    entries = [[1, 0, "-2*s"], [3, 4, 5]]
+    expect = Matrix(poly, [[1, 0, -2 * s], [3, 4, 5]])
+    calls = []
+
+    def counting(coerce):
+        def wrapper(self, x):
+            calls.append(x)
+            return coerce(self, x)
+        return wrapper
+
+    for cls in (IntegerRing, PolynomialRing):
+        monkeypatch.setattr(cls, "coerce", counting(cls.coerce))
+    builds = [
+        lambda: upper_ones(4, ZZ),
+        lambda: all_ones(3, poly),
+        lambda: identity(4, poly),
+        lambda: Matrix.zeros(poly, 2, 3),
+        lambda: ones_above_diagonal(poly, (s, t, s)),
+        lambda: strict_upper_part(Y),
+        lambda: _h_matrix(poly, h, 2, 4),
+        lambda: _jacobi_trudi(poly, (2, 1), (0, 0), h),
+        lambda: lindstrom_matrix(problem),
+    ]
+    for build in builds:
+        build()
+        assert calls == []
+    obj = {"ring": poly.to_json_tag(), "rows": 2, "cols": 3, "entries": entries}
+    assert matrix_from_json_dict(obj) == expect
+    assert calls == [1, 0, 3, 4, 5]
 
 
 def test_json_errors():

@@ -343,7 +343,7 @@ def test_count_free_routes_at_scale():
 def test_count_free_routes_disagreeing_without_brute(monkeypatch):
     import minorsum.paths
 
-    monkeypatch.setattr(minorsum.paths, "pfaffian_bareiss", lambda Y: 1)
+    monkeypatch.setattr(minorsum.paths, "okada_pfaffian", lambda A: 1)
     with pytest.raises(RouteMismatchError) as info:
         count_free(BEYOND_GUARD)
     assert info.value.routes == {"okada": 1, "byun": 546514904}
