@@ -39,13 +39,10 @@ from .ring import (
 )
 from .combinat import (
     IndexSet,
-    PerfectMatching,
     as_partition,
-    crossing_number,
     inv_word,
     is_horizontal_strip,
     lambda_of,
-    perfect_matchings,
     subsets,
 )
 from .matrix import (
@@ -54,13 +51,11 @@ from .matrix import (
     concat_columns,
     det,
     det_bareiss,
-    det_cofactor,
     matrix_from_json_dict,
     matrix_to_json_dict,
     outer_product,
     pfaffian,
     pfaffian_bareiss,
-    pfaffian_matchings,
     pfaffian_walk,
 )
 from .identities import (
@@ -90,7 +85,6 @@ from .identities import (
 from .symfun import check_cauchy, h_complete, skew_schur, xy_ring
 from .paths import (
     PathProblem,
-    brute_force_nonintersecting,
     count_fixed,
     count_free,
     count_paths,
@@ -136,26 +130,21 @@ __all__ = [
     "Scalar",
     "ring_from_json_tag",
     "IndexSet",
-    "PerfectMatching",
     "as_partition",
-    "crossing_number",
     "inv_word",
     "is_horizontal_strip",
     "lambda_of",
-    "perfect_matchings",
     "subsets",
     "Matrix",
     "augment_hat",
     "concat_columns",
     "det",
     "det_bareiss",
-    "det_cofactor",
     "matrix_from_json_dict",
     "matrix_to_json_dict",
     "outer_product",
     "pfaffian",
     "pfaffian_bareiss",
-    "pfaffian_matchings",
     "pfaffian_walk",
     "IDENTITY_IDS",
     "IdentityReport",
@@ -184,7 +173,6 @@ __all__ = [
     "skew_schur",
     "xy_ring",
     "PathProblem",
-    "brute_force_nonintersecting",
     "count_fixed",
     "count_free",
     "count_paths",

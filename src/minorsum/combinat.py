@@ -1,4 +1,4 @@
-"""Enumeration primitives: index sets, perfect matchings, partitions.
+"""Enumeration primitives: index sets, subsets, inversions, partitions.
 
 All index values are 1-based, matching the usual determinant/Pfaffian
 notation.  Enumerators are lazy generators with a deterministic order so
@@ -59,69 +59,6 @@ def subsets(n: int, k: int) -> Iterator[IndexSet]:
         return
     for combo in combinations(range(1, n + 1), k):
         yield IndexSet(n, combo)
-
-
-@dataclass(frozen=True)
-class PerfectMatching:
-    """Pairs (a, b) with a < b, listed in increasing order of a."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        for a, b in self.pairs:
-            if a >= b:
-                raise IndexRangeError(f"pair {(a, b)} not increasing")
-        firsts = [p[0] for p in self.pairs]
-        if firsts != sorted(firsts):
-            raise IndexRangeError("pairs not ordered by first endpoint")
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-
-def perfect_matchings(ground) -> Iterator[PerfectMatching]:
-    """All perfect matchings of an even ground set.
-
-    `ground` is either an int m (meaning the set {1..m}) or an ordered
-    sequence of distinct labels.  Deterministic order: the smallest
-    remaining element is paired with each larger remaining element in
-    increasing order, recursively.
-    """
-    if isinstance(ground, int):
-        items = tuple(range(1, ground + 1))
-    else:
-        items = tuple(ground)
-    if len(items) % 2:
-        raise IndexRangeError(f"odd ground set of size {len(items)}")
-
-    def rec(rest: tuple):
-        if not rest:
-            yield ()
-            return
-        a = rest[0]
-        for t in range(1, len(rest)):
-            b = rest[t]
-            remaining = rest[1:t] + rest[t + 1:]
-            for tail in rec(remaining):
-                yield ((a, b),) + tail
-
-    for pairs in rec(items):
-        yield PerfectMatching(pairs)
-
-
-def crossing_number(matching: PerfectMatching) -> int:
-    """Number of crossing pairs {i,k},{j,l} with i < j < k < l."""
-    pairs = matching.pairs
-    count = 0
-    for t, (a, b) in enumerate(pairs):
-        for c, d in pairs[t + 1:]:
-            # pairs are ordered by first endpoint, so a < c always
-            if a < c < b < d:
-                count += 1
-    return count
 
 
 def inv_word(J: Iterable[int], K: Iterable[int]) -> int:

@@ -32,6 +32,7 @@ from .matrix import (
     Matrix,
     _as_positions,
     _extend_minors,
+    _row_picks,
     _wrap,
     all_ones,
     augment_hat,
@@ -500,13 +501,15 @@ def _minor_levels(ring: Ring, rows, size: int) -> list:
     increasing tuple of k 0-based rows, J a bitmask of k columns, and a
     missing I or J means the minor is 0.  Each minor on I extends one on
     I[:-1] by the row I[-1] (matrix._extend_minors, det_minors' row step),
-    so row sets share their prefixes and nothing is divided."""
+    so row sets share their prefixes, each row is prepared once for all
+    of them, and nothing is divided."""
+    picks = [_row_picks(row) for row in rows]
     levels = [{(): {0: ring.one}}]
     for _ in range(size):
         grown = {}
         for I, minors in levels[-1].items():
             for i in range(I[-1] + 1 if I else 0, len(rows)):
-                extended = _extend_minors(ring, minors, rows[i])
+                extended = _extend_minors(ring, minors, picks[i])
                 if extended:
                     grown[I + (i,)] = extended
         levels.append(grown)

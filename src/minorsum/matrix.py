@@ -8,30 +8,28 @@ package verifies.  Internal storage is a 0-based tuple of row tuples.
 Every kernel is one loop for every ring: arithmetic is the entries' own
 operators, zero tests are `not x`, and the two fraction-free eliminations
 (the Bareiss determinant and its skew analogue for the Pfaffian, both
-O(n^3)) divide with the ring's `exact_divide`.  The cofactor determinant
-and the perfect-matching Pfaffian are the reference definitions and the
-tests' oracles; no Pfaffian kernel calls a determinant, so Pf^2 = det
-compares two independent kernels.
+O(n^3)) divide with the ring's `exact_divide`.  No Pfaffian kernel calls
+a determinant, so Pf^2 = det compares two independent kernels; the
+definitions they are tested against live with the tests.
 
-There are three determinant kernels: `det_cofactor` (the definition),
-`det_bareiss` (O(n^3), each step multiplies two minors and divides
-exactly; fastest on integers and rationals) and `det_minors` (memoised
-minors, about n 2^n products of one entry and one smaller minor, no
-division; fastest on polynomials).  `det` picks one from the input's ring.
-`det_minors` folds one row step, `_extend_minors`, over the rows; the
-closed-forms check runs the same step over a prefix trie of row sets.
-That step and the matrix product form their sums of products with the
-ring's `dot`, which on polynomials accumulates every product into one
-map instead of building each product and partial sum as its own value.
+There are two determinant kernels behind `det`: `det_bareiss` (O(n^3),
+each step multiplies two minors and divides exactly; fastest on integers
+and rationals) and `det_minors` (memoised minors, about n 2^n products of
+one entry and one smaller minor, no division; fastest on polynomials).
+`det` picks one from the input's ring.  `det_minors` folds one row step,
+`_extend_minors`, over the rows; the closed-forms check runs the same
+step over a prefix trie of row sets.  That step and the matrix product
+form their sums of products with the ring's `dot`, which on polynomials
+accumulates every product into one map instead of building each product
+and partial sum as its own value.
 
-There are three Pfaffian kernels: `pfaffian_matchings` (the definition,
-(n-1)!! signed matchings), `pfaffian_bareiss` (O(n^3) skew elimination
-with exact divisions; fastest on integers and rationals) and
-`pfaffian_walk` (a scan of the vertices over the subsets of open ones,
-each state one `ring.dot`, no division; fastest on polynomials of
-small order, but its states grow exponentially with the order).
-`pfaffian` picks one from the input's ring and order: the walk on
-polynomial matrices up to order 12, the elimination otherwise.
+There are two Pfaffian kernels behind `pfaffian`: `pfaffian_bareiss`
+(O(n^3) skew elimination with exact divisions; fastest on integers and
+rationals) and `pfaffian_walk` (a scan of the vertices over the subsets
+of open ones, each state one `ring.dot`, no division; fastest on
+polynomials of small order, but its states grow exponentially with the
+order).  `pfaffian` picks one from the input's ring and order: the walk
+on polynomial matrices up to order 12, the elimination otherwise.
 
 Every identity in the paper is about one skew matrix,
 Y(A, X, B) = AXB^t - BX^tA^t: `skew_form` builds it as P - P^t with
@@ -48,7 +46,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .combinat import IndexSet, crossing_number, perfect_matchings
+from .combinat import IndexSet
 from .errors import (
     IndexRangeError,
     RingMismatchError,
@@ -320,30 +318,6 @@ def _require_square(M: Matrix, what: str):
         raise ShapeError(f"{what} needs a square matrix, got {M.nrows}x{M.ncols}")
 
 
-def _cof(rows, cols, r, ring):
-    if not cols:
-        return ring.one
-    row = rows[r]
-    total = ring.zero
-    for t, c in enumerate(cols):
-        a = row[c]
-        if not a:
-            continue
-        d = _cof(rows, cols[:t] + cols[t + 1:], r + 1, ring)
-        if t % 2:
-            total -= a * d
-        else:
-            total += a * d
-    return total
-
-
-def det_cofactor(M: Matrix):
-    """Determinant by cofactor expansion along the first row; det of the
-    empty matrix is 1.  Reference oracle for everything else."""
-    _require_square(M, "det_cofactor")
-    return _cof(M._rows, tuple(range(M.ncols)), 0, M.ring)
-
-
 def det_bareiss(M: Matrix):
     """Fraction-free Bareiss determinant with swap-and-negate row pivoting.
     When a pivot column has no nonzero entry left, the leading columns are
@@ -379,17 +353,22 @@ def det_bareiss(M: Matrix):
     return -result if negative else result
 
 
-def _extend_minors(ring: Ring, minors: dict, row) -> dict:
-    """The nonzero minors on one more row.  From the nonzero minors D[S] of
-    some rows on the column sets S (bitmasks), the minor with `row` below
-    them on the columns T is D[T] = sum (-1)^s a[c] D[S] over the c in T
-    with S = T - c, where a is the row and s counts the members of S above
-    c; zero minors and zero entries are skipped.  Each D[T] is one
-    `ring.dot` of signed entries and smaller minors, so on polynomials its
-    products are summed in one fused accumulation, and nothing is
-    divided."""
-    # the sign goes on the entry, which is cheaper to negate than a minor
-    picks = [(c, 1 << c, a, -a) for c, a in enumerate(row) if a]
+def _row_picks(row) -> list:
+    """A row as _extend_minors takes it: (column, its bit, entry, -entry)
+    for each nonzero entry.  The sign goes on the entry, which is cheaper
+    to negate than a minor."""
+    return [(c, 1 << c, a, -a) for c, a in enumerate(row) if a]
+
+
+def _extend_minors(ring: Ring, minors: dict, picks: list) -> dict:
+    """The nonzero minors on one more row, given by its _row_picks.  From
+    the nonzero minors D[S] of some rows on the column sets S (bitmasks),
+    the minor with the row a below them on the columns T is
+    D[T] = sum (-1)^s a[c] D[S] over the c in T with S = T - c, where s
+    counts the members of S above c; zero minors and zero entries are
+    skipped.  Each D[T] is one `ring.dot` of signed entries and smaller
+    minors, so on polynomials its products are summed in one fused
+    accumulation, and nothing is divided."""
     extends = {}  # T -> ([signed entries], [minors of T - c])
     for S, d in minors.items():
         for c, bit, a, neg_a in picks:
@@ -420,7 +399,7 @@ def det_minors(M: Matrix):
     ring = M.ring
     minors = {0: ring.one}
     for row in M._rows:
-        minors = _extend_minors(ring, minors, row)
+        minors = _extend_minors(ring, minors, _row_picks(row))
         if not minors:
             return ring.zero
     (result,) = minors.values()
@@ -445,29 +424,6 @@ def _assert_pfaffian_input(Y: Matrix):
     if Y.nrows % 2:
         raise SkewSymmetryError(f"Pfaffian needs even size, got {Y.nrows}")
     require_skew(Y, "Pfaffian")
-
-
-def pfaffian_matchings(Y: Matrix):
-    """Pfaffian straight from the definition: signed sum over perfect
-    matchings, sign = (-1)^crossings.  Pf of the empty matrix is 1."""
-    _assert_pfaffian_input(Y)
-    n = Y.nrows
-    ring = Y.ring
-    rows = Y._rows
-    total = ring.zero
-    for matching in perfect_matchings(n):
-        prod = ring.one
-        for i, j in matching.pairs:
-            v = rows[i - 1][j - 1]
-            if not v:
-                break
-            prod = prod * v
-        else:
-            if crossing_number(matching) % 2:
-                total -= prod
-            else:
-                total += prod
-    return total
 
 
 def pfaffian_bareiss(Y: Matrix):

@@ -27,7 +27,6 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 from .combinat import IndexSet
 from .errors import (
     CrossingStepsError,
-    EnumerationGuardError,
     RouteMismatchError,
     ShapeError,
     StaircaseError,
@@ -405,27 +404,6 @@ class _PathIndex:
             through[v] = through.get(v, 0) | int.from_bytes(row, "little") << base
         self.span[c] = ((1 << len(masks)) - 1) << base
         self.size = base + len(masks)
-
-
-def brute_force_nonintersecting(
-    p: PathProblem, ends: Union[IndexSet, Iterable[int]]
-) -> int:
-    """Exhaustive oracle: count the vertex-disjoint path tuples onto the
-    selected endpoints (start i to selected endpoint i) by the walk of the
-    brute route of count_free_routes, with one column allowed per start.
-    Guarded by the product of single-path counts."""
-    sel, points = _end_selection(p, ends)
-    counts = [count_paths(s, e, p.steps) for s, e in zip(p.starts, points)]
-    total = math.prod(counts)
-    if total > ENUMERATION_GUARD:
-        raise EnumerationGuardError(
-            f"{total} path tuples exceed the enumeration guard "
-            f"({ENUMERATION_GUARD}); shrink the instance"
-        )
-    n = len(p.candidate_ends)
-    return _disjoint_families(
-        p, [[x if c == j - 1 else 0 for c in range(n)] for x, j in zip(counts, sel)]
-    )
 
 
 def _most_tuples(mat: Matrix) -> int:

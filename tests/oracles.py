@@ -203,7 +203,7 @@ def steps_can_cross(steps):
     return False
 
 
-# -- determinant sums by the Leibniz formula ---------------------------------
+# -- determinants and Pfaffians by their definitions ------------------------
 # Entries only need +, * and comparison with 0, so these work for int,
 # Fraction and Poly entries alike.
 
@@ -227,6 +227,21 @@ def leibniz_det(rows):
         for r, c in cells:
             term = term * rows[r][c]
         total = total + term
+    return total
+
+
+def expansion_pfaffian(rows):
+    """Pfaffian by expansion along the first row: the sum over t of
+    (-1)^(t-1) y_0t Pf(Y without vertices 0 and t), 0-based; 1 for 0 x 0."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    total = 0
+    for t in range(1, n):
+        if rows[0][t]:
+            keep = [k for k in range(1, n) if k != t]
+            term = rows[0][t] * expansion_pfaffian([[rows[i][j] for j in keep] for i in keep])
+            total = total - term if t % 2 == 0 else total + term
     return total
 
 

@@ -6,13 +6,10 @@ import pytest
 from minorsum import (
     IndexRangeError,
     IndexSet,
-    PerfectMatching,
     as_partition,
-    crossing_number,
     inv_word,
     is_horizontal_strip,
     lambda_of,
-    perfect_matchings,
     subsets,
 )
 
@@ -48,43 +45,6 @@ def test_subsets_lex_order_and_counts():
             assert sum(1 for _ in subsets(n, k)) == math.comb(n, k)
     assert [s.indices for s in subsets(3, 0)] == [()]
     assert list(subsets(2, 3)) == []
-
-
-def test_perfect_matching_validation():
-    with pytest.raises(IndexRangeError):
-        PerfectMatching(((2, 1),))
-    with pytest.raises(IndexRangeError):
-        PerfectMatching(((3, 4), (1, 2)))
-    pm = PerfectMatching(((1, 2), (3, 4)))
-    assert len(pm) == 2
-
-
-def test_perfect_matchings_double_factorial_counts():
-    # (2k-1)!! matchings of 2k points
-    for m, expect in ((0, 1), (2, 1), (4, 3), (6, 15), (8, 105)):
-        assert sum(1 for _ in perfect_matchings(m)) == expect
-    with pytest.raises(IndexRangeError):
-        list(perfect_matchings(3))
-
-
-def test_perfect_matchings_cover_ground_set():
-    for pm in perfect_matchings(6):
-        flat = sorted(v for pair in pm for v in pair)
-        assert flat == [1, 2, 3, 4, 5, 6]
-    labeled = list(perfect_matchings((2, 5, 7, 9)))
-    assert PerfectMatching(((2, 5), (7, 9))) in labeled
-    assert len(labeled) == 3
-
-
-def test_crossing_number_and_sign():
-    assert crossing_number(PerfectMatching(((1, 3), (2, 4)))) == 1
-    assert crossing_number(PerfectMatching(((1, 2), (3, 4)))) == 0
-    # nested pairs do not cross
-    assert crossing_number(PerfectMatching(((1, 4), (2, 3)))) == 0
-    assert crossing_number(PerfectMatching(((1, 4), (2, 5), (3, 6)))) == 3
-    assert crossing_number(PerfectMatching(((1, 3), (2, 4)))) % 2 == 1
-    assert crossing_number(PerfectMatching(((1, 4), (2, 5), (3, 6)))) % 2 == 1
-    assert crossing_number(PerfectMatching(((1, 2), (3, 4)))) % 2 == 0
 
 
 def test_inv_word():

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from oracles import gauss_det, ref_chain_sum, ref_f, ref_g, ref_minor_sum
+from oracles import gauss_det, leibniz_det, ref_chain_sum, ref_f, ref_g, ref_minor_sum
 
 import minorsum
 from minorsum import (
@@ -33,7 +33,6 @@ from minorsum import (
     check_ab2,
     check_cauchy_binet_pf,
     check_iswa,
-    det_cofactor,
     f_AB,
     g_AB,
     minor_sum,
@@ -168,7 +167,7 @@ def assert_minor_table_matches_cofactors(ring, x):
             for I in combinations(range(n), p):
                 for J in combinations(range(n), p - border):
                     cols = lead + tuple(j + 1 + border for j in J)
-                    expect = det_cofactor(M.submatrix([i + 1 for i in I], cols))
+                    expect = leibniz_det(M.submatrix([i + 1 for i in I], cols)._rows)
                     got = table.get(I, {}).get(sum(1 << j for j in J))
                     if got is None:
                         assert expect == 0, (border, I, J)
@@ -297,7 +296,7 @@ def test_integer_and_polynomial_routes_agree(m, n):
 
 
 FORBIDDEN_KERNELS = ("det", "det_bareiss", "det_minors", "_extend_minors", "pfaffian",
-                     "pfaffian_matchings", "pfaffian_bareiss", "pfaffian_walk")
+                     "pfaffian_bareiss", "pfaffian_walk")
 
 
 def test_import_builds_no_sweep_table_or_plan():

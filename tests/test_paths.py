@@ -15,13 +15,11 @@ from oracles import (
 )
 from minorsum import (
     CrossingStepsError,
-    EnumerationGuardError,
     IndexSet,
     PathProblem,
     RouteMismatchError,
     ShapeError,
     StaircaseError,
-    brute_force_nonintersecting,
     count_fixed,
     count_free,
     count_paths,
@@ -248,11 +246,19 @@ def test_lindstrom_matrix_against_enumeration():
 # -- fixed endpoints -------------------------------------------------------------
 
 
+def brute_on_selection(p, sel):
+    """The exhaustive route on the problem with only the selected ends, so
+    with sel as its one selection; None beyond the enumeration guard."""
+    ends = [p.candidate_ends[i - 1] for i in sel]
+    routes = count_free_routes(PathProblem(p.starts, ends, steps=p.steps))
+    return routes.get("brute")
+
+
 def test_count_fixed_matches_brute_force():
     p = PathProblem(starts=STARTS, candidate_ends=((1, 2), (2, 1), (3, 0)))
     for sel in ((1, 2), (1, 3), (2, 3)):
         det = count_fixed(p, sel)
-        brute = brute_force_nonintersecting(p, sel)
+        brute = brute_on_selection(p, sel)
         oracle = count_disjoint_families(
             p.starts, [p.candidate_ends[i - 1] for i in sel]
         )
@@ -278,9 +284,12 @@ def test_count_fixed_selection_validation():
 
 
 def test_brute_force_guard():
+    # C(24, 12) = 2704156 paths exceed the guard, C(18, 9) = 48620 do not
     p = PathProblem(starts=((0, 0),), candidate_ends=((12, 12),))
-    with pytest.raises(EnumerationGuardError):
-        brute_force_nonintersecting(p, (1,))
+    assert brute_on_selection(p, (1,)) is None
+    assert count_free_routes(p) == {"okada": 2704156, "byun": 2704156}
+    p = PathProblem(starts=((0, 0),), candidate_ends=((9, 9),))
+    assert brute_on_selection(p, (1,)) == 48620
 
 
 # -- free endpoints ---------------------------------------------------------------
@@ -371,7 +380,7 @@ def test_brute_route_is_the_sum_over_selections(steps, highest_end, most_starts)
         )
         routes = count_free_routes(p)
         per_selection = sum(
-            brute_force_nonintersecting(p, c) for c in combinations(range(1, n + 1), m)
+            brute_on_selection(p, c) for c in combinations(range(1, n + 1), m)
         )
         assert routes["brute"] == per_selection
         assert per_selection == count_free_families(p.starts, p.candidate_ends, steps)
@@ -385,7 +394,7 @@ def test_brute_route_lists_no_path_that_no_selection_uses():
     p = PathProblem(starts=((0, 30), (1, 0)), candidate_ends=((0, 20), (40, 19)))
     assert count_paths(p.starts[1], p.candidate_ends[1]) > 10**14
     assert count_free_routes(p) == {"okada": 0, "byun": 0, "brute": 0}
-    assert brute_force_nonintersecting(p, (1, 2)) == 0
+    assert brute_on_selection(p, (1, 2)) == 0
 
 
 def test_count_free_random_staircases_three_routes():
