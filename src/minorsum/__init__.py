@@ -12,7 +12,6 @@ import importlib
 from .errors import (
     ConfigError,
     CrossingStepsError,
-    EnumerationGuardError,
     ExponentLimitError,
     IndexRangeError,
     InexactDivisionError,
@@ -82,32 +81,35 @@ from .identities import (
     x1_closed_form,
     x2_closed_form,
 )
-from .symfun import check_cauchy, h_complete, skew_schur, xy_ring
-from .paths import (
-    PathProblem,
-    count_fixed,
-    count_free,
-    count_paths,
-    lindstrom_matrix,
-)
 __version__ = "0.1.0"
 
-# The command line module, and the verify runner it defines, load on first
-# access, so that `python -m minorsum.cli` does not find it already imported.
-_FROM_CLI = ("RunReport", "VerifyConfig", "run_verify")
+# The symmetric-function, path and command line modules load on first
+# access to one of their names, so that importing the package for the
+# identity checkers does not import them, and so that `python -m
+# minorsum.cli` does not find the command line module already imported.
+# A name, once read, is bound here, so later reads cost no call.
+_LAZY = {
+    "symfun": ("check_cauchy", "h_complete", "skew_schur", "xy_ring"),
+    "paths": ("PathProblem", "count_fixed", "count_free", "count_paths", "lindstrom_matrix"),
+    "cli": ("RunReport", "VerifyConfig", "run_verify"),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name):
-    if name == "cli" or name in _FROM_CLI:
-        cli = importlib.import_module(f"{__name__}.cli")
-        return cli if name == "cli" else getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    owner = _LAZY_OWNER.get(name, name)
+    if owner not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{owner}")
+    if owner == name:
+        return module
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 __all__ = [
     "ConfigError",
     "CrossingStepsError",
-    "EnumerationGuardError",
     "ExponentLimitError",
     "IndexRangeError",
     "InexactDivisionError",

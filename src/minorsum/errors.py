@@ -50,11 +50,6 @@ class CrossingStepsError(MinorSumError):
     so path counting with two or more starts would not be sign-free."""
 
 
-class EnumerationGuardError(MinorSumError):
-    """Brute-force path enumeration would exceed the configured guard;
-    shrink the instance."""
-
-
 class RouteMismatchError(MinorSumError):
     """The independent counting routes disagree.  Carries all route values."""
 

@@ -19,7 +19,6 @@ Conventions, fixed once for the whole module:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from functools import lru_cache
 from itertools import combinations
@@ -132,6 +131,9 @@ class IdentityReport:
 
 
 def input_digest(payload: dict) -> str:
+    # imported here: a run that reads no digest never loads hashlib
+    import hashlib
+
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -82,7 +82,7 @@ class Matrix:
     __slots__ = ("ring", "nrows", "ncols", "_rows")
 
     def __init__(self, ring: Ring, entries: Sequence[Sequence], ncols: int | None = None):
-        rows = [tuple(ring.coerce(x) for x in row) for row in entries]
+        rows = [tuple(map(ring.coerce, row)) for row in entries]
         if rows:
             width = len(rows[0])
             for r in rows:
@@ -587,8 +587,8 @@ def matrix_from_json_dict(obj: dict) -> Matrix:
         raise ShapeError(
             f"entries shape does not match rows={nrows} cols={ncols}"
         )
-    parsed = (
-        tuple(ring.parse(x) if isinstance(x, str) else ring.coerce(x) for x in row)
-        for row in entries
-    )
-    return _wrap(ring, parsed, ncols)
+
+    def scalar(x):
+        return ring.parse(x) if isinstance(x, str) else ring.coerce(x)
+
+    return _wrap(ring, (tuple(map(scalar, row)) for row in entries), ncols)

@@ -8,10 +8,12 @@ pattern, the path-count determinant is sign-free, and the free-endpoint
 total is a sum of maximal minors, which the Pfaffian identities compress
 into a single Pfaffian or determinant.  The exhaustive route that
 cross-checks them counts vertex-disjoint families over all endpoint
-subsets in one depth-first walk, with each path a bitmask of its vertices.
-The last start's paths are indexed by vertex instead (the numbers of the
-paths through each vertex, as one bitmask), so that a partial family's
-extensions are counted with one bitmask operation per vertex of it.
+subsets in one depth-first walk, with each path a bitmask of its vertices
+and each start's paths to all its ends listed in one forward pass.  The
+last start's paths are indexed by vertex instead (the numbers of the paths
+through each vertex, as one bitmask), and every other path keeps the set of
+the last start's paths it blocks, so that a partial family's extensions
+are counted with one bitmask operation.
 
 Endpoint subsets are 1-based column selections, matching the matrix module.
 """
@@ -181,13 +183,12 @@ def _require_planar(steps: Sequence[Point]) -> None:
             )
 
 
-def _walk_region(start: Point, end: Point, steps: Sequence[Point], bounds) -> list:
+def _walk_region(start: Point, ends: Sequence[Point], steps: Sequence[Point], bounds) -> list:
     """The points of walks from start that the bounds _step_bounds(steps)
-    do not prune towards end, ordered so that every step goes to an
-    earlier point."""
+    do not prune towards at least one of ends, ordered so that every step
+    goes to an earlier point."""
     (a1, b1), (a2, b2), (a3, b3) = bounds
-    ex, ey = end
-    c1, c2, c3 = a1 * ex + b1 * ey, a2 * ex + b2 * ey, a3 * ex + b3 * ey
+    caps = [(a1 * x + b1 * y, a2 * x + b2 * y, a3 * x + b3 * y) for x, y in ends]
     seen = set()
     todo = [start]
     while todo:
@@ -195,12 +196,15 @@ def _walk_region(start: Point, end: Point, steps: Sequence[Point], bounds) -> li
         if u in seen:
             continue
         x, y = u
-        if a1 * x + b1 * y > c1 or a2 * x + b2 * y > c2 or a3 * x + b3 * y > c3:
+        f1, f2, f3 = a1 * x + b1 * y, a2 * x + b2 * y, a3 * x + b3 * y
+        for c1, c2, c3 in caps:
+            if f1 <= c1 and f2 <= c2 and f3 <= c3:
+                break
+        else:
             continue
         seen.add(u)
-        if u != end:
-            for sx, sy in steps:
-                todo.append((x + sx, y + sy))
+        for sx, sy in steps:
+            todo.append((x + sx, y + sy))
     return sorted(seen, key=lambda u: a3 * u[0] + b3 * u[1], reverse=True)
 
 
@@ -223,25 +227,28 @@ def _count_paths(start: Point, end: Point, steps: Tuple[Point, ...], bounds) -> 
         dx, dy = end[0] - start[0], end[1] - start[1]
         return math.comb(dx + dy, dx) if dx >= 0 and dy >= 0 else 0
     counts: dict = {}
-    for u in _walk_region(start, end, steps, bounds):
+    for u in _walk_region(start, (end,), steps, bounds):
         counts[u] = 1 if u == end else sum(
             counts.get((u[0] + sx, u[1] + sy), 0) for sx, sy in steps
         )
     return counts.get(start, 0)
 
 
-def _path_masks(start: Point, end: Point, steps: Sequence[Point], bounds, bit) -> list:
-    """Every path from start to end as the bitmask of its vertices, where
-    bit(u) is the bit of vertex u and bounds is _step_bounds(steps)."""
-    masks: dict = {}
-    for u in _walk_region(start, end, steps, bounds):
-        tails = [0] if u == end else [
-            t for sx, sy in steps for t in masks.get((u[0] + sx, u[1] + sy), ())
+def _start_masks(start: Point, ends: Sequence[Point], steps: Sequence[Point], bounds, bit) -> list:
+    """Every path from start to each of ends, as the bitmask of its
+    vertices, one list per end, where bit(u) is the bit of vertex u and
+    bounds is _step_bounds(steps).  One forward pass over the union of the
+    ends' regions keeps the masks of the paths from start to each point,
+    so the ends share the listing of their paths' common prefixes."""
+    prefixes: dict = {}
+    for u in reversed(_walk_region(start, ends, steps, bounds)):
+        # every point of the region after start is a step from one before it
+        heads = [0] if u == start else [
+            h for sx, sy in steps for h in prefixes.get((u[0] - sx, u[1] - sy), ())
         ]
-        if tails:
-            b = bit(u)
-            masks[u] = [b | t for t in tails]
-    return masks.get(start, [])
+        b = bit(u)
+        prefixes[u] = [b | h for h in heads]
+    return [prefixes.get(e, []) for e in ends]
 
 
 def lindstrom_matrix(p: PathProblem) -> Matrix:
@@ -279,6 +286,30 @@ def count_fixed(p: PathProblem, ends: Union[IndexSet, Iterable[int]]) -> int:
     return det(sub)
 
 
+def _live_columns(counts: Sequence[Sequence[int]]) -> Optional[list]:
+    """live[k]: the columns c of row k on some selection c_1 < ... < c_m
+    whose counts counts[k][c_k] are all nonzero, or None when there is no
+    such selection.  The leftmost chain of nonzero counts down the rows
+    ends row k at lo[k], the rightmost at hi[k], and c is live exactly
+    when counts[k][c] is nonzero and lo[k] <= c <= hi[k]."""
+    n = len(counts[0])
+    lo, c = [], -1
+    for row in counts:
+        c = next((j for j in range(c + 1, n) if row[j]), None)
+        if c is None:
+            return None
+        lo.append(c)
+    hi, c = [], n
+    for row in reversed(counts):
+        c = next(j for j in range(c - 1, -1, -1) if row[j])
+        hi.append(c)
+    hi.reverse()
+    return [
+        [c for c in range(lo[k], hi[k] + 1) if row[c]]
+        for k, row in enumerate(counts)
+    ]
+
+
 def _disjoint_families(p: PathProblem, counts: Sequence[Sequence[int]]) -> int:
     """Vertex-disjoint path families, start k to candidate end c_k, summed
     over every selection c_1 < ... < c_m of 0-based columns whose path
@@ -286,124 +317,125 @@ def _disjoint_families(p: PathProblem, counts: Sequence[Sequence[int]]) -> int:
 
     One depth-first walk over (start k, column c_k, path of start k to c_k
     disjoint from the paths already chosen) serves every selection: a path
-    is the bitmask of its vertices, so disjointness is one `&`, and the
-    paths of each (start, column) pair are listed once, when first used.
-    The last start's paths go into a vertex index (_PathIndex), which
-    counts the ones that avoid a partial family with a few big-int
-    operations per vertex of the family instead of one test per path.
+    is the bitmask of its vertices, so disjointness is one `&`.  Only live
+    columns (_live_columns) are visited, and each start's paths to all of
+    them are listed in one forward pass (_start_masks): the last start's
+    up front, into a vertex index (_PathIndex), each other start's when the
+    walk first reaches it.  Each listed path of an earlier start keeps the
+    set of the last start's paths it blocks, so a partial family carries
+    the union of its paths' sets down the walk and its extensions are
+    counted with one bitmask operation.
     """
-    # live[k]: the columns of row k that some nonzero c_k < ... < c_m uses,
-    # so that no pair on a zero-count selection has its paths listed
-    live, limit = [], len(counts[0])
-    for row in reversed(counts):
-        cols = [c for c, x in enumerate(row) if x and c < limit]
-        live.append(cols)
-        limit = cols[-1] if cols else -1
-    live.reverse()
+    live = _live_columns(counts)
+    if live is None:
+        return 0
     bounds = _step_bounds(p.steps)
     numbering: dict = {}
-    listed: dict = {}
 
     def bit(u: Point) -> int:
         return 1 << numbering.setdefault(u, len(numbering))
 
-    def masks(k: int, c: int) -> list:
-        return _path_masks(p.starts[k], p.candidate_ends[c], p.steps, bounds, bit)
-
-    def paths(k: int, c: int) -> list:
-        if (k, c) not in listed:
-            listed[k, c] = masks(k, c)
-        return listed[k, c]
+    def listing(k: int) -> list:
+        ends = [p.candidate_ends[c] for c in live[k]]
+        return _start_masks(p.starts[k], ends, p.steps, bounds, bit)
 
     last = len(live) - 1
-    index = _PathIndex(live[last], lambda c: masks(last, c))
+    if last == 0:
+        return sum(map(len, listing(0)))
+    index = _PathIndex(live[last], listing(last))
+    listed: dict = {}
+
+    def paths(k: int) -> list:
+        # (column, number of the last start's paths after it, its masks,
+        # their blocked sets) for each live column of start k
+        if k not in listed:
+            columns = listed[k] = []
+            for c, masks in zip(live[k], listing(k)):
+                later = index.later(c)
+                columns.append((c, later, masks, [index.blocked(b, later) for b in masks]))
+        return listed[k]
+
     # a recursive closure would be a reference cycle holding the path lists
     # after the return, until the next collection; _extensions is not one
-    return _extensions(0, -1, 0, live, paths, index)
+    return _extensions(0, -1, 0, 0, last - 1, paths)
 
 
-def _extensions(k: int, prev: int, used: int, live: list, paths, index) -> int:
+def _extensions(k: int, prev: int, used: int, blocked: int, penult: int, paths) -> int:
     """The walk of _disjoint_families from start k on: families of the
     paths of starts k, k+1, ... onto live columns after prev, disjoint from
-    the vertices in used and from each other.  The last start's paths are
-    counted by its index."""
-    if k == len(live) - 1:
-        return index.count(prev, used)
-    return sum(
-        _extensions(k + 1, c, used | b, live, paths, index)
-        for c in live[k]
-        if c > prev
-        for b in paths(k, c)
-        if not b & used
-    )
+    the vertices in used and from each other, whose last start's paths lie
+    outside blocked.  At start penult, the one before the last, each path
+    adds the last start's paths after its column that avoid it."""
+    total = 0
+    if k == penult:
+        for c, later, masks, bls in paths(k):
+            if c > prev:
+                shared = blocked & ((1 << later) - 1)
+                for b, bl in zip(masks, bls):
+                    if not b & used:
+                        total += later - (shared | bl).bit_count()
+        return total
+    for c, _, masks, bls in paths(k):
+        if c > prev:
+            for b, bl in zip(masks, bls):
+                if not b & used:
+                    total += _extensions(k + 1, c, used | b, blocked | bl, penult, paths)
+    return total
 
 
 class _PathIndex:
-    """The paths of one start to its live columns, numbered in the order
-    they are listed.  through[v] is the set of numbers of the paths through
-    vertex bit v, touched the vertices of every listed path, and
-    after[prev] the numbers of the paths to columns after prev; each set
-    is an int bitmask.  A column is listed the first time a count needs
-    it, exactly when a walk testing each path would have listed it."""
+    """The paths of the last start to its live columns, numbered from the
+    last column down, so that the paths to the columns after any column
+    are the lowest numbers.  through[v] is the set of numbers of the paths
+    through vertex bit v and touched the vertices of every path; each set
+    is an int bitmask."""
 
-    __slots__ = ("columns", "masks", "first", "size", "span", "through", "touched", "after")
+    __slots__ = ("columns", "tail", "through", "touched")
 
-    def __init__(self, columns: list, masks):
+    def __init__(self, columns: list, listed: list):
+        # listed[i]: the masks of the paths to columns[i]; tail[i]: the
+        # number of paths to columns[i:]
+        tail = [0]
+        for masks in reversed(listed):
+            tail.append(tail[-1] + len(masks))
         self.columns = columns
-        self.masks = masks
-        self.first = len(columns)  # columns[first:] are numbered
-        self.size = 0
-        self.span: dict = {}  # column -> its path numbers
-        self.through: dict = {}
-        self.touched = 0
-        self.after: dict = {}
+        self.tail = tail[::-1]
+        # the numbers of the paths through each vertex, as one bytearray
+        # per vertex, so that setting a bit does not copy a big int
+        width, touched, rows, j = (tail[-1] + 7) >> 3, 0, {}, 0
+        for masks in listed:
+            for b in masks:
+                touched |= b
+        self.touched = hit = touched
+        while hit:
+            v = hit & -hit
+            rows[v] = bytearray(width)
+            hit ^= v
+        for masks in reversed(listed):
+            for b in masks:
+                byte, flag = j >> 3, 1 << (j & 7)
+                while b:
+                    v = b & -b
+                    rows[v][byte] |= flag
+                    b ^= v
+                j += 1
+        self.through = {v: int.from_bytes(row, "little") for v, row in rows.items()}
 
-    def count(self, prev: int, used: int) -> int:
-        """The paths to columns after prev that avoid the vertices in used."""
-        after = self.after.get(prev)
-        if after is None:
-            after = self.after[prev] = self._number_after(prev)
+    def later(self, c: int) -> int:
+        """The number of paths to columns after column c: they are the
+        numbers below it."""
+        return self.tail[bisect.bisect_right(self.columns, c)]
+
+    def blocked(self, b: int, below: int) -> int:
+        """The numbers below `below` of the paths that share a vertex
+        with b."""
         through, blocked = self.through, 0
-        hit = used & self.touched
+        hit = b & self.touched
         while hit:
             v = hit & -hit
             blocked |= through[v]
             hit ^= v
-        return (after & ~blocked).bit_count()
-
-    def _number_after(self, prev: int) -> int:
-        i = bisect.bisect_right(self.columns, prev)
-        for c in self.columns[i:self.first]:
-            self._number(c)
-        self.first = min(self.first, i)
-        after = 0
-        for c in self.columns[i:]:
-            after |= self.span[c]
-        return after
-
-    def _number(self, c: int) -> None:
-        # the numbers of the paths through each vertex, as one bytearray
-        # per vertex, so that setting a bit does not copy a big int
-        masks = self.masks(c)
-        width, union, rows = (len(masks) + 7) >> 3, 0, {}
-        for b in masks:
-            union |= b
-        self.touched |= union
-        while union:
-            v = union & -union
-            rows[v] = bytearray(width)
-            union ^= v
-        for j, b in enumerate(masks):
-            byte, flag = j >> 3, 1 << (j & 7)
-            while b:
-                v = b & -b
-                rows[v][byte] |= flag
-                b ^= v
-        through, base = self.through, self.size
-        for v, row in rows.items():
-            through[v] = through.get(v, 0) | int.from_bytes(row, "little") << base
-        self.span[c] = ((1 << len(masks)) - 1) << base
-        self.size = base + len(masks)
+        return blocked & ((1 << below) - 1)
 
 
 def _most_tuples(mat: Matrix) -> int:

@@ -1,6 +1,8 @@
 """What the package is made of: its imports and its exports."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -37,3 +39,21 @@ def test_every_export_resolves_and_every_public_name_is_exported():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert public <= set(exported), sorted(public - set(exported))
+
+
+def test_importing_the_package_loads_only_the_checkers_modules():
+    # the path, symmetric-function and command line modules load on first
+    # use, and hashlib when a digest is first read, so that a run of the
+    # identity checkers does not pay for importing them
+    code = (
+        "import sys; before = set(sys.modules); import minorsum; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(minorsum.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    loaded = done.stdout.split()
+    assert [m for m in loaded if m.startswith("minorsum")] == ["minorsum"] + [
+        f"minorsum.{name}" for name in ("combinat", "errors", "identities", "matrix", "ring")
+    ]
+    assert "hashlib" not in loaded

@@ -1,8 +1,7 @@
 import gc
-import hashlib
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -25,7 +24,14 @@ from minorsum import (
     count_paths,
     lindstrom_matrix,
 )
-from minorsum.paths import NE_STEPS, _step_bounds, _walk_region, count_free_routes
+from minorsum.paths import (
+    NE_STEPS,
+    _disjoint_families,
+    _live_columns,
+    _step_bounds,
+    _walk_region,
+    count_free_routes,
+)
 
 STARTS = ((0, 0), (1, -1))
 CANDIDATES = ((1, 1), (2, 0), (2, 2))
@@ -115,7 +121,7 @@ def test_walk_region_matches_the_reference_walk():
                 end = (end[0] + s[0], end[1] + s[1])
         else:
             end = (rng.randint(-6, 6), rng.randint(-6, 6))
-        got = _walk_region(start, end, steps, bounds)
+        got = _walk_region(start, (end,), steps, bounds)
         assert got == walk_region(start, end, steps, bounds)
         shapes.add((len(steps) >= 3, any(min(s) < 0 for s in steps), len(got) > 1))
     assert shapes >= {(True, True, True), (False, True, True), (True, False, True)}
@@ -426,36 +432,182 @@ def seeded_staircases(seed, steps, highest_end):
     ]
 
 
-def listed_pairs(monkeypatch, p):
-    """The (start, end) pairs whose paths count_free_routes lists, in order."""
+def listing_passes(monkeypatch, p):
+    """The (start, ends) of each listing pass count_free_routes makes, in
+    order, and the routes it returns."""
     import minorsum.paths
 
-    pairs, path_masks = [], minorsum.paths._path_masks
+    passes, start_masks = [], minorsum.paths._start_masks
 
-    def record(start, end, *rest):
-        pairs.append((start, end))
-        return path_masks(start, end, *rest)
+    def record(start, ends, *rest):
+        passes.append((start, tuple(ends)))
+        return start_masks(start, ends, *rest)
 
     with monkeypatch.context() as patch:
-        patch.setattr(minorsum.paths, "_path_masks", record)
-        count_free_routes(p)
+        patch.setattr(minorsum.paths, "_start_masks", record)
+        routes = count_free_routes(p)
+    return passes, routes
+
+
+def selection_pairs(p):
+    """The (start, end) pairs on some endpoint selection whose entries of
+    the Lindstrom matrix are all nonzero."""
+    rows = lindstrom_matrix(p)._rows
+    pairs = set()
+    for sel in combinations(range(len(p.candidate_ends)), len(p.starts)):
+        if all(rows[k][c] for k, c in enumerate(sel)):
+            pairs.update((p.starts[k], p.candidate_ends[c]) for k, c in enumerate(sel))
     return pairs
 
 
 def test_brute_route_lists_the_pinned_pairs(monkeypatch):
-    # the exhaustive route lists the paths of a (start, end) pair only when
-    # some partial family reaches it; these sets were taken from the walk
-    # that tested every path of the last start against every partial family
-    lines = []
+    # the exhaustive route lists the paths of each start in at most one
+    # pass, over exactly the ends it meets on a selection whose path counts
+    # are all nonzero; a start the walk never reaches is not listed, and
+    # when some family exists the walk reaches every start
+    trimmed = unreached = 0
     for steps, seed, highest_end in ((NE_STEPS, 14, 5), (DELANNOY, 15, 4)):
         for p in seeded_staircases(seed, steps, highest_end):
-            pairs = listed_pairs(monkeypatch, p)
-            assert len(pairs) == len(set(pairs))
-            lines.append(repr((p.starts, p.candidate_ends, sorted(pairs))))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "dbe5179ad88d8d293f70b62fde02d277b88b38515962ee8095de41a0293eb2e3"
+            passes, routes = listing_passes(monkeypatch, p)
+            starts = [start for start, _ in passes]
+            assert len(starts) == len(set(starts))
+            pairs = selection_pairs(p)
+            for start, ends in passes:
+                assert ends == tuple(e for e in p.candidate_ends if (start, e) in pairs)
+            if routes["brute"]:
+                assert sorted(starts) == sorted(p.starts)
+            elif not pairs:
+                assert passes == []
+            unreached += len(starts) < len(p.starts)
+            nonzero = sum(1 for s in p.starts for e in p.candidate_ends
+                          if count_paths(s, e, steps))
+            trimmed += nonzero > len(pairs)
+    # some instances have nonzero pairs on no such selection, and some
+    # starts the walk never reaches
+    assert trimmed > 0 and unreached > 0
     p = PathProblem(starts=((0, 30), (1, 0)), candidate_ends=((0, 20), (40, 19)))
-    assert listed_pairs(monkeypatch, p) == []
+    assert listing_passes(monkeypatch, p)[0] == []
+
+
+@pytest.mark.parametrize(
+    "starts,ends,big",
+    [
+        # the middle start reaches no end; the last has C(57, 19) paths to
+        # the second end
+        (((0, 100), (1, 50), (2, 0)), ((0, 120), (40, 19), (41, 18)), (2, 1)),
+        # the last start reaches no end; the first has C(70, 30) paths to
+        # the first end
+        (((0, 0), (50, -1)), ((30, 40), (40, 19)), (0, 0)),
+    ],
+    ids=["middle", "last"],
+)
+def test_brute_route_lists_no_path_when_a_later_start_reaches_no_end(
+    monkeypatch, starts, ends, big
+):
+    p = PathProblem(starts=starts, candidate_ends=ends)
+    assert count_paths(starts[big[0]], ends[big[1]]) > 10**14
+    assert listing_passes(monkeypatch, p) == ([], {"okada": 0, "byun": 0, "brute": 0})
+    assert brute_on_selection(p, range(1, len(starts) + 1)) == 0
+
+
+def test_live_columns_are_the_columns_of_nonzero_selections():
+    rng = random.Random(23)
+    for _ in range(400):
+        m = rng.randint(1, 4)
+        n = rng.randint(m, 7)
+        counts = [[rng.choice((0, 0, 1, 2)) for _ in range(n)] for _ in range(m)]
+        live = [set() for _ in range(m)]
+        for sel in combinations(range(n), m):
+            if all(counts[k][c] for k, c in enumerate(sel)):
+                for k, c in enumerate(sel):
+                    live[k].add(c)
+        got = _live_columns(counts)
+        if live[0]:
+            assert got == [sorted(cols) for cols in live]
+        else:
+            assert got is None
+
+
+# -- edge cases of the exhaustive route --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "starts,ends",
+    [
+        # the first and last paths can meet while the middle one avoids both
+        (((0, 0), (10, 10), (0, 1)), ((2, 2), (12, 12), (2, 3))),
+        # the first and third paths can meet, the second and fourth cannot
+        (((0, 0), (10, 10), (0, 1), (20, 20)), ((2, 2), (12, 12), (2, 3), (22, 22))),
+    ],
+    ids=["first-last", "first-third"],
+)
+def test_exhaustive_walk_tests_every_pair_of_paths(starts, ends):
+    # on a staircase, paths that avoid their neighbours avoid each other;
+    # off it they need not, and the exhaustive walk, the reference for the
+    # staircase routes, must not rely on that
+    p = PathProblem(starts=starts, candidate_ends=ends)
+    options = [[frozenset(q) for q in lattice_paths(s, e)] for s, e in zip(starts, ends)]
+    expect = sum(
+        1 for family in product(*options)
+        if all(not a & b for a, b in combinations(family, 2))
+    )
+    assert 0 < expect < math.prod(map(len, options))
+    assert _disjoint_families(p, lindstrom_matrix(p)._rows) == expect
+
+
+
+TWO_ONE = ((1, 0), (0, 1), (2, 1))
+ONE_TWO = ((1, 0), (0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("steps", [NE_STEPS, DELANNOY, TWO_ONE, ONE_TWO],
+                         ids=["ne", "delannoy", "two-one", "one-two"])
+def test_brute_route_on_collinear_ends_and_a_start_on_an_end(steps):
+    # ends in a row and then a column, so that paths to one end pass
+    # through others, and starts that are themselves candidate ends; the
+    # (2, 1) and (1, 2) steps let paths cross between lattice points, so
+    # they run with one start only
+    starts = ((0, 3), (1, 2), (2, 1), (3, 0))
+    ends = ((2, 4), (3, 4), (4, 4), (4, 3), (4, 2))
+    on_ends = ((1, 4), (1, 2), (2, 1), (3, 1), (4, 1), (4, 0))
+    ms = (1, 2, 3, 4) if steps in (NE_STEPS, DELANNOY) else (1,)
+    counted = set()
+    for m in ms:
+        for problem_ends in (ends, ends[:m + 1], on_ends):
+            p = PathProblem(starts=starts[:m], candidate_ends=problem_ends, steps=steps)
+            brute = count_free_routes(p)["brute"]
+            assert brute == count_free_families(p.starts, p.candidate_ends, steps)
+            if brute:
+                counted.add(m)
+    assert counted == set(ms)
+
+
+def test_brute_route_with_columns_dead_on_one_side_only():
+    # a column of a middle start can have a nonzero count and still lie on
+    # no nonzero selection because no earlier start ends left of it, or
+    # because no later start ends right of it; both kinds are left out of
+    # the walk, which must still count every family
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(60):
+        m = rng.randint(3, 4)
+        p = staircase_instance(rng, m, rng.randint(m + 1, 7), lowest_end=0,
+                               highest_end=4, steps=rng.choice((NE_STEPS, DELANNOY)))
+        rows = lindstrom_matrix(p)._rows
+        n = len(p.candidate_ends)
+        for k in range(1, m - 1):
+            for c in range(n):
+                if not rows[k][c]:
+                    continue
+                left = any(all(rows[i][s[i]] for i in range(k))
+                           for s in combinations(range(c), k))
+                right = any(all(rows[k + 1 + i][s[i]] for i in range(m - k - 1))
+                            for s in combinations(range(c + 1, n), m - k - 1))
+                if left != right:
+                    kinds.add("right" if left else "left")
+        routes = count_free_routes(p)
+        assert routes["brute"] == count_free_families(p.starts, p.candidate_ends, p.steps)
+    assert kinds == {"left", "right"}
 
 
 def test_count_free_routes_leaves_no_cyclic_garbage():
