@@ -322,17 +322,20 @@ def _sweep_sum(ring: Ring, blocks: Sequence, route: tuple):
     lists, one row per depth) by one pass over the columns, with no
     division; 1 for no depths.
 
-    After column c, depth d keeps a map {row bitmask S: sum} over its
-    partial picks c_0 <= ... <= c_d, of the minors on the rows S of the
-    picked columns: the picks with c_d <= c, or with c_d = c alone when the
-    next depth takes the same column (EQUAL).  Column v at depth d extends
-    the map the depth reads by one Laplace step along the new last column,
-    D[S | r] += (-1)^(members of S above r) * v[r] * D[S] for each row r
-    outside S with v[r] nonzero, so every pick ending in the same column is
-    extended at once; the rows outside S, S | r and the sign's parity are
-    read from _sweep_table (formed as each step is taken past
-    SWEEP_TABLE_MAX_ROWS rows), and v[r] and -v[r] are formed once per
-    column.
+    After column c, depth d keeps a map from row bitmasks S to the sums,
+    over its partial picks c_0 <= ... <= c_d, of the minors on the rows S
+    of the picked columns: the picks with c_d <= c, or with c_d = c alone
+    when the next depth takes the same column (EQUAL).  Column v at depth d
+    extends the map the depth reads by one Laplace step along the new last
+    column, D[S | r] += (-1)^(members of S above r) * v[r] * D[S] for each
+    row r outside S with v[r] nonzero, so every pick ending in the same
+    column is extended at once; v[r] and -v[r] are formed once per column.
+    Up to SWEEP_TABLE_MAX_ROWS rows a map is a list of 2^m slots indexed by
+    S, None where no partial pick lands (m 2^m slots in all, 10 x 1,024 at
+    the limit); a depth reads only the masks with as many members as it
+    has picks (_masks_by_size), and the rows outside S, S | r and the
+    sign's parity come from _sweep_table.  Past the limit a map is a dict
+    and each step is formed as it is taken.
     A STRICT depth reads the previous depth's map before this column enters
     it, a WEAK or EQUAL one after, so each column visits the depths in runs
     that start at a STRICT depth, the last run first (_sweep_plan).
@@ -348,21 +351,38 @@ def _sweep_sum(ring: Ring, blocks: Sequence, route: tuple):
         for rows in blocks
     ]
     steps = _sweep_plan(route)
-    table = _sweep_table(m) if m <= SWEEP_TABLE_MAX_ROWS else None
-    maps = [{} for _ in range(m)]
-    root = {0: ring.one}
+    size = 1 << m
+    dense = m <= SWEEP_TABLE_MAX_ROWS
+    if dense:
+        table, by_size = _sweep_table(m), _masks_by_size(m)
+        maps, root = [[None] * size for _ in range(m)], [ring.one]
+    else:
+        maps, root = [{} for _ in range(m)], {0: ring.one}
     for c in range(n):
         for d, block, lo, hi, fresh in steps:
             if not lo <= c <= hi:
                 continue
             column = columns[block][c]
-            kept = {} if fresh else maps[d]
-            get = kept.get
-            source = (maps[d - 1] if d else root).items()
-            if table is None:
+            source = maps[d - 1] if d else root
+            if dense:
+                kept = [None] * size if fresh else maps[d]
+                for S in by_size[d]:
+                    value = source[S]
+                    if value is None:
+                        continue
+                    for r, T, odd in table[S]:
+                        pair = column[r]
+                        if pair is None:
+                            continue
+                        term = pair[odd] * value
+                        prior = kept[T]
+                        kept[T] = term if prior is None else prior + term
+            else:
                 # too many rows to keep a table: each step is formed as taken
+                kept = {} if fresh else maps[d]
+                get = kept.get
                 nonzero = [(r, 1 << r, pair) for r, pair in enumerate(column) if pair]
-                for S, value in source:
+                for S, value in source.items():
                     for r, bit, pair in nonzero:
                         if S & bit:
                             continue
@@ -370,17 +390,9 @@ def _sweep_sum(ring: Ring, blocks: Sequence, route: tuple):
                         term = pair[(S >> r).bit_count() & 1] * value
                         prior = get(T)
                         kept[T] = term if prior is None else prior + term
-            else:
-                for S, value in source:
-                    for r, T, odd in table[S]:
-                        pair = column[r]
-                        if pair is None:
-                            continue
-                        term = pair[odd] * value
-                        prior = get(T)
-                        kept[T] = term if prior is None else prior + term
             maps[d] = kept
-    return maps[-1].get((1 << m) - 1, ring.zero)
+    full = maps[-1][size - 1] if dense else maps[-1].get(size - 1)
+    return ring.zero if full is None else full
 
 
 @lru_cache(maxsize=None)
@@ -401,9 +413,11 @@ def _sweep_plan(route: tuple) -> tuple:
     )
 
 
-# The most rows whose Laplace steps _sweep_sum reads from a kept table.
-# A table holds m 2^(m-1) steps, about 0.55 MB at 10 rows and 12.7 MB at
-# 14, so past this the sweep forms each step as it takes it.
+# The most rows whose Laplace steps _sweep_sum reads from a kept table,
+# with its maps as dense lists.  A table holds m 2^(m-1) steps, about
+# 0.55 MB at 10 rows and 12.7 MB at 14, and the maps of one sweep m 2^m
+# slots, 10 x 1,024 at 10 rows; past this the sweep forms each step as it
+# takes it and keeps its maps as dicts.
 SWEEP_TABLE_MAX_ROWS = 10
 
 
@@ -418,6 +432,12 @@ def _sweep_table(m: int) -> tuple:
               for r in range(m) if not S >> r & 1)
         for S in range(1 << m)
     )
+
+
+@lru_cache(maxsize=SWEEP_TABLE_MAX_ROWS)
+def _masks_by_size(m: int) -> tuple:
+    """The bitmasks of m rows with k members, increasing, for k = 0..m."""
+    return tuple(tuple(S for S in range(1 << m) if S.bit_count() == k) for k in range(m + 1))
 
 
 @lru_cache(maxsize=None)
@@ -840,9 +860,38 @@ def check_lemma_aux(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     )
 
 
+def _pfaffian_minors(ring: Ring, rows):
+    """S -> Pf(Y_S) for the skew Y with these rows and S the bitmask of an
+    even index set, memoised over the sets reached.  Along the lowest
+    member i of S, Pf(Y_S) is the sum over j in S above i of
+    (-1)^s y_ij Pf(Y_(S - i - j)), s the members of S between i and j: one
+    `ring.dot` of signed entries and smaller minors, with no division."""
+    memo = {0: ring.one}
+    dot = ring.dot
+
+    def pf(S: int):
+        value = memo.get(S)
+        if value is None:
+            i = (S & -S).bit_length() - 1
+            row, rest = rows[i], S & (S - 1)
+            entries, minors = [], []
+            for j in range(i + 1, len(row)):
+                if rest >> j & 1 and row[j]:
+                    odd = (rest & ((1 << j) - 1)).bit_count() & 1
+                    entries.append(-row[j] if odd else row[j])
+                    minors.append(pf(rest ^ 1 << j))
+            value = memo[S] = dot(entries, minors)
+        return value
+
+    return pf
+
+
 def check_iswa(A: Matrix, Y: Matrix) -> IdentityReport:
     """Pfaffian minor summation: sum over |I| = m of Pf(Y_II) det(A^I)
-    equals Pf(A Y A^t), for even m and skew n x n Y."""
+    equals Pf(A Y A^t), for even m and skew n x n Y.  The left side walks
+    the minors det(A^I) (_minor_walk) and, where one is nonzero, reads
+    Pf(Y_II) from one memo of Pfaffian minors (_pfaffian_minors); the
+    right side is `pfaffian`, so the two sides share no kernel."""
     m, n = A.nrows, A.ncols
     if m % 2:
         raise ParityError(f"iswa needs even m, got {m}")
@@ -856,11 +905,12 @@ def check_iswa(A: Matrix, Y: Matrix) -> IdentityReport:
     lhs = ring.zero if m else ring.one
     rule = _walk_rule(_minor_route(m, n), 1)
     walk = _minor_walk(ring, A._rows, rule) if m else ()
+    pf = _pfaffian_minors(ring, Y._rows)
     for prefix, leaves, dets, sign in walk:
+        mask = sum(1 << c for c in prefix)
         for t, d in zip(leaves, dets):
             if d:
-                I = [c + 1 for c in prefix + (t,)]
-                term = pfaffian(Y.submatrix(I, I)) * d
+                term = pf(mask | 1 << t) * d
                 lhs = lhs - term if sign < 0 else lhs + term
     rhs = pfaffian(A @ Y @ A.T)
     return IdentityReport(
@@ -967,8 +1017,11 @@ def check_cor7(A: Matrix, X: Matrix) -> IdentityReport:
     if X.nrows != n or X.ncols != n:
         raise ShapeError(f"X must be {n}x{n}")
     ring = A.ring
-    d1 = det(rank_one_form(A, X, A))
-    d2 = det(skew_form(A, X, A))
+    # A(X + J - X^t)A^t is the skew A(X - X^t)A^t plus (A 1)(A 1)^t
+    skew = skew_form(A, X, A)
+    a1 = [sum(r, ring.zero) for r in A._rows]
+    d1 = det(skew + outer_product(ring, a1, a1))
+    d2 = det(skew)
     fa = f_AB(A, A, X)
     sq = fa * fa
     passed = d1 == d2 == sq

@@ -35,8 +35,12 @@ Every identity in the paper is about one skew matrix,
 Y(A, X, B) = AXB^t - BX^tA^t: `skew_form` builds it as P - P^t with
 P = AXB^t, and `rank_one_form` builds the determinant side
 AXB^t + B(J - X^t)A^t = Y(A, X, B) + (B 1)(A 1)^t, a skew matrix plus a
-rank-one matrix.  `okada_pfaffian` and `byun_determinant` are the
-Pfaffian and the determinant that compress a sum of maximal minors.
+rank-one matrix.  Both take P's entries straight from `ring.dot`s (each
+row of AX against X's columns, then against B's rows) and write each
+entry of the result, rank-one term included, in one pass, so no product,
+transpose or sum is built as a `Matrix` on the way.  `okada_pfaffian`
+and `byun_determinant` are the Pfaffian and the determinant that
+compress a sum of maximal minors.
 
 Only the `Matrix` constructor coerces its entries; the builders here
 wrap ring elements they made themselves.
@@ -294,20 +298,40 @@ def outer_product(ring: Ring, a: Sequence, b: Sequence) -> Matrix:
     return _wrap(ring, (tuple(x * y for y in bv) for x in av), len(bv))
 
 
+def _form(A: Matrix, X: Matrix, B: Matrix, rank_one: bool) -> Matrix:
+    """P - P^t with P = AXB^t, plus (B 1)(A 1)^t when `rank_one`, in one
+    pass: a row of AX is the dots of a row of A with X's columns, and an
+    entry of P the dot of such a row with a row of B.  Raises the errors
+    of A @ X @ B.T - its transpose."""
+    A._check_same_ring(X)
+    A._check_same_ring(B)
+    if A.ncols != X.nrows or X.ncols != B.ncols or A.nrows != B.nrows:
+        raise ShapeError(f"cannot form AXB^t from {A.nrows}x{A.ncols}, "
+                         f"{X.nrows}x{X.ncols} and {B.nrows}x{B.ncols} blocks")
+    ring, m = A.ring, A.nrows
+    dot, zero = ring.dot, ring.zero
+    columns = list(zip(*X._rows)) if X._rows else [()] * X.ncols
+    P = [[dot(ax, b) for b in B._rows] for ax in
+         ([dot(a, col) for col in columns] for a in A._rows)]
+    if rank_one:
+        a1 = [sum(r, zero) for r in A._rows]
+        b1 = [sum(r, zero) for r in B._rows]
+        rows = (tuple(P[i][j] - P[j][i] + b1[i] * a1[j] for j in range(m)) for i in range(m))
+    else:
+        rows = (tuple(P[i][j] - P[j][i] for j in range(m)) for i in range(m))
+    return _wrap(ring, rows, m)
+
+
 def skew_form(A: Matrix, X: Matrix, B: Matrix) -> Matrix:
     """Y(A, X, B) = AXB^t - BX^tA^t, the skew matrix of every identity in
     the paper, formed as P - P^t with P = AXB^t since (AXB^t)^t = BX^tA^t."""
-    P = A @ X @ B.T
-    return P - P.T
+    return _form(A, X, B, False)
 
 
 def rank_one_form(A: Matrix, X: Matrix, B: Matrix) -> Matrix:
     """AXB^t + B(J - X^t)A^t = Y(A, X, B) + (B 1)(A 1)^t: the skew form
     plus the rank-one matrix of the row sums, since BJA^t = (B 1)(A 1)^t."""
-    zero = A.ring.zero
-    b1 = [sum(r, zero) for r in B._rows]
-    a1 = [sum(r, zero) for r in A._rows]
-    return skew_form(A, X, B) + outer_product(A.ring, b1, a1)
+    return _form(A, X, B, True)
 
 
 # -- determinants ----------------------------------------------------------

@@ -212,7 +212,7 @@ def count_paths(start: Point, end: Point, steps: Sequence[Point] = NE_STEPS) -> 
     """Number of single paths from start to end in the step model.  Raises
     ShapeError unless the steps lie in one open half-plane."""
     steps = tuple(steps)
-    return _count_paths(start, end, steps, _bounds_of(steps))
+    return _count_paths(start, (end,), steps, _bounds_of(steps))[0]
 
 
 def _bounds_of(steps: Tuple[Point, ...]):
@@ -221,17 +221,22 @@ def _bounds_of(steps: Tuple[Point, ...]):
     return None if steps == NE_STEPS else _step_bounds(steps)
 
 
-def _count_paths(start: Point, end: Point, steps: Tuple[Point, ...], bounds) -> int:
-    """count_paths with bounds = _bounds_of(steps)."""
+def _count_paths(start: Point, ends: Sequence[Point], steps: Tuple[Point, ...], bounds) -> list:
+    """The number of paths from start to each of ends, with
+    bounds = _bounds_of(steps): binomials on the north-east steps, else one
+    forward count over the union of the ends' regions (as _start_masks
+    lists them), the paths to a point summing those to its predecessors."""
     if bounds is None:
-        dx, dy = end[0] - start[0], end[1] - start[1]
-        return math.comb(dx + dy, dx) if dx >= 0 and dy >= 0 else 0
+        x0, y0 = start
+        return [math.comb(x - x0 + y - y0, x - x0) if x >= x0 and y >= y0 else 0
+                for x, y in ends]
     counts: dict = {}
-    for u in _walk_region(start, (end,), steps, bounds):
-        counts[u] = 1 if u == end else sum(
-            counts.get((u[0] + sx, u[1] + sy), 0) for sx, sy in steps
+    for u in reversed(_walk_region(start, ends, steps, bounds)):
+        # every point of the region after start is a step from one before it
+        counts[u] = 1 if u == start else sum(
+            counts.get((u[0] - sx, u[1] - sy), 0) for sx, sy in steps
         )
-    return counts.get(start, 0)
+    return [counts.get(e, 0) for e in ends]
 
 
 def _start_masks(start: Point, ends: Sequence[Point], steps: Sequence[Point], bounds, bit) -> list:
@@ -253,12 +258,9 @@ def _start_masks(start: Point, ends: Sequence[Point], steps: Sequence[Point], bo
 
 def lindstrom_matrix(p: PathProblem) -> Matrix:
     """Integer matrix of single-path counts, entry (i, j) = #paths from
-    start i to candidate endpoint j."""
+    start i to candidate endpoint j, one count per start for all ends."""
     bounds = _bounds_of(p.steps)
-    rows = (
-        tuple(_count_paths(s, e, p.steps, bounds) for e in p.candidate_ends)
-        for s in p.starts
-    )
+    rows = (tuple(_count_paths(s, p.candidate_ends, p.steps, bounds)) for s in p.starts)
     return _wrap(ZZ, rows, len(p.candidate_ends))
 
 

@@ -339,6 +339,46 @@ def test_sweep_past_the_table_limit_keeps_no_table():
     assert identities._sweep_table.cache_info().currsize == 0
 
 
+def test_sweep_at_the_table_limit_keeps_dense_maps():
+    # at exactly SWEEP_TABLE_MAX_ROWS rows the sweep keeps its table and its
+    # 2^m-slot maps, and agrees with the walk and the Fraction determinants
+    m = identities.SWEEP_TABLE_MAX_ROWS
+    identities._sweep_table.cache_clear()
+    identities._masks_by_size.cache_clear()
+    rng = random.Random(17)
+    n = m + 2
+    A = Matrix(ZZ, rand_rows(rng, m, n, bound=2))
+    route = _minor_route(m, n)
+    expect = sum(gauss_det([[row[c] for c in I] for row in A._rows])
+                 for I in combinations(range(n), m))
+    assert _sweep_sum(ZZ, [A._rows], route) == _walk_sum(ZZ, [A._rows], route) == expect
+    # f's pick sum on [A | H]: p pairs a_i h_i, i strictly increasing
+    p, n = m // 2, m + 1
+    a, b, x = rand_rows(rng, m, n, bound=2), rand_rows(rng, m, n, bound=2), rand_rows(rng, n, n, 2)
+    blocks = _pair_blocks(Matrix(ZZ, a), Matrix(ZZ, b), Matrix(ZZ, x), False)
+    route = _pair_route(n, p)
+    expect = sum(gauss_det([[blocks[d % 2][r][I[d // 2]] for d in range(m)] for r in range(m)])
+                 for I in combinations(range(n), p))
+    assert _sweep_sum(ZZ, blocks, route) == _walk_sum(ZZ, blocks, route) == expect
+    assert identities._sweep_table.cache_info().currsize == 1
+    assert len(identities._masks_by_size(m)) == m + 1
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, PolynomialRing(("s", "t"))],
+                         ids=["ZZ", "QQ", "Poly"])
+@pytest.mark.parametrize("m", [3, 6, identities.SWEEP_TABLE_MAX_ROWS + 1])
+def test_sweep_with_no_complete_pick_is_the_rings_zero(ring, m):
+    # a zero block, or fewer columns than rows, leave the full row set's
+    # slot empty; the sweep answers the ring's zero, not None
+    rng = random.Random(m)
+    zero_block = [[0] * (m + 2) for _ in range(m)]
+    narrow = rand_rows(rng, m, m - 1)
+    for rows, route in ((zero_block, _minor_route(m, m + 2)),
+                        (narrow, _minor_route(m, m - 1))):
+        got = _sweep_sum(ring, [Matrix(ring, rows)._rows], route)
+        assert got is not None and type(got) is type(ring.zero) and got == ring.zero
+
+
 def test_evaluators_call_no_determinant_or_pfaffian_kernel(monkeypatch):
     # the evaluators are one side of every identity whose other side is a
     # det or a Pfaffian, so they may not reach those kernels by any name

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -36,8 +37,9 @@ from minorsum import (
     x1_closed_form,
     x2_closed_form,
 )
+from minorsum import identities
 from minorsum.identities import input_digest, ones_above_diagonal
-from minorsum.matrix import identity, upper_ones
+from minorsum.matrix import identity, pfaffian, upper_ones
 
 GOLDEN = Matrix(ZZ, [[1, 1, 1], [1, 2, 3]])
 
@@ -374,6 +376,76 @@ def test_iswa_validation():
         check_iswa(Matrix(ZZ, [[1, 2], [3, 4]]), Matrix(ZZ, [[1, 0], [0, 1]]))
     with pytest.raises(ShapeError):
         check_iswa(Matrix(ZZ, [[1, 2], [3, 4]]), Matrix(ZZ, [], ncols=0))
+
+
+def test_iswa_sides_share_no_pfaffian_kernel(monkeypatch):
+    # the left side reads its Pfaffian minors from its own memo; only the
+    # right side, Pf(A Y A^t), calls `pfaffian`
+    calls = []
+
+    def counted(Y):
+        calls.append(Y.nrows)
+        return pfaffian(Y)
+
+    monkeypatch.setattr(identities, "pfaffian", counted)
+    rng = random.Random(843)
+    for m, n in ((2, 2), (2, 5), (4, 4), (4, 8), (6, 8)):
+        calls.clear()
+        assert check_iswa(rand_int_matrix(rng, m, n), rand_skew(rng, n)).passed
+        assert calls == [m]
+
+
+POLY_ST = PolynomialRing(("s", "t"))
+
+
+def sparse_skew(rng, ring, n, density):
+    """Rows of a skew matrix whose entries above the diagonal are nonzero
+    with probability `density`: integers on ZZ, else linear in s and t."""
+    rows = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                v = rng.randint(1, 5) * rng.choice((-1, 1))
+                if ring is not ZZ:
+                    s, t = ring.gens()
+                    v = v * s + rng.randint(-2, 2) * t + rng.randint(-2, 2)
+                rows[i][j], rows[j][i] = v, -v
+    return rows
+
+
+def one_entry_skew(n):
+    rows = [[0] * n for _ in range(n)]
+    rows[0][n - 1], rows[n - 1][0] = 3, -3
+    return rows
+
+
+def test_iswa_pfaffian_minors_match_the_first_row_expansion():
+    rng = random.Random(844)
+    cases = [(ring, sparse_skew(rng, ring, n, density))
+             for n in (0, 2, 3, 4, 6, 7) for density in (1.0, 0.5) for ring in (ZZ, POLY_ST)]
+    cases += [(ZZ, one_entry_skew(n)) for n in (2, 5, 6)]
+    for ring, rows in cases:
+        pf = identities._pfaffian_minors(ring, Matrix(ring, rows, ncols=len(rows))._rows)
+        for size in range(0, len(rows) + 1, 2):
+            for I in itertools.combinations(range(len(rows)), size):
+                sub = [[rows[i][j] for j in I] for i in I]
+                assert pf(sum(1 << i for i in I)) == ring.coerce(expansion_pfaffian(sub))
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 6), (4, 4), (6, 6), (2, 7), (4, 7)])
+def test_iswa_on_sparse_and_one_entry_skew_matrices(m, n):
+    # m = n has one term, m = 2 reads only single entries of Y
+    rng = random.Random(845 + 10 * m + n)
+    A = rand_int_matrix(rng, m, n)
+    for Y in (one_entry_skew(n), sparse_skew(rng, ZZ, n, 0.4)):
+        rep = check_iswa(A, Matrix(ZZ, Y))
+        assert rep.passed
+        expect = sum(expansion_pfaffian([[Y[i][j] for j in I] for i in I])
+                     * leibniz_det([[row[c] for c in I] for row in A._rows])
+                     for I in itertools.combinations(range(n), m))
+        assert rep.lhs == str(expect)
+    A = Matrix(POLY_ST, rand_int_matrix(rng, m, n, bound=2)._rows)
+    assert check_iswa(A, Matrix(POLY_ST, sparse_skew(rng, POLY_ST, n, 0.5))).passed
 
 
 def test_lemma_iswa_pair_is_entry():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -21,6 +23,7 @@ from minorsum import (
     ShapeError,
     SkewSymmetryError,
     augment_hat,
+    check_cor7,
     concat_columns,
     det,
     det_bareiss,
@@ -207,6 +210,77 @@ def test_skew_and_rank_one_forms_match_literal_products_poly(m, n):
         for p, r, c in shapes
     )
     assert_builders_match_literal_products(A, B, X)
+
+
+def literal_forms(A, X, B):
+    J = all_ones(X.ncols, A.ring)
+    return A @ X @ B.T - B @ X.T @ A.T, A @ X @ B.T + B @ (J - X.T) @ A.T
+
+
+def test_forms_raise_the_errors_of_the_literal_products():
+    # the one-pass builders check what the products they replace checked
+    rng = random.Random(191)
+    A, B, X = rand_int_matrix(rng, 2, 3), rand_int_matrix(rng, 2, 3), rand_int_matrix(rng, 3, 3)
+    for bad_X, bad_B in ((Matrix(QQ, X._rows), B), (X, Matrix(QQ, B._rows))):
+        for build in (skew_form, rank_one_form, literal_forms):
+            with pytest.raises(RingMismatchError):
+                build(A, bad_X, bad_B)
+    shapes = {
+        "non-square X": (rand_int_matrix(rng, 3, 2), B),
+        "X of the wrong size": (rand_int_matrix(rng, 4, 4), B),
+        "B of a different width": (X, rand_int_matrix(rng, 2, 4)),
+        "B of a different height": (X, rand_int_matrix(rng, 3, 3)),
+    }
+    for name, (bad_X, bad_B) in shapes.items():
+        for build in (skew_form, rank_one_form, literal_forms):
+            with pytest.raises(ShapeError):
+                build(A, bad_X, bad_B)
+                pytest.fail(f"{build.__name__} accepted a {name}")
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, KERNEL_POLY], ids=["int", "rat", "poly"])
+@pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (2, 0), (3, 0)])
+def test_empty_forms_equal_the_literal_products(ring, m, n):
+    rng = random.Random(10 * m + n)
+    A, B, X = (Matrix(ring, rand_int_matrix(rng, r, c)._rows, ncols=c)
+               for r, c in ((m, n), (m, n), (n, n)))
+    skew, rank_one = literal_forms(A, X, B)
+    assert skew_form(A, X, B) == skew
+    assert rank_one_form(A, X, B) == rank_one
+    assert (skew.nrows, skew.ncols, rank_one.nrows) == (m, m, m)
+
+
+# sha256 of every (lhs, rhs, details) of the check_cor7 reports below, on the
+# tree that built both of cor7's determinant sides with rank_one_form and
+# skew_form apart
+COR7_REPORTS_SHA256 = "f9ce4a699b7c2a9e1fd6200e3e0ddd5e90aa3f3badbd7d94c36fdd5be058689c"
+
+
+def test_cor7_reports_as_when_its_sides_were_built_apart():
+    # the determinant side is now the skew side plus (A 1)(A 1)^t: the
+    # reported values match the literal products and are unchanged
+    rng = random.Random(959)
+    reports = []
+    for m in (2, 4, 6):
+        for n in range(1, 9):
+            A, X = rand_int_matrix(rng, m, n, bound=5), rand_int_matrix(rng, n, n, bound=5)
+            rep = check_cor7(A, X)
+            skew, rank_one = literal_forms(A, X, A)
+            assert rep.passed
+            assert rep.lhs == str(leibniz_det(rank_one._rows))
+            assert rep.details["det_skew_part"] == str(leibniz_det(skew._rows))
+            reports.append([rep.lhs, rep.rhs, rep.details])
+    ring = PolynomialRing(("s", "t"))
+    s, t = ring.gens()
+    for m, n in ((2, 2), (2, 3), (4, 4)):
+        A = Matrix(ring, [[rng.randint(-2, 2) * s + rng.randint(-2, 2) for _ in range(n)]
+                          for _ in range(m)])
+        X = Matrix(ring, [[rng.randint(-2, 2) * t for _ in range(n)] for _ in range(n)])
+        rep = check_cor7(A, X)
+        assert rep.passed
+        reports.append([rep.lhs, rep.rhs, rep.details])
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == COR7_REPORTS_SHA256
 
 
 def test_is_skew_symmetric():

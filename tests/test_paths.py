@@ -241,6 +241,31 @@ def test_lindstrom_matrix_takes_the_step_bounds_once(monkeypatch):
         assert len(calls) == bound_calls
 
 
+@pytest.mark.parametrize("steps", [DELANNOY, TWO_ONE], ids=["delannoy", "two-one"])
+def test_lindstrom_matrix_counts_each_start_in_one_pass(monkeypatch, steps):
+    # one forward count per start over all its ends, not one region per
+    # (start, end) entry; the (2, 1) step crosses, so it takes one start
+    import minorsum.paths
+
+    rng = random.Random(24)
+    m = 4 if steps == DELANNOY else 1
+    for _ in range(5):
+        p = staircase_instance(rng, m, 7, lowest_end=0, highest_end=4, steps=steps)
+        expect = [[count_paths(s, e, steps) for e in p.candidate_ends] for s in p.starts]
+        regions, walk_region = [], minorsum.paths._walk_region
+
+        def counted(start, ends, steps, bounds):
+            regions.append((start, tuple(ends)))
+            return walk_region(start, ends, steps, bounds)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(minorsum.paths, "_walk_region", counted)
+            M = lindstrom_matrix(p)
+        assert [list(r) for r in M._rows] == expect
+        assert regions == [(s, p.candidate_ends) for s in p.starts]
+        assert any(0 < x for row in expect for x in row)
+
+
 def test_lindstrom_matrix_against_enumeration():
     p = PathProblem(starts=STARTS, candidate_ends=CANDIDATES)
     M = lindstrom_matrix(p)
