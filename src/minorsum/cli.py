@@ -48,6 +48,7 @@ from .identities import (
 )
 from .matrix import (
     Matrix,
+    _wrap,
     det,
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -172,7 +173,7 @@ def _inputs(mode: str, rng, bound: int, matrices=(), skews=(), vectors=()):
         ring = ZZ
         fresh = lambda: rng.randint(-bound, bound)
     out = [
-        Matrix(ring, [[fresh() for _ in range(cols)] for _ in range(rows)])
+        _wrap(ring, [tuple(fresh() for _ in range(cols)) for _ in range(rows)], cols)
         for _, rows, cols in matrices
     ]
     for _, size in skews:
@@ -181,7 +182,7 @@ def _inputs(mode: str, rng, bound: int, matrices=(), skews=(), vectors=()):
             for j in range(i + 1, size):
                 rows[i][j] = fresh()
                 rows[j][i] = -rows[i][j]
-        out.append(Matrix(ring, rows))
+        out.append(_wrap(ring, map(tuple, rows), size))
     out += [[fresh() for _ in range(size)] for _, size in vectors]
     return ring, out
 

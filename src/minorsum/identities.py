@@ -576,8 +576,9 @@ def _double_minor_sum(A: Matrix, B: Matrix, Xs: Sequence[Matrix], p: int,
 
 
 def _f_sign(m: int) -> int:
-    """(-1)^(m/2): f_BA(Y) = (-1)^(m/2) f_AB(Y^t), since swapping the two
-    m/2-column blocks of [B^I A^J] and transposing Y_IJ relabel the sum."""
+    """(-1)^floor(m/2), for either parity: f_BA(Y) = (-1)^(m/2) f_AB(Y^t)
+    for even m, since swapping the two m/2-column blocks of [B^I A^J] and
+    transposing Y_IJ relabel the sum, and (-1)^((m-1)/2) for odd m."""
     return -1 if (m // 2) % 2 else 1
 
 
@@ -783,7 +784,7 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
         # one call on (B, A) for g_BA(J - X^t) and g_BA(X^t)
         gy, gt = _double_minor_sum(B, A, [J_n - X.T, X.T], (m + 1) // 2, border=True)
         rhs = gx * gy
-        alt = _apply_sign(-1 if ((m - 1) // 2) % 2 else 1, gx * gt)
+        alt = _apply_sign(_f_sign(m), gx * gt)
         values["alt_rhs"] = alt
         passed = lhs == rhs and rhs == alt
     return IdentityReport(
@@ -827,8 +828,8 @@ def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
             passed = passed and lhs == dy and rhs == dy
     else:
         w = _signed_pf_minors(Y)
-        fa = sum((x * y for x, y in zip(av, w)), ring.zero)
-        fb = sum((x * y for x, y in zip(bv, w)), ring.zero)
+        fa = ring.dot(av, w)
+        fb = ring.dot(bv, w)
         rhs = fa * fb
         passed = lhs == rhs
         if av == bv:
@@ -853,7 +854,7 @@ def check_lemma_aux(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
         raise ParityError(f"lemma-aux needs odd m, got {m}")
     ring = A.ring
     w = _signed_pf_minors(skew_form(A, X, B))
-    lhs = sum((sum(r, ring.zero) * y for r, y in zip(A._rows, w)), ring.zero)
+    lhs = ring.dot([sum(r, ring.zero) for r in A._rows], w)
     rhs = _apply_sign(sign_from_binom2((m - 1) // 2), g_AB(A, B, X))
     return IdentityReport(
         "lemma-aux", lambda: _digest_of(A=A, B=B, X=X), lhs, rhs, lhs == rhs, ring=ring
@@ -972,7 +973,7 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
         c2 = _apply_sign(s * _f_sign(m), f2) == factor2
     else:
         p = (m + 1) // 2
-        s = sign_from_binom2(p) * (-1 if ((m - 1) // 2) % 2 else 1)
+        s = sign_from_binom2(p) * _f_sign(m)
         c1 = _apply_sign(s, g_AB(A, B, UI)) == factor1
         c2 = _apply_sign(s, g_AB(B, A, U)) == factor2
     passed = passed and c1 and c2
@@ -1101,20 +1102,16 @@ def check_det_pf_square(Y: Matrix) -> IdentityReport:
 
 def check_cauchy_binet_pf(A: Matrix, B: Matrix) -> IdentityReport:
     """Specialization X = Id: Pf(AB^t - BA^t) equals
-    (-1)^binom(m/2,2) * sum over |I| = m/2 of det(A^I B^I)."""
+    (-1)^binom(m/2,2) * sum over |I| = m/2 of det(A^I B^I).  That sign is
+    what interleaving the columns of [A^I B^I] costs, so the right side is
+    f_AB's pick sum of m/2 pairs over [A, B] (H = B Id^t = B), unsigned."""
     _check_ab(A, B)
     m, n = A.nrows, A.ncols
     if m % 2:
         raise ParityError(f"cauchy-binet-pf needs even m, got {m}")
     ring = A.ring
     lhs = pfaffian(skew_form(A, identity(n, ring), B))
-    acc = ring.zero
-    for I in combinations(range(n), m // 2):
-        # the rows of [A^I B^I]
-        rows = [tuple([a[i] for i in I] + [b[i] for i in I])
-                for a, b in zip(A._rows, B._rows)]
-        acc += det(_wrap(ring, rows, m))
-    rhs = _apply_sign(sign_from_binom2(m // 2), acc)
+    rhs = _route_sum(ring, [A._rows, B._rows], _pair_route(n, m // 2))
     return IdentityReport(
         "cauchy-binet-pf", lambda: _digest_of(A=A, B=B), lhs, rhs, lhs == rhs, ring=ring
     )

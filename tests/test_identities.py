@@ -764,6 +764,55 @@ def test_cauchy_binet_pf_small():
         check_cauchy_binet_pf(Matrix(ZZ, [[1]]), Matrix(ZZ, [[1]]))
 
 
+def cauchy_binet_sum(A, B):
+    """Sum over |I| = m/2 of det(A^I B^I), by the permutation sum."""
+    total = 0
+    for I in itertools.combinations(range(A.ncols), A.nrows // 2):
+        total = total + leibniz_det([[a[i] for i in I] + [b[i] for i in I]
+                                     for a, b in zip(A._rows, B._rows)])
+    return total
+
+
+def zero_column(ring, M, j):
+    return Matrix(ring, [[ring.zero if c == j else x for c, x in enumerate(row)]
+                         for row in M._rows], ncols=M.ncols)
+
+
+def test_cauchy_binet_pf_sums_on_the_pair_route(monkeypatch):
+    # the right side is one pick sum over [A, B]: no `det` per m/2-subset,
+    # and the one `pfaffian` call is the left side's; m > n, m/2 > n (an
+    # empty sum), n = 0 and zero columns included
+    calls = {"det": 0, "pfaffian": 0}
+    for name in calls:
+        def counted(M, kernel=getattr(identities, name), name=name):
+            calls[name] += 1
+            return kernel(M)
+        monkeypatch.setattr(identities, name, counted)
+    rng = random.Random(25)
+    cases = []
+    for m, n in ((0, 0), (0, 3), (2, 0), (4, 0), (2, 1), (4, 1), (4, 3), (6, 2),
+                 (8, 3), (2, 2), (4, 4), (4, 6), (6, 5), (6, 7), (8, 4)):
+        A, B = (Matrix(ZZ, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)],
+                       ncols=n) for _ in "AB")
+        cases.append((ZZ, A, B))
+        if n:
+            cases.append((ZZ, zero_column(ZZ, A, rng.randrange(n)),
+                          zero_column(ZZ, B, rng.randrange(n))))
+    cases.append((POLY_ST, Matrix(POLY_ST, [[], []]), Matrix(POLY_ST, [[], []])))
+    for m, n in ((2, 1), (2, 3), (4, 1), (4, 2), (4, 4), (6, 2), (6, 3)):
+        ring, mats = generic_matrices({"a": (m, n), "b": (m, n)})
+        A, B = mats["a"], mats["b"]
+        cases.append((ring, A, B))
+        cases.append((ring, zero_column(ring, A, n - 1), zero_column(ring, B, 0)))
+    for ring, A, B in cases:
+        calls.update(det=0, pfaffian=0)
+        rep = check_cauchy_binet_pf(A, B)
+        assert rep.passed
+        assert calls == {"det": 0, "pfaffian": 1}
+        expect = sign_from_binom2(A.nrows // 2) * cauchy_binet_sum(A, B)
+        assert rep.rhs == ring.format(ring.coerce(expect))
+
+
 def test_reports_serialize_without_elapsed():
     rep = check_okada(GOLDEN)
     d = rep.to_json_dict()
