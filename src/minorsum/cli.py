@@ -1,11 +1,12 @@
 """Command line interface and verification harness.
 
 `verify` runs identity checkers over a seeded (m, n, trial) grid and emits
-a deterministic machine-readable report: one JSON line per failure with the
-inputs embedded for replay, then a summary object.  `eval` applies a single
-operation to JSON matrix files, `paths` counts non-intersecting lattice
-path families three independent ways, and `schur` prints a skew Schur
-polynomial in canonical text form.
+a deterministic machine-readable report: one JSON line per failure, whose
+`inputs` is exactly the JSON whose sha256 prefix is its `input_digest`,
+then a summary object; a passing trial builds, formats and hashes nothing.
+`eval` applies a single operation to JSON matrix files, `paths` counts
+non-intersecting lattice path families three independent ways, and `schur`
+prints a skew Schur polynomial in canonical text form.
 
 Reports are byte-stable: equal configs produce identical bytes.
 Random inputs are derived per (identity, m, n, trial) by hashing the seed
@@ -18,7 +19,7 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Callable, Tuple
 
@@ -51,7 +52,6 @@ from .matrix import (
     _wrap,
     det,
     matrix_from_json_dict,
-    matrix_to_json_dict,
     pfaffian,
 )
 from .paths import NE_STEPS, PathProblem, count_free_routes
@@ -86,6 +86,10 @@ class VerifyConfig:
             raise ConfigError("no identities selected")
         if not self.ms or not self.ns:
             raise ConfigError("m and n ranges must be non-empty")
+        for name, values in (("identity", self.identities), ("m", self.ms), ("n", self.ns)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{name} {repeated[0]!r} is given more than once")
         if any(v < 1 for v in self.ms + self.ns):
             raise ConfigError("m and n values must be >= 1")
         if self.trials < 1:
@@ -96,15 +100,7 @@ class VerifyConfig:
             raise ConfigError("bound must be >= 1")
 
     def echo(self) -> dict:
-        return {
-            "identities": list(self.identities),
-            "ms": list(self.ms),
-            "ns": list(self.ns),
-            "trials": self.trials,
-            "seed": self.seed,
-            "ring": self.ring,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -142,53 +138,51 @@ def _trial_rng(seed: int, identity_id: str, m: int, n: int, trial: int) -> rando
 # input builders
 
 
-def _inputs(mode: str, rng, bound: int, matrices=(), skews=(), vectors=()):
-    """The inputs of one trial, as (ring, [input, ...]).
-
-    matrices are (prefix, rows, cols), skews (prefix, size) and vectors
-    (prefix, size); the inputs come back in that order.  In "int" mode the
-    entries are drawn from [-bound, bound] in that order.  In "poly" mode
-    each is a fresh variable (<prefix><i>_<j> for a matrix entry or the
-    upper triangle of a skew matrix, <prefix><i> for a vector entry) of one
-    shared ring, which orders its variables the same way.
+def _inputs(mode: str, rng, bound: int, declared) -> list:
+    """The inputs of one trial, declared in draw order as (prefix, kind,
+    *sizes): a "matrix" (rows, cols), a "skew" matrix or a "vector" (size),
+    a "subset" (k, n) of k of 1..n from `rng.sample`, or the trial's
+    "ring", which draws nothing.  In "int" mode the entries are drawn from
+    [-bound, bound] in that order, row-major, a skew matrix's upper
+    triangle only.  In "poly" mode each is a fresh variable
+    (<prefix><i>_<j> for a matrix entry, <prefix><i> for a vector entry) of
+    one shared ring, which orders its variables the same way.
     """
+    cells = {
+        "matrix": lambda rows, cols: product(range(rows), range(cols)),
+        "skew": lambda size: ((i, j) for i in range(size) for j in range(i + 1, size)),
+        "vector": lambda size: ((i,) for i in range(size)),
+    }
     if mode == "poly":
         names = [
-            f"{p}{i}_{j}"
-            for p, rows, cols in matrices
-            for i in range(1, rows + 1)
-            for j in range(1, cols + 1)
+            p + "_".join(str(k + 1) for k in cell)
+            for p, kind, *sizes in declared
+            if kind in cells
+            for cell in cells[kind](*sizes)
         ]
-        names += [
-            f"{p}{i}_{j}"
-            for p, size in skews
-            for i in range(1, size + 1)
-            for j in range(i + 1, size + 1)
-        ]
-        names += [f"{p}{i}" for p, size in vectors for i in range(1, size + 1)]
         ring = PolynomialRing(tuple(names))
         gens = iter(ring.gens())
         fresh = lambda: next(gens)
     else:
         ring = ZZ
         fresh = lambda: rng.randint(-bound, bound)
-    out = [
-        _wrap(ring, [tuple(fresh() for _ in range(cols)) for _ in range(rows)], cols)
-        for _, rows, cols in matrices
-    ]
-    for _, size in skews:
-        rows = [[ring.zero] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                rows[i][j] = fresh()
-                rows[j][i] = -rows[i][j]
-        out.append(_wrap(ring, map(tuple, rows), size))
-    out += [[fresh() for _ in range(size)] for _, size in vectors]
-    return ring, out
-
-
-def _vector_doc(ring, values) -> list:
-    return [ring.format(v) for v in values]
+    out = []
+    for _, kind, *sizes in declared:
+        if kind in ("matrix", "skew"):
+            rows, cols = sizes * 2 if kind == "skew" else sizes
+            entries = [[ring.zero] * cols for _ in range(rows)]
+            for i, j in cells[kind](*sizes):
+                entries[i][j] = fresh()
+            M = _wrap(ring, map(tuple, entries), cols)
+            out.append(M - M.T if kind == "skew" else M)
+        elif kind == "vector":
+            out.append([fresh() for _ in range(*sizes)])
+        elif kind == "subset":
+            k, n = sizes
+            out.append(IndexSet(n, rng.sample(range(1, n + 1), k)))
+        else:  # "ring"
+            out.append(ring)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,65 +191,35 @@ def _vector_doc(ring, values) -> list:
 
 @dataclass(frozen=True)
 class _RegistryEntry:
-    run: Callable  # (mode, rng, m, n, bound, trial) -> (IdentityReport, inputs)
+    run: Callable  # (mode, rng, m, n, bound, trial) -> IdentityReport
     applicable: Callable  # (m, n, cfg) -> bool
 
 
-def _matrix_runner(check: Callable, letters: str) -> Callable:
-    """Runner for a checker of matrices named by letters: "a" and "b" are
-    m x n, "x" is n x n, passed in the order given."""
+def _runner(check: Callable, *declared) -> Callable:
+    """The runner of `check` on its inputs, declared in draw order for
+    `_inputs` as (prefix, kind, shape), the shape naming the sizes by m and
+    n: "mn" is an m x n matrix or an m-subset of 1..n, "n" a size-n skew
+    matrix or vector.  It returns the check's report alone."""
 
     def run(mode, rng, m, n, bound, trial):
-        shape = {"a": (m, n), "b": (m, n), "x": (n, n)}
-        _, mats = _inputs(
-            mode, rng, bound, matrices=[(c, *shape[c]) for c in letters]
-        )
-        doc = {c.upper(): matrix_to_json_dict(M) for c, M in zip(letters, mats)}
-        return check(*mats), doc
+        size = {"m": m, "n": n}
+        specs = [(p, kind, *(size[c] for c in shape)) for p, kind, shape in declared]
+        return check(*_inputs(mode, rng, bound, specs))
 
     return run
+
+
+_A, _B, _X = ("a", "matrix", "mn"), ("b", "matrix", "mn"), ("x", "matrix", "nn")
+_Y_M, _Y_N, _U = ("y", "skew", "m"), ("y", "skew", "n"), ("u", "vector", "m")
+_I, _D, _RING = ("i", "subset", "mn"), ("d", "vector", "n"), ("", "ring", "")
+_RANK1 = _runner(check_rank1, _Y_M, _U, ("v", "vector", "m"))
+_RANK1_EQUAL = _runner(lambda Y, a: check_rank1(Y, a, a), _Y_M, _U)
 
 
 def _run_rank1(mode, rng, m, n, bound, trial):
     # every fifth integer trial exercises the equal-vector specialization
     equal = mode == "int" and trial % 5 == 4
-    vectors = [("u", m)] if equal else [("u", m), ("v", m)]
-    ring, (Y, a, *rest) = _inputs(
-        mode, rng, bound, skews=[("y", m)], vectors=vectors
-    )
-    b = rest[0] if rest else list(a)
-    doc = {
-        "Y": matrix_to_json_dict(Y),
-        "a": _vector_doc(ring, a),
-        "b": _vector_doc(ring, b),
-    }
-    return check_rank1(Y, a, b), doc
-
-
-def _run_iswa(mode, rng, m, n, bound, trial):
-    _, (A, Y) = _inputs(
-        mode, rng, bound, matrices=[("a", m, n)], skews=[("y", n)]
-    )
-    doc = {"A": matrix_to_json_dict(A), "Y": matrix_to_json_dict(Y)}
-    return check_iswa(A, Y), doc
-
-
-def _run_lemma_iswa(mode, rng, m, n, bound, trial):
-    _, (Y,) = _inputs(mode, rng, bound, skews=[("y", n)])
-    I = IndexSet(n, rng.sample(range(1, n + 1), m))
-    doc = {"Y": matrix_to_json_dict(Y), "I": list(I.indices)}
-    return check_lemma_iswa(Y, I), doc
-
-
-def _run_det_pf_square(mode, rng, m, n, bound, trial):
-    _, (Y,) = _inputs(mode, rng, bound, skews=[("y", m)])
-    return check_det_pf_square(Y), {"Y": matrix_to_json_dict(Y)}
-
-
-def _run_closed_forms(mode, rng, m, n, bound, trial):
-    ring, (diag,) = _inputs(mode, rng, bound, vectors=[("d", n)])
-    doc = {"ring": ring.to_json_tag(), "diag": _vector_doc(ring, diag)}
-    return check_closed_forms(ring, diag), doc
+    return (_RANK1_EQUAL if equal else _RANK1)(mode, rng, m, n, bound, trial)
 
 
 def _app_any(m, n, cfg):
@@ -292,22 +256,20 @@ def _app_diagonal_only(m, n, cfg):
 
 
 _REGISTRY = {
-    "okada": _RegistryEntry(_matrix_runner(check_okada, "a"), _app_any),
-    "byun": _RegistryEntry(_matrix_runner(check_byun, "a"), _app_any),
-    "main1": _RegistryEntry(_matrix_runner(check_main1, "abx"), _app_fits),
-    "main2": _RegistryEntry(_matrix_runner(check_main2, "abx"), _app_even_fits),
+    "okada": _RegistryEntry(_runner(check_okada, _A), _app_any),
+    "byun": _RegistryEntry(_runner(check_byun, _A), _app_any),
+    "main1": _RegistryEntry(_runner(check_main1, _A, _B, _X), _app_fits),
+    "main2": _RegistryEntry(_runner(check_main2, _A, _B, _X), _app_even_fits),
     "rank1": _RegistryEntry(_run_rank1, _app_square_only),
-    "lemma-aux": _RegistryEntry(_matrix_runner(check_lemma_aux, "abx"), _app_odd_fits),
-    "iswa": _RegistryEntry(_run_iswa, _app_even_fits),
-    "lemma-iswa": _RegistryEntry(_run_lemma_iswa, _app_even_fits),
-    "ab": _RegistryEntry(_matrix_runner(check_ab, "ab"), _app_fits),
-    "ab2": _RegistryEntry(_matrix_runner(check_ab2, "ab"), _app_even_fits),
-    "cor7": _RegistryEntry(_matrix_runner(check_cor7, "ax"), _app_even_fits),
-    "closed-forms": _RegistryEntry(_run_closed_forms, _app_diagonal_only),
-    "det-pf-square": _RegistryEntry(_run_det_pf_square, _app_even_square_only),
-    "cauchy-binet-pf": _RegistryEntry(
-        _matrix_runner(check_cauchy_binet_pf, "ab"), _app_even_fits
-    ),
+    "lemma-aux": _RegistryEntry(_runner(check_lemma_aux, _A, _B, _X), _app_odd_fits),
+    "iswa": _RegistryEntry(_runner(check_iswa, _A, _Y_N), _app_even_fits),
+    "lemma-iswa": _RegistryEntry(_runner(check_lemma_iswa, _Y_N, _I), _app_even_fits),
+    "ab": _RegistryEntry(_runner(check_ab, _A, _B), _app_fits),
+    "ab2": _RegistryEntry(_runner(check_ab2, _A, _B), _app_even_fits),
+    "cor7": _RegistryEntry(_runner(check_cor7, _A, _X), _app_even_fits),
+    "closed-forms": _RegistryEntry(_runner(check_closed_forms, _RING, _D), _app_diagonal_only),
+    "det-pf-square": _RegistryEntry(_runner(check_det_pf_square, _Y_M), _app_even_square_only),
+    "cauchy-binet-pf": _RegistryEntry(_runner(check_cauchy_binet_pf, _A, _B), _app_even_fits),
 }
 
 assert tuple(_REGISTRY) == IDENTITY_IDS
@@ -327,7 +289,7 @@ def run_verify(cfg: VerifyConfig) -> RunReport:
                 continue
             for trial in range(cfg.trials):
                 rng = _trial_rng(cfg.seed, ident, m, n, trial)
-                report, inputs = entry.run(cfg.ring, rng, m, n, cfg.bound, trial)
+                report = entry.run(cfg.ring, rng, m, n, cfg.bound, trial)
                 stats = per_identity.setdefault(ident, {"trials": 0, "failed": 0})
                 stats["trials"] += 1
                 if report.passed:
@@ -343,7 +305,7 @@ def run_verify(cfg: VerifyConfig) -> RunReport:
                         "lhs": report.lhs,
                         "rhs": report.rhs,
                         "details": report.details,
-                        "inputs": inputs,
+                        "inputs": report.inputs,
                     }
                 )
     summary = {

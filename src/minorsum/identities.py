@@ -74,14 +74,17 @@ class IdentityReport:
     values and formatted on first access (a verify run serializes only its
     failures); the formatted values come first in `details`, then the
     plain JSON `details`.  Given no ring, lhs and rhs are already text.
-    `input_digest` is the digest, or a function of no arguments that
-    computes it on first access, so a check that passes hashes nothing."""
+    `inputs` is the check's inputs as JSON, or a function of no arguments
+    that builds it on first access; `input_digest` is the sha256 prefix of
+    exactly that JSON, computed on first access.  So a check that passes
+    builds, formats and hashes nothing of its inputs."""
 
-    def __init__(self, identity_id: str, input_digest: str | Callable[[], str],
+    def __init__(self, identity_id: str, inputs: dict | Callable[[], dict],
                  lhs, rhs, passed: bool, details: dict | None = None,
                  ring: Ring | None = None, values: dict | None = None):
         self.identity_id = identity_id
-        self._digest = input_digest
+        self._inputs = inputs
+        self._digest = None
         self.passed = passed
         self._ring = ring
         self._lhs, self._rhs = lhs, rhs
@@ -99,9 +102,15 @@ class IdentityReport:
             self._values = {}
 
     @property
+    def inputs(self) -> dict:
+        if callable(self._inputs):
+            self._inputs = self._inputs()
+        return self._inputs
+
+    @property
     def input_digest(self) -> str:
-        if callable(self._digest):
-            self._digest = self._digest()
+        if self._digest is None:
+            self._digest = input_digest(self.inputs)
         return self._digest
 
     @property
@@ -138,17 +147,14 @@ def input_digest(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _digest_of(**named) -> str:
-    """Digest of the named inputs, matrices as their JSON form.  Checkers
-    hand their report `lambda: _digest_of(...)`, which it calls only when
-    the digest is read."""
-    payload = {}
-    for key, value in named.items():
-        if isinstance(value, Matrix):
-            payload[key] = matrix_to_json_dict(value)
-        else:
-            payload[key] = value
-    return input_digest(payload)
+def _inputs_of(**named) -> dict:
+    """The named inputs as JSON, matrices in their JSON form.  Checkers
+    hand their report `lambda: _inputs_of(...)`, which it calls only when
+    its inputs or their digest are read."""
+    return {
+        key: matrix_to_json_dict(value) if isinstance(value, Matrix) else value
+        for key, value in named.items()
+    }
 
 
 def sign_from_binom2(k: int) -> int:
@@ -729,7 +735,7 @@ def check_okada(A: Matrix) -> IdentityReport:
         # the minor sum is empty, so lhs == rhs already requires both to vanish
         details["overdetermined"] = True
     return IdentityReport(
-        "okada", lambda: _digest_of(A=A), lhs, rhs, passed, details,
+        "okada", lambda: _inputs_of(A=A), lhs, rhs, passed, details,
         ring=A.ring, values=values,
     )
 
@@ -743,7 +749,7 @@ def check_byun(A: Matrix) -> IdentityReport:
     rhs = byun_determinant(A)
     details = {"overdetermined": True} if A.nrows > A.ncols else None
     return IdentityReport(
-        "byun", lambda: _digest_of(A=A), lhs, rhs, lhs == rhs, details,
+        "byun", lambda: _inputs_of(A=A), lhs, rhs, lhs == rhs, details,
         ring=A.ring, values={"minor_sum": s},
     )
 
@@ -759,7 +765,7 @@ def check_main2(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     lhs = pfaffian(skew_form(A, X, B))
     rhs = _apply_sign(sign_from_binom2(m // 2), f_AB(A, B, X))
     return IdentityReport(
-        "main2", lambda: _digest_of(A=A, B=B, X=X), lhs, rhs, lhs == rhs, ring=ring
+        "main2", lambda: _inputs_of(A=A, B=B, X=X), lhs, rhs, lhs == rhs, ring=ring
     )
 
 
@@ -788,7 +794,7 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
         values["alt_rhs"] = alt
         passed = lhs == rhs and rhs == alt
     return IdentityReport(
-        "main1", lambda: _digest_of(A=A, B=B, X=X), lhs, rhs, passed,
+        "main1", lambda: _inputs_of(A=A, B=B, X=X), lhs, rhs, passed,
         ring=ring, values=values,
     )
 
@@ -837,7 +843,7 @@ def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
             passed = passed and fa == fb
     return IdentityReport(
         "rank1",
-        lambda: _digest_of(
+        lambda: _inputs_of(
             Y=Y, a=[ring.format(x) for x in av], b=[ring.format(x) for x in bv]
         ),
         lhs, rhs, passed, ring=ring, values=values,
@@ -857,7 +863,7 @@ def check_lemma_aux(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     lhs = ring.dot([sum(r, ring.zero) for r in A._rows], w)
     rhs = _apply_sign(sign_from_binom2((m - 1) // 2), g_AB(A, B, X))
     return IdentityReport(
-        "lemma-aux", lambda: _digest_of(A=A, B=B, X=X), lhs, rhs, lhs == rhs, ring=ring
+        "lemma-aux", lambda: _inputs_of(A=A, B=B, X=X), lhs, rhs, lhs == rhs, ring=ring
     )
 
 
@@ -915,7 +921,7 @@ def check_iswa(A: Matrix, Y: Matrix) -> IdentityReport:
                 lhs = lhs - term if sign < 0 else lhs + term
     rhs = pfaffian(A @ Y @ A.T)
     return IdentityReport(
-        "iswa", lambda: _digest_of(A=A, Y=Y), lhs, rhs, lhs == rhs, ring=ring
+        "iswa", lambda: _inputs_of(A=A, Y=Y), lhs, rhs, lhs == rhs, ring=ring
     )
 
 
@@ -942,7 +948,7 @@ def check_lemma_iswa(Y: Matrix, I) -> IdentityReport:
         lhs += _apply_sign(sign, d)
     rhs = pfaffian(Y.submatrix(I, I))
     return IdentityReport(
-        "lemma-iswa", lambda: _digest_of(Y=Y, I=list(I.indices)), lhs, rhs,
+        "lemma-iswa", lambda: _inputs_of(Y=Y, I=list(I.indices)), lhs, rhs,
         lhs == rhs, ring=ring,
     )
 
@@ -980,7 +986,7 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
     details = {"factor1_matches_fg": c1, "factor2_matches_fg": c2}
     values = {"factor1": factor1, "factor2": factor2}
     return IdentityReport(
-        "ab", lambda: _digest_of(A=A, B=B), lhs, rhs, passed, details,
+        "ab", lambda: _inputs_of(A=A, B=B), lhs, rhs, passed, details,
         ring=ring, values=values,
     )
 
@@ -1002,7 +1008,7 @@ def check_ab2(A: Matrix, B: Matrix) -> IdentityReport:
     passed = strict_sum == pf_strict and weak_sum == pf_weak
     values = {"weak_chain_sum": weak_sum, "weak_chain_pf": pf_weak}
     return IdentityReport(
-        "ab2", lambda: _digest_of(A=A, B=B), strict_sum, pf_strict, passed,
+        "ab2", lambda: _inputs_of(A=A, B=B), strict_sum, pf_strict, passed,
         ring=ring, values=values,
     )
 
@@ -1027,7 +1033,7 @@ def check_cor7(A: Matrix, X: Matrix) -> IdentityReport:
     sq = fa * fa
     passed = d1 == d2 == sq
     return IdentityReport(
-        "cor7", lambda: _digest_of(A=A, X=X), d1, sq, passed,
+        "cor7", lambda: _inputs_of(A=A, X=X), d1, sq, passed,
         ring=ring, values={"det_skew_part": d2, "f_AA": fa},
     )
 
@@ -1076,9 +1082,9 @@ def check_closed_forms(ring: Ring, diag: Sequence) -> IdentityReport:
                         )
     report = IdentityReport(
         identity_id="closed-forms",
-        input_digest=lambda: input_digest(
-            {"ring": ring.to_json_tag(), "diag": [ring.format(x) for x in d]}
-        ),
+        inputs=lambda: {
+            "ring": ring.to_json_tag(), "diag": [ring.format(x) for x in d]
+        },
         lhs=f"{checked} closed-form values",
         rhs=f"{checked - len(mismatches)} matching cofactor determinants",
         passed=not mismatches,
@@ -1095,7 +1101,7 @@ def check_det_pf_square(Y: Matrix) -> IdentityReport:
     pf = pfaffian(Y)
     rhs = pf * pf
     return IdentityReport(
-        "det-pf-square", lambda: _digest_of(Y=Y), lhs, rhs, lhs == rhs,
+        "det-pf-square", lambda: _inputs_of(Y=Y), lhs, rhs, lhs == rhs,
         ring=ring, values={"pfaffian": pf},
     )
 
@@ -1113,5 +1119,5 @@ def check_cauchy_binet_pf(A: Matrix, B: Matrix) -> IdentityReport:
     lhs = pfaffian(skew_form(A, identity(n, ring), B))
     rhs = _route_sum(ring, [A._rows, B._rows], _pair_route(n, m // 2))
     return IdentityReport(
-        "cauchy-binet-pf", lambda: _digest_of(A=A, B=B), lhs, rhs, lhs == rhs, ring=ring
+        "cauchy-binet-pf", lambda: _inputs_of(A=A, B=B), lhs, rhs, lhs == rhs, ring=ring
     )

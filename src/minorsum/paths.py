@@ -98,6 +98,8 @@ class PathProblem:
         if len(starts) > 1:
             _require_planar(steps)
         choose = self.choose if self.choose is not None else len(starts)
+        if isinstance(choose, bool) or not isinstance(choose, int):
+            raise ShapeError(f"choose must be an integer, got {choose!r}")
         if choose != len(starts):
             raise ShapeError(
                 f"choose must equal the number of starts ({len(starts)}), got {choose}"

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .combinat import as_partition, is_horizontal_strip, lambda_of, subsets
 from .errors import ParityError, ShapeError
-from .identities import _digest_of, IdentityReport
+from .identities import IdentityReport
 from .matrix import Matrix, _wrap, det, identity, pfaffian, skew_form, upper_ones
 from .ring import Poly, PolynomialRing
 
@@ -189,6 +189,6 @@ def check_cauchy(m: int, n: int, kx: int, ky: int) -> IdentityReport:
     passed = lhs == rhs
     details = {"strip_pairs": len(pairs)}
     return IdentityReport(
-        "cauchy", lambda: _digest_of(identity="cauchy", m=m, n=n, kx=kx, ky=ky),
+        "cauchy", {"identity": "cauchy", "m": m, "n": n, "kx": kx, "ky": ky},
         lhs, rhs, passed, details, ring=ring,
     )

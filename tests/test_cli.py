@@ -25,6 +25,7 @@ from minorsum import (
     run_verify,
 )
 from minorsum.cli import _REGISTRY, _RegistryEntry, _parse_range, _trial_rng, main
+from minorsum.identities import input_digest
 
 
 def write_matrix(path, entries, ring="int"):
@@ -137,11 +138,10 @@ def test_run_verify_formats_and_keeps_only_failures(monkeypatch):
         most_alive = max(most_alive, sum(r() is not None for r in refs))
         lhs, rhs = Value(), Value()
         refs.extend((weakref.ref(lhs), weakref.ref(rhs)))
-        report = IdentityReport(
-            "okada", "0" * 16, lhs, rhs, passed=trial != 3,
+        return IdentityReport(
+            "okada", {}, lhs, rhs, passed=trial != 3,
             ring=ring, values={"x": Value()},
         )
-        return report, {}
 
     saved = _REGISTRY["okada"]
     monkeypatch.setitem(_REGISTRY, "okada", _RegistryEntry(run=run, applicable=saved.applicable))
@@ -169,15 +169,14 @@ def test_failure_lines_carry_inputs(monkeypatch):
     saved = _REGISTRY["okada"]
 
     def failing_run(ring, rng, m, n, bound, trial):
-        report = IdentityReport(
+        return IdentityReport(
             identity_id="okada",
-            input_digest="deadbeefdeadbeef",
+            inputs={"A": {"stub": True}},
             lhs="1",
             rhs="2",
             passed=False,
             details={},
         )
-        return report, {"A": {"stub": True}}
 
     monkeypatch.setitem(
         _REGISTRY, "okada", _RegistryEntry(run=failing_run, applicable=saved.applicable)
@@ -188,6 +187,8 @@ def test_failure_lines_carry_inputs(monkeypatch):
     line = json.loads(rep.to_json_lines().splitlines()[0])
     assert line["identity"] == "okada"
     assert line["inputs"] == {"A": {"stub": True}}
+    # the digest is the sha256 prefix of exactly the embedded inputs
+    assert line["input_digest"] == input_digest(line["inputs"])
     assert line["lhs"] == "1" and line["rhs"] == "2"
 
 
@@ -241,8 +242,8 @@ def test_generated_inputs_match_golden(ring, ident):
                 continue
             for trial in range(5 if ring == "int" else 1):
                 rng = _trial_rng(3, ident, m, n, trial)
-                report, inputs = entry.run(ring, rng, m, n, cfg.bound, trial)
-                cases.append([inputs, report.input_digest, report.to_json_dict()])
+                report = entry.run(ring, rng, m, n, cfg.bound, trial)
+                cases.append([report.inputs, report.input_digest, report.to_json_dict()])
     blob = json.dumps(cases, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_INPUTS[ring, ident]
 
@@ -274,21 +275,30 @@ def test_verify_command_bad_and_empty_ranges():
     result = runner.invoke(main, ["verify", "--m", "4..1"])
     assert result.exit_code == 1
     assert "non-empty" in result.output
+    # a repeated identity or grid value would rerun the same seeded trials
+    for args, message in (
+        (["--identity", "byun", "--m", "1,1", "--n", "2"], "m 1 is given more than once"),
+        (["--identity", "byun", "--m", "1", "--n", "2..3,3"], "n 3 is given more than once"),
+        (["--identity", "okada,okada"], "identity 'okada' is given more than once"),
+        (["--identity", "all", "--m", "1..2,2..3"], "m 2 is given more than once"),
+    ):
+        result = runner.invoke(main, ["verify", *args, "--trials", "3"])
+        assert result.exit_code == 1
+        assert message in result.output
 
 
 def test_verify_command_exit_1_on_failures(monkeypatch):
     saved = _REGISTRY["okada"]
 
     def failing_run(ring, rng, m, n, bound, trial):
-        report = IdentityReport(
+        return IdentityReport(
             identity_id="okada",
-            input_digest="0" * 16,
+            inputs={},
             lhs="1",
             rhs="2",
             passed=False,
             details={},
         )
-        return report, {}
 
     monkeypatch.setitem(
         _REGISTRY, "okada", _RegistryEntry(run=failing_run, applicable=saved.applicable)
@@ -495,6 +505,10 @@ def test_paths_command_malformed_json(tmp_path):
         pytest.param("paths", '{"starts": [[0, 0], [1, -1]], "ends": [[2, 2], [3, 1]], '
                      '"steps": [[1, 0], [0, 1], [2, 1]]}',
                      "can cross between lattice points", id="paths-steps-cross"),
+        pytest.param("paths", '{"starts": [[0, 0]], "ends": [[1, 1]], "choose": true}',
+                     "choose must be an integer, got True", id="paths-choose-bool"),
+        pytest.param("paths", '{"starts": [[0, 0]], "ends": [[1, 1]], "choose": 1.0}',
+                     "choose must be an integer, got 1.0", id="paths-choose-float"),
         pytest.param("eval", '{"ring": "int", "rows": 1, "cols": 1, "entries": 5}',
                      "bad matrix JSON", id="eval-entries-not-a-list"),
         pytest.param("eval", '{"ring": "int", "rows": 1, "cols": 1, "entries": [5]}',
@@ -579,6 +593,7 @@ def test_large_pfaffian_sides_take_no_factorial_kernel(ident, m, n):
 
 def test_a_passing_verify_run_computes_no_digest(monkeypatch):
     import minorsum.identities as identities
+    from minorsum.ring import IntegerRing, PolynomialRing
 
     calls = []
     real = identities.input_digest
@@ -588,13 +603,21 @@ def test_a_passing_verify_run_computes_no_digest(monkeypatch):
         return real(payload)
 
     monkeypatch.setattr(identities, "input_digest", counted)
+    formatted = []
+    for cls in (IntegerRing, PolynomialRing):
+        def counted_format(self, x, real=cls.format):
+            formatted.append(x)
+            return real(self, x)
+
+        monkeypatch.setattr(cls, "format", counted_format)
     for ring, ms in (("int", (1, 2, 3, 4)), ("poly", (1, 2, 3))):
         report = run_verify(VerifyConfig(identities=IDENTITY_IDS, ms=ms, ns=(2, 3, 4),
                                          trials=2, ring=ring))
         assert report.summary["failures"] == 0
         assert set(report.summary["per_identity"]) == set(IDENTITY_IDS)
     assert minorsum.check_cauchy(2, 2, 1, 1).passed
-    assert calls == []
+    # nor does it build its inputs' JSON or format a value
+    assert calls == [] and formatted == []
     # a report hashes its inputs once, when its digest is first read
     rep = minorsum.check_okada(minorsum.Matrix(minorsum.ZZ, [[1, 1, 1], [1, 2, 3]]))
     digest = rep.input_digest

@@ -3,15 +3,17 @@
 `run_verify` keeps only failed reports, so a change to how values are
 formatted, or to the per-route values a passed report carries in its
 details, would not show in a passing run.  These tests hash the full
-`to_json_dict()` of passed symbolic and integer reports, the canonical
-text of skew Schur polynomials, and the `paths` command's output with the
-route values behind it, against digests taken from a known-good tree.
+`to_json_dict()` of passed symbolic and integer reports, the failure lines
+`verify` writes when every trial is made to fail, the canonical text of
+skew Schur polynomials, and the `paths` command's output with the route
+values behind it, against digests taken from a known-good tree.
 """
 
 import hashlib
 import json
 import random
 
+import pytest
 from click.testing import CliRunner
 from test_acceptance import CAUCHY_SHAPES, symbolic_suite
 from test_paths import DELANNOY, seeded_staircases
@@ -34,7 +36,8 @@ from minorsum import (
     skew_schur,
     xy_ring,
 )
-from minorsum.cli import main
+from minorsum.cli import _REGISTRY, _RegistryEntry, VerifyConfig, main, run_verify
+from minorsum.identities import input_digest
 from minorsum.paths import NE_STEPS, PathProblem, count_free_routes
 from minorsum.ring import format_poly
 
@@ -166,3 +169,38 @@ def test_paths_output_and_routes_are_pinned(tmp_path):
     assert digest(lines) == (
         "a1a70e1a428f891d9434587a6d929661e52db6080543b026a587f9ec28864d93"
     )
+
+
+@pytest.mark.parametrize(
+    "ring,ms,ns,trials,seed,failures,expected",
+    [
+        ("int", range(1, 5), range(1, 6), 2, 2026, 246,
+         "5f732a8b1fff4d9d62057898d600143ad53e5f047561ab0c06c4fcfdd85f29a7"),
+        ("poly", range(1, 4), range(1, 4), 1, 7, 53,
+         "6ecb9de8c5574e2da2553f78e66dadcd840e51f4711039bfb05686f8992b0840"),
+    ],
+)
+def test_forced_failure_lines_are_pinned(monkeypatch, ring, ms, ns, trials, seed,
+                                         failures, expected):
+    """Every identity's trials made to fail: the bytes of each failure line,
+    its input digest, formatted sides, details and embedded inputs."""
+
+    def failing(run):
+        def wrapped(*args):
+            report = run(*args)
+            report.passed = False
+            return report
+        return wrapped
+
+    for ident, entry in list(_REGISTRY.items()):
+        monkeypatch.setitem(_REGISTRY, ident, _RegistryEntry(
+            run=failing(entry.run), applicable=entry.applicable))
+    report = run_verify(VerifyConfig(identities=tuple(_REGISTRY), ms=ms, ns=ns,
+                                     trials=trials, seed=seed, ring=ring))
+    assert report.summary["failures"] == report.summary["total_trials"] == failures
+    text = report.to_json_lines()
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
+    # each line's digest is the sha256 prefix of exactly its embedded inputs
+    for line in text.splitlines()[:-1]:
+        failure = json.loads(line)
+        assert failure["input_digest"] == input_digest(failure["inputs"])
