@@ -90,14 +90,15 @@ class VerifyConfig:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ConfigError(f"{name} {repeated[0]!r} is given more than once")
-        if any(v < 1 for v in self.ms + self.ns):
-            raise ConfigError("m and n values must be >= 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        for name, values in (("m", self.ms), ("n", self.ns), ("trials", (self.trials,)),
+                             ("bound", (self.bound,)), ("seed", (self.seed,))):
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ConfigError(f"{name} must be an integer, got {v!r}")
+                if v < 1 and name != "seed":
+                    raise ConfigError(f"{name} must be >= 1, got {v}")
         if self.ring not in ("int", "poly"):
             raise ConfigError(f"ring must be 'int' or 'poly', got {self.ring!r}")
-        if self.bound < 1:
-            raise ConfigError("bound must be >= 1")
 
     def echo(self) -> dict:
         return asdict(self)

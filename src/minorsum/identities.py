@@ -31,6 +31,7 @@ from .matrix import (
     Matrix,
     _as_positions,
     _extend_minors,
+    _pfaffian_minors,
     _row_picks,
     _wrap,
     all_ones,
@@ -42,6 +43,7 @@ from .matrix import (
     okada_pfaffian,
     outer_product,
     pfaffian,
+    pfaffian_bareiss,
     rank_one_form,
     require_skew,
     skew_form,
@@ -705,14 +707,15 @@ def _chain_sum(first: Matrix, second: Matrix, weak_within: bool):
 # -- checkers -----------------------------------------------------------------
 
 
-def _signed_pf_minors(Y: Matrix) -> list:
-    """[(-1)^(i-1) Pf(Y(i)) for i = 1..size], Y(i) dropping row and column
-    i: the weights of the odd-order rank-one factor sum_i a_i w_i."""
-    out = []
-    for i in range(1, Y.nrows + 1):
-        pf = pfaffian(Y.delete_rc((i,)))
-        out.append(-pf if (i - 1) % 2 else pf)
-    return out
+def _signed_pf_minors(ring: Ring, rows) -> list:
+    """[(-1)^(i-1) Pf(Y(i)) for i = 1..size] for the skew Y with these rows
+    (odd size), Y(i) dropping row and column i, all read from one memo
+    (_pfaffian_minors): the weights of the odd-order rank-one factor
+    sum_i a_i w_i."""
+    pf = _pfaffian_minors(ring, rows)
+    full = (1 << len(rows)) - 1
+    values = (pf(full ^ 1 << i) for i in range(len(rows)))
+    return [-v if i % 2 else v for i, v in enumerate(values)]
 
 
 def check_okada(A: Matrix) -> IdentityReport:
@@ -801,8 +804,10 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
 
 def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
     """Rank-one perturbation of a skew matrix: det(Y + ab^t) in terms of
-    Pfaffian minors of Y.  When a = b the even case must collapse to
-    det(Y) and the odd case to a perfect square (checked as sub-assertions)."""
+    Pfaffian minors of Y, all of them (Pf(Y), Pf(Y(i, j)) for even m,
+    Pf(Y(i)) for odd m) read from one memo (`matrix._pfaffian_minors`).
+    When a = b the even case must collapse to det(Y) and the odd case to a
+    perfect square (checked as sub-assertions)."""
     ring = Y.ring
     m = Y.nrows
     require_skew(Y, "rank1")
@@ -814,15 +819,18 @@ def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
     lhs = det(Y + M)
     values = {}
     if m % 2 == 0:
-        pf = pfaffian(Y)
+        minors = _pfaffian_minors(ring, Y._rows)
+        full = (1 << m) - 1
+        pf = minors(full)
         acc = ring.zero
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                w = av[i - 1] * bv[j - 1] - av[j - 1] * bv[i - 1]
+        for i in range(m):
+            for j in range(i + 1, m):
+                w = av[i] * bv[j] - av[j] * bv[i]
                 if not w:
                     continue
-                term = w * pfaffian(Y.delete_rc((i, j)))
-                if (i + j - 1) % 2:
+                # Pf(Y(i, j)) with 1-based i, j has sign (-1)^(i+j-1)
+                term = w * minors(full ^ 1 << i ^ 1 << j)
+                if (i + j + 1) % 2:
                     acc -= term
                 else:
                     acc += term
@@ -833,7 +841,7 @@ def check_rank1(Y: Matrix, a: Sequence, b: Sequence) -> IdentityReport:
             values["symmetric_det_Y"] = dy
             passed = passed and lhs == dy and rhs == dy
     else:
-        w = _signed_pf_minors(Y)
+        w = _signed_pf_minors(ring, Y._rows)
         fa = ring.dot(av, w)
         fb = ring.dot(bv, w)
         rhs = fa * fb
@@ -859,7 +867,7 @@ def check_lemma_aux(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     if m % 2 == 0:
         raise ParityError(f"lemma-aux needs odd m, got {m}")
     ring = A.ring
-    w = _signed_pf_minors(skew_form(A, X, B))
+    w = _signed_pf_minors(ring, skew_form(A, X, B)._rows)
     lhs = ring.dot([sum(r, ring.zero) for r in A._rows], w)
     rhs = _apply_sign(sign_from_binom2((m - 1) // 2), g_AB(A, B, X))
     return IdentityReport(
@@ -867,38 +875,13 @@ def check_lemma_aux(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     )
 
 
-def _pfaffian_minors(ring: Ring, rows):
-    """S -> Pf(Y_S) for the skew Y with these rows and S the bitmask of an
-    even index set, memoised over the sets reached.  Along the lowest
-    member i of S, Pf(Y_S) is the sum over j in S above i of
-    (-1)^s y_ij Pf(Y_(S - i - j)), s the members of S between i and j: one
-    `ring.dot` of signed entries and smaller minors, with no division."""
-    memo = {0: ring.one}
-    dot = ring.dot
-
-    def pf(S: int):
-        value = memo.get(S)
-        if value is None:
-            i = (S & -S).bit_length() - 1
-            row, rest = rows[i], S & (S - 1)
-            entries, minors = [], []
-            for j in range(i + 1, len(row)):
-                if rest >> j & 1 and row[j]:
-                    odd = (rest & ((1 << j) - 1)).bit_count() & 1
-                    entries.append(-row[j] if odd else row[j])
-                    minors.append(pf(rest ^ 1 << j))
-            value = memo[S] = dot(entries, minors)
-        return value
-
-    return pf
-
-
 def check_iswa(A: Matrix, Y: Matrix) -> IdentityReport:
     """Pfaffian minor summation: sum over |I| = m of Pf(Y_II) det(A^I)
     equals Pf(A Y A^t), for even m and skew n x n Y.  The left side walks
     the minors det(A^I) (_minor_walk) and, where one is nonzero, reads
-    Pf(Y_II) from one memo of Pfaffian minors (_pfaffian_minors); the
-    right side is `pfaffian`, so the two sides share no kernel."""
+    Pf(Y_II) from one memo of Pfaffian minors (`matrix._pfaffian_minors`);
+    the right side is `pfaffian_bareiss`, an elimination with exact
+    divisions, so the two sides share no algorithm on any ring."""
     m, n = A.nrows, A.ncols
     if m % 2:
         raise ParityError(f"iswa needs even m, got {m}")
@@ -919,7 +902,7 @@ def check_iswa(A: Matrix, Y: Matrix) -> IdentityReport:
             if d:
                 term = pf(mask | 1 << t) * d
                 lhs = lhs - term if sign < 0 else lhs + term
-    rhs = pfaffian(A @ Y @ A.T)
+    rhs = pfaffian_bareiss(A @ Y @ A.T)
     return IdentityReport(
         "iswa", lambda: _inputs_of(A=A, Y=Y), lhs, rhs, lhs == rhs, ring=ring
     )

@@ -25,11 +25,14 @@ and partial sum as its own value.
 
 There are two Pfaffian kernels behind `pfaffian`: `pfaffian_bareiss`
 (O(n^3) skew elimination with exact divisions; fastest on integers and
-rationals) and `pfaffian_walk` (a scan of the vertices over the subsets
-of open ones, each state one `ring.dot`, no division; fastest on
-polynomials of small order, but its states grow exponentially with the
-order).  `pfaffian` picks one from the input's ring and order: the walk
-on polynomial matrices up to order 12, the elimination otherwise.
+rationals) and `pfaffian_walk` (the memoised expansion along the lowest
+index, `_pfaffian_minors`, each minor one `ring.dot`, no division;
+fastest on polynomials of small order, but on dense entries its minors
+grow exponentially with the order).  `pfaffian` picks one from the
+input's ring and order: the walk on polynomial matrices up to order 12,
+the elimination otherwise.  `_pfaffian_minors` is the package's one
+division-free Pfaffian expansion; the checkers that read many Pfaffian
+minors of one matrix read them from one such memo.
 
 Every identity in the paper is about one skew matrix,
 Y(A, X, B) = AXB^t - BX^tA^t: `skew_form` builds it as P - P^t with
@@ -48,6 +51,7 @@ wrap ring elements they made themselves.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 from .combinat import IndexSet
@@ -496,62 +500,65 @@ def pfaffian_bareiss(Y: Matrix):
     return -result if negative else result
 
 
-def pfaffian_walk(Y: Matrix):
-    """Division-free Pfaffian by a walk over the subsets of open vertices.
-    The vertices are scanned in order; after vertex v, P[S] sums the signed
-    products of the partial matchings of the vertices up to v that leave
-    the set S (a bitmask) unmatched.  Vertex v either opens, P[S + v] =
-    P[S], or closes some open u, P[S - u] += (-1)^s y[u][v] P[S] with s the
-    count of open vertices strictly between u and v: each crossing of two
-    arcs is counted once, when the arc that ends first closes.  A state
-    with more open vertices than vertices left is dropped.  Each closing
-    state is one `ring.dot` of signed entries and earlier states, so on
-    polynomials its products are summed in one fused accumulation, and
-    nothing is divided.  Pf of the empty matrix is 1."""
-    _assert_pfaffian_input(Y)
-    ring = Y.ring
+def _pfaffian_minors(ring: Ring, rows):
+    """S -> Pf(Y_S) for the skew Y with these rows and S the bitmask of an
+    even index set, memoised over the sets reached.  Along the lowest
+    member i of S, Pf(Y_S) is the sum over j in S above i of
+    (-1)^s y_ij Pf(Y_(S - i - j)), s the members of S between i and j: one
+    `ring.dot` of signed entries and smaller minors, with no division.
+    Only the sets the expansion reaches are visited, so a sparse Y costs
+    little at any order.  Pending sets wait on an explicit stack, not the
+    call stack, so the order is not bounded by the recursion limit."""
+    memo = {0: ring.one}
     dot = ring.dot
-    n = Y.nrows
-    rows = Y._rows
-    states = {0: ring.one}
-    for v in range(n):
-        left = n - v - 1
-        # the sign goes on the entry, which is cheaper to negate than a state
-        closers = [(u + 1, 1 << u, rows[u][v], -rows[u][v])
-                   for u in range(v) if rows[u][v]]
-        grown = {}
-        closes = {}  # S - u -> ([signed entries], [states S])
-        for S, value in states.items():
-            if S.bit_count() < left:
-                grown[S | 1 << v] = value
-            for above, bit, a, neg_a in closers:
-                if not S & bit:
-                    continue
-                entry = neg_a if (S >> above).bit_count() & 1 else a
-                T = S ^ bit
-                pair = closes.get(T)
-                if pair is None:
-                    closes[T] = ([entry], [value])
+
+    def expand(S: int):
+        i = (S & -S).bit_length() - 1
+        row, rest = rows[i], S & (S - 1)
+        entries, smaller = [], []
+        for j in compress(range(i + 1, len(row)), row[i + 1:]):
+            if rest >> j & 1:
+                odd = (rest & ((1 << j) - 1)).bit_count() & 1
+                entries.append(-row[j] if odd else row[j])
+                smaller.append(rest ^ 1 << j)
+        return S, entries, smaller
+
+    def pf(S: int):
+        value = memo.get(S)
+        if value is None:
+            stack = [expand(S)]
+            while stack:
+                T, entries, smaller = stack[-1]
+                missing = [U for U in smaller if U not in memo]
+                if missing:
+                    stack.extend(map(expand, missing))
                 else:
-                    pair[0].append(entry)
-                    pair[1].append(value)
-        for T, (entries, values) in closes.items():
-            value = dot(entries, values)
-            if value:
-                grown[T] = value
-        states = grown
-    return states.get(0, ring.zero)
+                    stack.pop()
+                    memo[T] = dot(entries, [memo[U] for U in smaller])
+            value = memo[S]
+        return value
+
+    return pf
+
+
+def pfaffian_walk(Y: Matrix):
+    """Division-free Pfaffian: the full index set's value in
+    _pfaffian_minors, whose minors are each one fused `ring.dot`.  Pf of
+    the empty matrix is 1."""
+    _assert_pfaffian_input(Y)
+    return _pfaffian_minors(Y.ring, Y._rows)((1 << Y.nrows) - 1)
 
 
 # The largest Pfaffian order `pfaffian` gives to the walk on polynomials.
-# Timed on one core (CPython 3, seeded skew matrices): at n = 12 the walk
-# takes 0.6x the elimination's time with linear entries in 2 variables,
-# 0.33x in 4 and 0.16x in 6 (0.0015x with a distinct variable per entry),
-# and 1.7x with constant entries.  Past it the walk's states, up to about
-# 2^(n/2) per vertex, outgrow the elimination's n^3/3 steps when the
-# entries have few variables: at n = 24, 8.4 s against 0.29 s with linear
-# entries in 2 variables, and at n = 30 with constant entries, 31 s
-# against 0.014 s.
+# Timed on a 2-vCPU Intel Xeon (CPython 3.11, skew matrices from
+# random.Random(1), coefficients in [-5, 5], CPU time): at n = 12 the
+# expansion takes 0.40x the elimination's time with linear entries in 4
+# variables and 0.15x in 6, but 1.23x in 2 and 3.3x with constant entries
+# (medians of paired runs).  Past it the expansion's minors outgrow the
+# elimination's n^3/3 steps when the entries have few variables: at
+# n = 24 with linear entries in 2 variables it took 27x the elimination's
+# time (15.9 s against 0.59 s), and at n = 30 with constant entries 2,400x
+# (69.7 s against 0.029 s; one run each).
 PFAFFIAN_WALK_MAX_ORDER = 12
 
 
@@ -561,7 +568,7 @@ def pfaffian(Y: Matrix):
     PFAFFIAN_WALK_MAX_ORDER, where the elimination's exact divisions cost
     more than the products they undo, and `pfaffian_bareiss` otherwise,
     on integers and rationals at any order and on larger polynomial
-    matrices, where the walk's exponential count of states dominates.
+    matrices, where the walk's exponential count of minors dominates.
     Neither calls a determinant kernel, so Pf^2 = det compares two
     independent computations."""
     if isinstance(Y.ring, PolynomialRing) and Y.nrows <= PFAFFIAN_WALK_MAX_ORDER:

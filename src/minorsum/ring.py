@@ -453,6 +453,11 @@ class _PolyParser:
                 return acc
 
     def power(self) -> Poly:
+        # a unary minus binds looser than ^, as at the start: x*-y^2 is x*(-(y^2))
+        kind, val = self.peek()
+        if kind == "op" and val == "-":
+            self.take()
+            return -self.power()
         base = self.atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
@@ -485,8 +490,6 @@ class _PolyParser:
             if (kind, val) != ("op", ")"):
                 raise ScalarParseError("unbalanced parenthesis")
             return inner
-        if kind == "op" and val == "-":
-            return -self.atom()
         raise ScalarParseError(f"unexpected token {val!r}")
 
 
@@ -657,7 +660,10 @@ class PolynomialRing(Ring):
         return _poly(vars, _strip_zeros(acc))
 
     def parse(self, text):
-        return _PolyParser(self, text).parse()
+        try:
+            return _PolyParser(self, text.strip()).parse()
+        except RecursionError:
+            raise ScalarParseError("polynomial text is nested too deeply") from None
 
     def format(self, x):
         return format_poly(x)

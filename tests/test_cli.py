@@ -57,6 +57,12 @@ def test_verify_config_validation():
         VerifyConfig(identities=("okada",), ms=(1,), ns=(1,), trials=0)
     with pytest.raises(ConfigError):
         VerifyConfig(identities=("okada",), ms=(1,), ns=(1,), ring="real")
+    # a value of the wrong type is named, not a bare TypeError or a run
+    for field, value in (("trials", 2.5), ("ms", (1.5,)), ("seed", "x"), ("ms", (True,)),
+                         ("ns", (2, "3")), ("bound", True), ("trials", None)):
+        fields = {"identities": ("okada",), "ms": (1,), "ns": (1,), field: value}
+        with pytest.raises(ConfigError, match="must be an integer"):
+            VerifyConfig(**fields)
 
 
 def test_parse_range_forms():
@@ -515,6 +521,9 @@ def test_paths_command_malformed_json(tmp_path):
                      "bad matrix JSON", id="eval-row-not-a-list"),
         pytest.param("eval", '{"ring": {"poly": ["a", "a"]}, "rows": 1, "cols": 1, '
                      '"entries": [["a"]]}', "duplicate variable names", id="eval-ring-tag"),
+        pytest.param("eval", '{"ring": {"poly": ["x"]}, "rows": 1, "cols": 1, "entries": [["'
+                     + "(" * 400 + "x" + ")" * 400 + '"]]}', "nested too deeply",
+                     id="eval-nested-too-deeply"),
     ],
 )
 def test_malformed_but_valid_json_fails_cleanly(tmp_path, command, text, message):

@@ -296,7 +296,7 @@ def test_integer_and_polynomial_routes_agree(m, n):
 
 
 FORBIDDEN_KERNELS = ("det", "det_bareiss", "det_minors", "_extend_minors", "pfaffian",
-                     "pfaffian_bareiss", "pfaffian_walk")
+                     "pfaffian_bareiss", "pfaffian_walk", "_pfaffian_minors")
 
 
 def test_import_builds_no_sweep_table_or_plan():

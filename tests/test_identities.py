@@ -39,7 +39,7 @@ from minorsum import (
 )
 from minorsum import identities
 from minorsum.identities import input_digest, ones_above_diagonal
-from minorsum.matrix import identity, pfaffian, upper_ones
+from minorsum.matrix import identity, pfaffian, pfaffian_bareiss, upper_ones
 
 GOLDEN = Matrix(ZZ, [[1, 1, 1], [1, 2, 3]])
 
@@ -380,7 +380,31 @@ def test_iswa_validation():
 
 def test_iswa_sides_share_no_pfaffian_kernel(monkeypatch):
     # the left side reads its Pfaffian minors from its own memo; only the
-    # right side, Pf(A Y A^t), calls `pfaffian`
+    # right side, Pf(A Y A^t), calls a Pfaffian kernel, and on every ring
+    # that is the elimination, never the memo's expansion
+    calls = []
+
+    def counted(Y):
+        calls.append(Y.nrows)
+        return pfaffian_bareiss(Y)
+
+    monkeypatch.setattr(identities, "pfaffian_bareiss", counted)
+    rng = random.Random(843)
+    for m, n in ((2, 2), (2, 5), (4, 4), (4, 8), (6, 8)):
+        calls.clear()
+        assert check_iswa(rand_int_matrix(rng, m, n), rand_skew(rng, n)).passed
+        assert calls == [m]
+    for m, n in ((2, 3), (4, 5)):
+        calls.clear()
+        A = Matrix(POLY_ST, rand_int_matrix(rng, m, n)._rows)
+        Y = Matrix(POLY_ST, sparse_skew(rng, POLY_ST, n, 1.0))
+        assert check_iswa(A, Y).passed
+        assert calls == [m]
+
+
+def test_rank1_and_lemma_aux_read_pfaffian_minors_from_one_memo(monkeypatch):
+    # Pf(Y), Pf(Y(i)) and Pf(Y(i, j)) all come from _pfaffian_minors: no
+    # checker builds a matrix per Pfaffian minor
     calls = []
 
     def counted(Y):
@@ -388,11 +412,19 @@ def test_iswa_sides_share_no_pfaffian_kernel(monkeypatch):
         return pfaffian(Y)
 
     monkeypatch.setattr(identities, "pfaffian", counted)
-    rng = random.Random(843)
-    for m, n in ((2, 2), (2, 5), (4, 4), (4, 8), (6, 8)):
-        calls.clear()
-        assert check_iswa(rand_int_matrix(rng, m, n), rand_skew(rng, n)).passed
-        assert calls == [m]
+    rng = random.Random(847)
+    for m in (1, 2, 5, 6):
+        Y = rand_skew(rng, m)
+        a = [rng.randint(-5, 5) for _ in range(m)]
+        b = [rng.randint(-5, 5) for _ in range(m)]
+        assert check_rank1(Y, a, b).passed
+        assert check_rank1(Y, a, a).passed
+    Y = Matrix(POLY_ST, sparse_skew(rng, POLY_ST, 4, 1.0))
+    assert check_rank1(Y, [1, 2, -1, 3], [0, 1, 2, 2]).passed
+    for m, n in ((1, 2), (3, 4), (5, 5)):
+        A, B = rand_int_matrix(rng, m, n), rand_int_matrix(rng, m, n)
+        assert check_lemma_aux(A, B, rand_int_matrix(rng, n, n)).passed
+    assert calls == []
 
 
 POLY_ST = PolynomialRing(("s", "t"))

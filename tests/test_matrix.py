@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -813,6 +814,19 @@ def test_pfaffian_of_a_large_polynomial_matrix_is_prompt():
     start = time.perf_counter()
     assert pfaffian(poly) == pfaffian_bareiss(Y) * x ** 15
     assert time.perf_counter() - start < 5
+
+
+def test_pfaffian_walk_on_sparse_large_matrices_is_prompt():
+    # the expansion visits only the minors it reaches, one chain of sets on
+    # a tridiagonal or block-diagonal Y, and keeps them on its own stack;
+    # Pf(J) = 1 is the reference for J, whose elimination takes over a
+    # second at order 400
+    tri = skew_from_pairs(40, {(i, i + 1): i + 1 for i in range(39)})
+    blocks = [pair_form(n) for n in (400, 2400)]
+    start = time.perf_counter()
+    assert pfaffian_walk(tri) == pfaffian_bareiss(tri) == math.prod(range(1, 40, 2))
+    assert [pfaffian_walk(J) for J in blocks] == [1, 1]
+    assert time.perf_counter() - start < 1
 
 
 def test_no_pfaffian_kernel_calls_a_determinant(monkeypatch):

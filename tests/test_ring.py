@@ -150,7 +150,16 @@ def test_poly_parse_syntax():
     assert R3.parse("x**2") == X**2
     assert R3.parse("-(x - 1)*(x + 1)") == 1 - X**2
     assert R3.parse("2") == R3.coerce(2)
-    for bad in ("w + 1", "x +", "x ^ y", "1.5", "x$", ""):
+    # a unary minus inside a product negates the power, as at the start
+    assert R3.parse("x*-y^2") == -X * Y**2
+    assert R3.parse("x - -y^2") == X + Y**2
+    assert R3.parse("-y^2") == -Y**2
+    assert R3.parse("(-y)^2") == Y**2
+    # surrounding whitespace is stripped, as ZZ and QQ strip it
+    assert R3.parse("x ") == R3.parse(" x\n") == X
+    # too deep a nesting is a parse error, not a RecursionError
+    for bad in ("w + 1", "x +", "x ^ y", "1.5", "x$", "", " ",
+                "(" * 400 + "x" + ")" * 400, "-" * 5000 + "x"):
         with pytest.raises(ScalarParseError):
             R3.parse(bad)
 
