@@ -31,14 +31,14 @@ from .matrix import (
     Matrix,
     _as_positions,
     _extend_minors,
+    _form_rows,
     _pfaffian_minors,
     _row_picks,
+    _running_sums,
     _wrap,
-    all_ones,
     augment_hat,
     byun_determinant,
     det,
-    identity,
     matrix_to_json_dict,
     okada_pfaffian,
     outer_product,
@@ -47,7 +47,6 @@ from .matrix import (
     rank_one_form,
     require_skew,
     skew_form,
-    upper_ones,
 )
 from .ring import PolynomialRing, Ring
 
@@ -546,23 +545,19 @@ def _minor_levels(ring: Ring, rows, size: int) -> list:
     return levels
 
 
-def _pair_blocks(A: Matrix, B: Matrix, X: Matrix, border: bool) -> list:
-    """[A, H] with H = B X^t, entry by entry: column i of H is
-    sum_j X_ij B^{j}.  When `border`, a zero row goes on top of A and a
-    ones row on top of H (the hat augmentation)."""
-    ring = A.ring
-    dot = ring.dot
-    H = [[dot(b, x) for x in X._rows] for b in B._rows]
+def _pair_blocks(A: Matrix, H: list, border: bool) -> list:
+    """[A, H], H the rows of B X^t.  When `border`, a zero row goes on top
+    of A and a ones row on top of H (the hat augmentation)."""
     if not border:
         return [A._rows, H]
-    n = A.ncols
+    ring, n = A.ring, A.ncols
     return [[[ring.zero] * n, *A._rows], [[ring.one] * n, *H]]
 
 
-def _double_minor_sum(A: Matrix, B: Matrix, Xs: Sequence[Matrix], p: int,
-                      border: bool) -> list:
-    """[sum over |I| = p, |J| = m - p of det(X_IJ) * det(A^I B^J) for X in
-    Xs], with a ones column in front of X_IJ when `border`.
+def _double_minor_sum(A: Matrix, Hs: Sequence[list], p: int, border: bool) -> list:
+    """[sum over |I| = p, |J| = m - p of det(X_IJ) * det(A^I B^J) for each
+    H = B X^t in Hs, given by its rows], with a ones column in front of
+    X_IJ when `border`.
 
     By Cauchy-Binet in the last q = m - p columns, with H = B X^t,
     sum_J det(X_KJ) det(A^I B^J) = det(A^I H^K) for any q-set K.  Without a
@@ -573,14 +568,20 @@ def _double_minor_sum(A: Matrix, B: Matrix, Xs: Sequence[Matrix], p: int,
     column gives sum_r (-1)^(r-1) det(A^I H^(I - i_r)).  That is
     (-1)^p det(A^I H^I) of the hat-augmented blocks, a zero row on top of
     A and a ones row on top of H (expand along that row), so the same pick
-    sum on them takes the sign (-1)^binom(p+1,2).  One pick sum per X."""
+    sum on them takes the sign (-1)^binom(p+1,2).  One pick sum per H."""
     if p == 1 and border:
         # m = 1: J is empty and det(1) det(A^{i}) = a_i
-        return [sum(A._rows[0], A.ring.zero)] * len(Xs)
+        return [sum(A._rows[0], A.ring.zero)] * len(Hs)
     route = _pair_route(A.ncols, p)
     sign = sign_from_binom2(p + 1 if border else p)
-    return [_apply_sign(sign, _route_sum(A.ring, _pair_blocks(A, B, X, border), route))
-            for X in Xs]
+    return [_apply_sign(sign, _route_sum(A.ring, _pair_blocks(A, H, border), route))
+            for H in Hs]
+
+
+def _ones_less(B: Matrix, H: list) -> list:
+    """The rows of B (J - X)^t from those of H = B X^t: B's row sums less H."""
+    sums = (sum(b, B.ring.zero) for b in B._rows)
+    return [[s - h for h in row] for s, row in zip(sums, H)]
 
 
 def _f_sign(m: int) -> int:
@@ -599,7 +600,7 @@ def f_AB(A: Matrix, B: Matrix, X: Matrix):
     _check_abx(A, B, X)
     if A.nrows % 2:
         raise ParityError(f"f_AB needs even m, got {A.nrows}")
-    return _double_minor_sum(A, B, [X], A.nrows // 2, border=False)[0]
+    return _double_minor_sum(A, [(B @ X.T)._rows], A.nrows // 2, border=False)[0]
 
 
 def g_AB(A: Matrix, B: Matrix, X: Matrix):
@@ -611,7 +612,7 @@ def g_AB(A: Matrix, B: Matrix, X: Matrix):
     _check_abx(A, B, X)
     if A.nrows % 2 == 0:
         raise ParityError(f"g_AB needs odd m, got {A.nrows}")
-    return _double_minor_sum(A, B, [X], (A.nrows + 1) // 2, border=True)[0]
+    return _double_minor_sum(A, [(B @ X.T)._rows], (A.nrows + 1) // 2, border=True)[0]
 
 
 # -- closed forms for near-triangular minors ---------------------------------
@@ -776,22 +777,24 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     """Main factorization: det(AXB^t + B(J - X^t)A^t) splits as
     f_AB(X) f_BA(J - X^t) for even m and g_AB(X) g_BA(J - X^t) for odd m.
     Odd m also cross-checks the equivalent form
-    (-1)^((m-1)/2) g_AB(X) g_BA(X^t)."""
+    (-1)^((m-1)/2) g_AB(X) g_BA(X^t).  The H of J - X is B's row sums less
+    H = B X^t (_ones_less)."""
     _check_abx(A, B, X)
-    m, n = A.nrows, A.ncols
+    m = A.nrows
     ring = A.ring
-    J_n = all_ones(n, ring)
     lhs = det(rank_one_form(A, X, B))
     values = {}
     if m % 2 == 0:
         # f_BA(J - X^t) = (-1)^(m/2) f_AB(J - X), so one call serves both
-        fx, fy = _double_minor_sum(A, B, [X, J_n - X], m // 2, border=False)
+        H = (B @ X.T)._rows
+        fx, fy = _double_minor_sum(A, [H, _ones_less(B, H)], m // 2, border=False)
         rhs = fx * _apply_sign(_f_sign(m), fy)
         passed = lhs == rhs
     else:
         gx = g_AB(A, B, X)
-        # one call on (B, A) for g_BA(J - X^t) and g_BA(X^t)
-        gy, gt = _double_minor_sum(B, A, [J_n - X.T, X.T], (m + 1) // 2, border=True)
+        # one call on (B, A) for g_BA(J - X^t) and g_BA(X^t), whose H is AX
+        H = (A @ X)._rows
+        gy, gt = _double_minor_sum(B, [_ones_less(A, H), H], (m + 1) // 2, border=True)
         rhs = gx * gy
         alt = _apply_sign(_f_sign(m), gx * gt)
         values["alt_rhs"] = alt
@@ -940,31 +943,33 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
     """Interlacing-chain factorization of det(AUB^t + BUA^t + AB^t), which
     is rank_one_form(A, U + Id, B) since J - U^t - Id = U:
     (weak-within chain sum, A leading) times (strict-within chain sum,
-    B leading).  Each factor is also cross-checked against the f/g
-    evaluators at X = U + Id and X = U."""
+    B leading).  Each factor is also cross-checked against f/g's pair-route
+    sums at X = U + Id and X = U (or U^t), whose H = B X^t are suffix or
+    prefix sums of B's rows (of A's for g_BA(U))."""
     _check_ab(A, B)
-    m, n = A.nrows, A.ncols
+    m = A.nrows
     if m < 1:
         raise ShapeError("need at least one row")
-    ring = A.ring
-    U = upper_ones(n, ring)
-    UI = U + identity(n, ring)
-    lhs = det(rank_one_form(A, UI, B))
+    ring, zero = A.ring, A.ring.zero
+    lhs = det(_form_rows(ring, _running_sums(A._rows, zero), B._rows, A._rows))
     factor1 = _chain_sum(A, B, weak_within=True)
     factor2 = _chain_sum(B, A, weak_within=False)
     rhs = factor1 * factor2
     passed = lhs == rhs
+    suffix = _running_sums(B._rows, zero, backward=True)
     if m % 2 == 0:
         s = sign_from_binom2(m // 2)
         # f_BA(U) = (-1)^(m/2) f_AB(U^t), so one call serves both
-        f1, f2 = _double_minor_sum(A, B, [UI, U.T], m // 2, border=False)
+        prefix = _running_sums(B._rows, zero, strict=True)
+        f1, f2 = _double_minor_sum(A, [suffix, prefix], m // 2, border=False)
         c1 = _apply_sign(s, f1) == factor1
         c2 = _apply_sign(s * _f_sign(m), f2) == factor2
     else:
         p = (m + 1) // 2
         s = sign_from_binom2(p) * _f_sign(m)
-        c1 = _apply_sign(s, g_AB(A, B, UI)) == factor1
-        c2 = _apply_sign(s, g_AB(B, A, U)) == factor2
+        c1 = _apply_sign(s, _double_minor_sum(A, [suffix], p, border=True)[0]) == factor1
+        AUt = _running_sums(A._rows, zero, strict=True, backward=True)
+        c2 = _apply_sign(s, _double_minor_sum(B, [AUt], p, border=True)[0]) == factor2
     passed = passed and c1 and c2
     details = {"factor1_matches_fg": c1, "factor2_matches_fg": c2}
     values = {"factor1": factor1, "factor2": factor2}
@@ -977,17 +982,17 @@ def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
 def check_ab2(A: Matrix, B: Matrix) -> IdentityReport:
     """Chain sums as Pfaffians, even m: the strict-within chain sum equals
     Pf(AUB^t - BU^tA^t) and the weak-within chain sum equals
-    Pf(A(U+Id)B^t - B(U^t+Id)A^t)."""
+    Pf(A(U+Id)B^t - B(U^t+Id)A^t); AU and A(U + Id) are running sums."""
     _check_ab(A, B)
-    m, n = A.nrows, A.ncols
+    m = A.nrows
     if m % 2:
         raise ParityError(f"ab2 needs even m, got {m}")
     ring = A.ring
-    U = upper_ones(n, ring)
     strict_sum = _chain_sum(A, B, weak_within=False)
     weak_sum = _chain_sum(A, B, weak_within=True)
-    pf_strict = pfaffian(skew_form(A, U, B))
-    pf_weak = pfaffian(skew_form(A, U + identity(n, ring), B))
+    AU = _running_sums(A._rows, ring.zero, strict=True)
+    pf_strict = pfaffian(_form_rows(ring, AU, B._rows))
+    pf_weak = pfaffian(_form_rows(ring, _running_sums(A._rows, ring.zero), B._rows))
     passed = strict_sum == pf_strict and weak_sum == pf_weak
     values = {"weak_chain_sum": weak_sum, "weak_chain_pf": pf_weak}
     return IdentityReport(
@@ -1099,7 +1104,7 @@ def check_cauchy_binet_pf(A: Matrix, B: Matrix) -> IdentityReport:
     if m % 2:
         raise ParityError(f"cauchy-binet-pf needs even m, got {m}")
     ring = A.ring
-    lhs = pfaffian(skew_form(A, identity(n, ring), B))
+    lhs = pfaffian(_form_rows(ring, A._rows, B._rows))
     rhs = _route_sum(ring, [A._rows, B._rows], _pair_route(n, m // 2))
     return IdentityReport(
         "cauchy-binet-pf", lambda: _inputs_of(A=A, B=B), lhs, rhs, lhs == rhs, ring=ring

@@ -38,12 +38,13 @@ Every identity in the paper is about one skew matrix,
 Y(A, X, B) = AXB^t - BX^tA^t: `skew_form` builds it as P - P^t with
 P = AXB^t, and `rank_one_form` builds the determinant side
 AXB^t + B(J - X^t)A^t = Y(A, X, B) + (B 1)(A 1)^t, a skew matrix plus a
-rank-one matrix.  Both take P's entries straight from `ring.dot`s (each
-row of AX against X's columns, then against B's rows) and write each
-entry of the result, rank-one term included, in one pass, so no product,
-transpose or sum is built as a `Matrix` on the way.  `okada_pfaffian`
-and `byun_determinant` are the Pfaffian and the determinant that
-compress a sum of maximal minors.
+rank-one matrix.  One body, `_form_rows`, dots the rows of AX with those
+of B for P's entries and writes each entry of the result, rank-one term
+included, in one pass; both forms give it the dots of A's rows with X's
+columns.  At X = U, U + Id and Id, AX needs no dot: AU and A(U + Id) are
+running sums of A's rows (`_running_sums`), so `okada_pfaffian` and
+`byun_determinant` (the Pfaffian and the determinant that compress a sum
+of maximal minors) and the checkers build no 0/1 matrix.
 
 Only the `Matrix` constructor coerces its entries; the builders here
 wrap ring elements they made themselves.
@@ -51,7 +52,7 @@ wrap ring elements they made themselves.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Sequence
 
 from .combinat import IndexSet
@@ -303,27 +304,42 @@ def outer_product(ring: Ring, a: Sequence, b: Sequence) -> Matrix:
 
 
 def _form(A: Matrix, X: Matrix, B: Matrix, rank_one: bool) -> Matrix:
-    """P - P^t with P = AXB^t, plus (B 1)(A 1)^t when `rank_one`, in one
-    pass: a row of AX is the dots of a row of A with X's columns, and an
-    entry of P the dot of such a row with a row of B.  Raises the errors
-    of A @ X @ B.T - its transpose."""
+    """P - P^t with P = AXB^t, plus (B 1)(A 1)^t when `rank_one`: a row of
+    AX is the dots of a row of A with X's columns, and _form_rows does the
+    rest.  Raises the errors of A @ X @ B.T - its transpose."""
     A._check_same_ring(X)
     A._check_same_ring(B)
     if A.ncols != X.nrows or X.ncols != B.ncols or A.nrows != B.nrows:
         raise ShapeError(f"cannot form AXB^t from {A.nrows}x{A.ncols}, "
                          f"{X.nrows}x{X.ncols} and {B.nrows}x{B.ncols} blocks")
-    ring, m = A.ring, A.nrows
-    dot, zero = ring.dot, ring.zero
+    ring, dot = A.ring, A.ring.dot
     columns = list(zip(*X._rows)) if X._rows else [()] * X.ncols
-    P = [[dot(ax, b) for b in B._rows] for ax in
-         ([dot(a, col) for col in columns] for a in A._rows)]
-    if rank_one:
-        a1 = [sum(r, zero) for r in A._rows]
-        b1 = [sum(r, zero) for r in B._rows]
-        rows = (tuple(P[i][j] - P[j][i] + b1[i] * a1[j] for j in range(m)) for i in range(m))
-    else:
+    AX = [[dot(a, col) for col in columns] for a in A._rows]
+    return _form_rows(ring, AX, B._rows, A._rows if rank_one else None)
+
+
+def _form_rows(ring: Ring, AX, B, A=None) -> Matrix:
+    """P - P^t with P = AXB^t from the rows of AX and of B (an entry of P is
+    the dot of a row of each), plus (B 1)(A 1)^t given the rows of A, in
+    one pass.  Unchecked: AX and B have as many rows, of one length."""
+    dot, m = ring.dot, len(AX)
+    P = [[dot(ax, b) for b in B] for ax in AX]
+    if A is None:
         rows = (tuple(P[i][j] - P[j][i] for j in range(m)) for i in range(m))
+    else:
+        a1, b1 = ([sum(r, ring.zero) for r in block] for block in (A, B))
+        rows = (tuple(P[i][j] - P[j][i] + b1[i] * a1[j] for j in range(m)) for i in range(m))
     return _wrap(ring, rows, m)
+
+
+def _running_sums(rows, zero, strict: bool = False, backward: bool = False) -> list:
+    """Each row's running sums: entry j adds the entries up to column j, or
+    from column j on when `backward`, column j left out when `strict`.
+    Forward they are the rows of A(U + Id), or of AU when strict; backward,
+    of A(U^t + Id), or of AU^t when strict.  An empty row has no sums."""
+    step = -1 if backward else 1
+    return [list(accumulate(r[:-1], initial=zero) if strict and r else accumulate(r))[::step]
+            for r in (row[::step] for row in rows)]
 
 
 def skew_form(A: Matrix, X: Matrix, B: Matrix) -> Matrix:
@@ -581,15 +597,18 @@ def pfaffian(Y: Matrix):
 
 def okada_pfaffian(A: Matrix):
     """Pf(Y(W, U, W)), W = A for even m and augment_hat(A) for odd m: the
-    Pfaffian that equals the sum of A's maximal minors (Okada)."""
-    work = augment_hat(A) if A.nrows % 2 else A
-    return pfaffian(skew_form(work, upper_ones(work.ncols, A.ring), work))
+    Pfaffian that equals the sum of A's maximal minors (Okada).  The rows
+    of WU are W's strict running sums."""
+    W = (augment_hat(A) if A.nrows % 2 else A)._rows
+    return pfaffian(_form_rows(A.ring, _running_sums(W, A.ring.zero, strict=True), W))
 
 
 def byun_determinant(A: Matrix):
     """det(A(2U + Id)A^t), the square of the sum of A's maximal minors
-    (Byun); as 2U + Id = U + J - U^t it is rank_one_form(A, U, A)."""
-    return det(rank_one_form(A, upper_ones(A.ncols, A.ring), A))
+    (Byun); as 2U + Id = U + J - U^t it is rank_one_form(A, U, A), formed
+    from A's strict running sums (the rows of AU) and its row sums."""
+    AU = _running_sums(A._rows, A.ring.zero, strict=True)
+    return det(_form_rows(A.ring, AU, A._rows, A._rows))
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -4,7 +4,7 @@ Complete homogeneous symmetric polynomials, skew Schur polynomials through
 the Jacobi-Trudi determinant (`matrix.det`, division-free on polynomials),
 and a checker for the Cauchy-type Pfaffian identity that couples an
 x-variable block with a y-variable block.  Its coupled matrix is the
-paper's skew form Y(H(x), U + Id, H(y)) (`matrix.skew_form`), where
+paper's skew form Y(H(x), U + Id, H(y)) (`matrix._form_rows`), where
 H(x) is the m x n matrix with entries h_{k-i}(x).
 
 Everything is truncated to a declared finite variable set, so both sides of
@@ -21,7 +21,7 @@ from typing import Sequence
 from .combinat import as_partition, is_horizontal_strip, lambda_of, subsets
 from .errors import ParityError, ShapeError
 from .identities import IdentityReport
-from .matrix import Matrix, _wrap, det, identity, pfaffian, skew_form, upper_ones
+from .matrix import Matrix, _form_rows, _running_sums, _wrap, det, pfaffian
 from .ring import Poly, PolynomialRing
 
 
@@ -181,10 +181,9 @@ def check_cauchy(m: int, n: int, kx: int, ky: int) -> IdentityReport:
             ys_terms.append(b)
     lhs = ring.dot(xs_terms, ys_terms)
 
-    # RHS: the coupled h-matrix as the paper's skew form
+    # RHS: the paper's skew form, H(x)(U + Id) being H(x)'s running sums
     H_x, H_y = (_h_matrix(ring, h, m, n) for h in (h_x, h_y))
-    UI = upper_ones(n, ring) + identity(n, ring)
-    rhs = pfaffian(skew_form(H_x, UI, H_y))
+    rhs = pfaffian(_form_rows(ring, _running_sums(H_x._rows, ring.zero), H_y._rows))
 
     passed = lhs == rhs
     details = {"strip_pairs": len(pairs)}

@@ -291,7 +291,8 @@ def test_integer_and_polynomial_routes_agree(m, n):
     for ring in (ZZ, QQ, poly):
         A, B = Matrix(ring, a), Matrix(ring, b)
         Xs = [Matrix(ring, x) for x in xs]
-        values.append([ring.format(v) for v in _double_minor_sum(A, B, Xs, p, border)])
+        Hs = [(B @ X.T)._rows for X in Xs]
+        values.append([ring.format(v) for v in _double_minor_sum(A, Hs, p, border)])
     assert values[0] == values[1] == values[2]
 
 
@@ -355,7 +356,7 @@ def test_sweep_at_the_table_limit_keeps_dense_maps():
     # f's pick sum on [A | H]: p pairs a_i h_i, i strictly increasing
     p, n = m // 2, m + 1
     a, b, x = rand_rows(rng, m, n, bound=2), rand_rows(rng, m, n, bound=2), rand_rows(rng, n, n, 2)
-    blocks = _pair_blocks(Matrix(ZZ, a), Matrix(ZZ, b), Matrix(ZZ, x), False)
+    blocks = _pair_blocks(Matrix(ZZ, a), (Matrix(ZZ, b) @ Matrix(ZZ, x).T)._rows, False)
     route = _pair_route(n, p)
     expect = sum(gauss_det([[blocks[d % 2][r][I[d // 2]] for d in range(m)] for r in range(m)])
                  for I in combinations(range(n), p))
@@ -426,7 +427,7 @@ def route_cases(ring, a, b, x, n):
     p = (m + 1) // 2
     reference = ref_g(a, b, x) if border else ref_f(a, b, x)
     sign = sign_from_binom2(p + 1 if border else p)
-    cases.append(("g" if border else "f", _pair_blocks(A, B, X, border),
+    cases.append(("g" if border else "f", _pair_blocks(A, (B @ X.T)._rows, border),
                   _pair_route(n, p), sign, reference))
     return cases
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from oracles import expansion_pfaffian, leibniz_det
@@ -857,3 +858,45 @@ def test_digest_depends_on_input():
     B = Matrix(ZZ, [[1, 1, 1], [1, 2, 4]])
     assert check_okada(A).input_digest != check_okada(B).input_digest
     assert check_okada(A).input_digest == check_okada(GOLDEN).input_digest
+
+
+def test_checkers_build_no_zero_one_matrix(monkeypatch):
+    # U, U + Id, Id and J - X enter the forms and the pair route as running
+    # sums, so no checker and no path route builds U, Id or J
+    import minorsum.matrix
+    import minorsum.symfun
+    from minorsum.paths import count_free_routes
+    from minorsum.symfun import check_cauchy
+    from test_paths import DELANNOY, staircase_instance
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a checker built a 0/1 matrix")
+
+    for module in (minorsum.matrix, identities, minorsum.symfun):
+        for name in ("upper_ones", "identity", "all_ones"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    rng = random.Random(29)
+    for m, n in ((3, 5), (4, 5)):
+        A, B, X = rand_int_matrix(rng, m, n), rand_int_matrix(rng, m, n), rand_int_matrix(rng, n, n)
+        for report in (check_okada(A), check_byun(A), check_ab(A, B), check_main1(A, B, X)):
+            assert report.passed, (report.identity_id, m)
+    A, B = rand_int_matrix(rng, 4, 6), rand_int_matrix(rng, 4, 6)
+    assert check_ab2(A, B).passed and check_cauchy_binet_pf(A, B).passed
+    assert check_cauchy(4, 5, 2, 2).passed
+    problem = staircase_instance(random.Random(5), 4, 7, lowest_end=0, highest_end=4,
+                                 steps=DELANNOY)
+    assert len(set(count_free_routes(problem).values())) == 1
+
+
+@pytest.mark.parametrize("m, n", [(12, 30), (13, 30), (14, 19)])
+def test_okada_and_byun_are_prompt_on_either_side_of_the_evaluator_choice(m, n):
+    # the minor sum's evaluator is chosen by counted work: at (12, 30) the
+    # sweep takes a fraction of a second and the walk minutes, while at
+    # (14, 19) the chooser takes the walk
+    rng = random.Random(1)
+    A = Matrix(ZZ, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
+    for check in (check_okada, check_byun):
+        start = time.perf_counter()
+        assert check(A).passed
+        assert time.perf_counter() - start < 3, check.__name__

@@ -35,10 +35,15 @@ from minorsum import (
     pfaffian_bareiss,
     pfaffian_walk,
 )
+from minorsum.identities import _ones_less
 from minorsum.matrix import (
+    _form_rows,
+    _running_sums,
     all_ones,
+    byun_determinant,
     det_minors,
     identity,
+    okada_pfaffian,
     rank_one_form,
     skew_form,
     upper_ones,
@@ -249,6 +254,67 @@ def test_empty_forms_equal_the_literal_products(ring, m, n):
     assert skew_form(A, X, B) == skew
     assert rank_one_form(A, X, B) == rank_one
     assert (skew.nrows, skew.ncols, rank_one.nrows) == (m, m, m)
+
+
+def rand_entries(rng, ring, r, c):
+    """r x c entries of `ring`: integers, fractions, or linear polynomials
+    in KERNEL_POLY's two variables."""
+    if ring is QQ:
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(c)]
+                for _ in range(r)]
+    if ring is KERNEL_POLY:
+        a, b = ring.gens()
+        return [[rng.randint(-3, 3) * a + rng.randint(-3, 3) * b + rng.randint(-3, 3)
+                 for _ in range(c)] for _ in range(r)]
+    return [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, KERNEL_POLY], ids=["int", "rat", "poly"])
+def test_running_sums_are_the_products_with_U_and_Id(ring):
+    # AU, A(U + Id) and A Id as running sums (or rows) give the forms the
+    # dots against the 0/1 matrices give, and the pair route's H = B X^t at
+    # X = U + Id, U^t, U and J - X are the dots they stand for; every row
+    # has n sums of the ring's own type, none at n = 0
+    rng = random.Random(29)
+    zero = ring.zero
+    for m in range(7):
+        for n in range(9):
+            A, B, X = (Matrix(ring, rand_entries(rng, ring, r, c), ncols=c)
+                       for r, c in ((m, n), (m, n), (n, n)))
+            U, Id, J = upper_ones(n, ring), identity(n, ring), all_ones(n, ring)
+            sums = {(strict, backward): _running_sums(A._rows, zero, strict, backward)
+                    for strict in (False, True) for backward in (False, True)}
+            for rows in sums.values():
+                assert [len(row) for row in rows] == [n] * m
+                assert all(type(x) is type(zero) for row in rows for x in row)
+            for AX, X01 in ((sums[True, False], U), (sums[False, False], U + Id), (A._rows, Id)):
+                assert _form_rows(ring, AX, B._rows) == skew_form(A, X01, B)
+                assert _form_rows(ring, AX, B._rows, A._rows) == rank_one_form(A, X01, B)
+
+            def dots(B, X):
+                return [[ring.dot(b, x) for x in X._rows] for b in B._rows]
+
+            assert _running_sums(B._rows, zero, backward=True) == dots(B, U + Id)
+            assert _running_sums(B._rows, zero, strict=True) == dots(B, U.T)
+            assert _running_sums(B._rows, zero, strict=True, backward=True) == dots(B, U)
+            assert _ones_less(B, dots(B, X)) == dots(B, J - X)
+
+
+def test_okada_and_byun_take_no_dot_against_U(monkeypatch):
+    # the 16 entries of P = AUA^t are all the dots the two compressions of a
+    # 4 x 8 minor sum take: AU is running sums, where dots against U took 32
+    calls, dot = [], IntegerRing.dot
+
+    def counting(self, xs, ys):
+        calls.append(1)
+        return dot(self, xs, ys)
+
+    monkeypatch.setattr(IntegerRing, "dot", counting)
+    A = rand_int_matrix(random.Random(16), 4, 8)
+    for compress_sum in (okada_pfaffian, byun_determinant):
+        calls.clear()
+        compress_sum(A)
+        assert len(calls) == 16, compress_sum.__name__
 
 
 # sha256 of every (lhs, rhs, details) of the check_cor7 reports below, on the
@@ -907,6 +973,7 @@ def test_only_outside_input_is_coerced(monkeypatch):
         lambda: Matrix.zeros(poly, 2, 3),
         lambda: ones_above_diagonal(poly, (s, t, s)),
         lambda: strict_upper_part(Y),
+        lambda: _form_rows(Y.ring, _running_sums(Y._rows, Y.ring.zero), Y._rows, Y._rows),
         lambda: _h_matrix(poly, h, 2, 4),
         lambda: _jacobi_trudi(poly, (2, 1), (0, 0), h),
         lambda: lindstrom_matrix(problem),
