@@ -47,7 +47,6 @@ from .combinat import (
 from .matrix import (
     Matrix,
     augment_hat,
-    concat_columns,
     det,
     det_bareiss,
     matrix_from_json_dict,
@@ -139,7 +138,6 @@ __all__ = [
     "subsets",
     "Matrix",
     "augment_hat",
-    "concat_columns",
     "det",
     "det_bareiss",
     "matrix_from_json_dict",

@@ -44,7 +44,6 @@ from .matrix import (
     outer_product,
     pfaffian,
     pfaffian_bareiss,
-    rank_one_form,
     require_skew,
     skew_form,
 )
@@ -778,11 +777,13 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     f_AB(X) f_BA(J - X^t) for even m and g_AB(X) g_BA(J - X^t) for odd m.
     Odd m also cross-checks the equivalent form
     (-1)^((m-1)/2) g_AB(X) g_BA(X^t).  The H of J - X is B's row sums less
-    H = B X^t (_ones_less)."""
+    H = B X^t (_ones_less).  AX is formed once, for the left side's
+    rank-one form and for odd m's H on (B, A)."""
     _check_abx(A, B, X)
     m = A.nrows
     ring = A.ring
-    lhs = det(rank_one_form(A, X, B))
+    AX = (A @ X)._rows
+    lhs = det(_form_rows(ring, AX, B._rows, A._rows))
     values = {}
     if m % 2 == 0:
         # f_BA(J - X^t) = (-1)^(m/2) f_AB(J - X), so one call serves both
@@ -793,8 +794,7 @@ def check_main1(A: Matrix, B: Matrix, X: Matrix) -> IdentityReport:
     else:
         gx = g_AB(A, B, X)
         # one call on (B, A) for g_BA(J - X^t) and g_BA(X^t), whose H is AX
-        H = (A @ X)._rows
-        gy, gt = _double_minor_sum(B, [_ones_less(A, H), H], (m + 1) // 2, border=True)
+        gy, gt = _double_minor_sum(B, [_ones_less(A, AX), AX], (m + 1) // 2, border=True)
         rhs = gx * gy
         alt = _apply_sign(_f_sign(m), gx * gt)
         values["alt_rhs"] = alt

@@ -1,8 +1,8 @@
 """Dense matrices over an exact ring, with fraction-free determinants and
 Pfaffians.
 
-Public index arguments (entry, row, column, submatrix, delete_rc, IndexSet)
-are 1-based throughout, matching the determinant/Pfaffian notation the
+Public index arguments (entry, row, column, submatrix, IndexSet) are
+1-based throughout, matching the determinant/Pfaffian notation the
 package verifies.  Internal storage is a 0-based tuple of row tuples.
 
 Every kernel is one loop for every ring: arithmetic is the entries' own
@@ -38,13 +38,14 @@ Every identity in the paper is about one skew matrix,
 Y(A, X, B) = AXB^t - BX^tA^t: `skew_form` builds it as P - P^t with
 P = AXB^t, and `rank_one_form` builds the determinant side
 AXB^t + B(J - X^t)A^t = Y(A, X, B) + (B 1)(A 1)^t, a skew matrix plus a
-rank-one matrix.  One body, `_form_rows`, dots the rows of AX with those
-of B for P's entries and writes each entry of the result, rank-one term
-included, in one pass; both forms give it the dots of A's rows with X's
-columns.  At X = U, U + Id and Id, AX needs no dot: AU and A(U + Id) are
-running sums of A's rows (`_running_sums`), so `okada_pfaffian` and
-`byun_determinant` (the Pfaffian and the determinant that compress a sum
-of maximal minors) and the checkers build no 0/1 matrix.
+rank-one matrix.  One body, `_form_rows`, takes the rows of AX and of B
+and forms each pair i < j once, P_ij - P_ji from two dots, written at
+(i, j) and negated at (j, i); the diagonal is zero before the rank-one
+term.  Both forms give it the rows of A @ X.  At X = U, U + Id and Id,
+AX needs no dot: AU and A(U + Id) are running sums of A's rows
+(`_running_sums`), so `okada_pfaffian` and `byun_determinant` (the
+Pfaffian and the determinant that compress a sum of maximal minors) and
+the checkers build no 0/1 matrix.
 
 Only the `Matrix` constructor coerces its entries; the builders here
 wrap ring elements they made themselves.
@@ -107,12 +108,6 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = width
         self._rows = tuple(rows)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zeros(cls, ring: Ring, m: int, n: int) -> "Matrix":
-        return _wrap(ring, ((ring.zero,) * n for _ in range(m)), n)
 
     # -- basic accessors ----------------------------------------------
 
@@ -193,10 +188,6 @@ class Matrix:
         rows = (tuple(dot(r, col) for col in bt) for r in self._rows)
         return _wrap(self.ring, rows, other.ncols)
 
-    def scale(self, scalar) -> "Matrix":
-        c = self.ring.coerce(scalar)
-        return _wrap(self.ring, (tuple(c * a for a in r) for r in self._rows), self.ncols)
-
     def transpose(self) -> "Matrix":
         rows = zip(*self._rows) if self._rows else [()] * self.ncols
         return _wrap(self.ring, rows, self.nrows)
@@ -214,23 +205,6 @@ class Matrix:
         cp = _as_positions(self.ncols, cols)
         src = self._rows
         return _wrap(self.ring, (tuple(src[r][c] for c in cp) for r in rp), len(cp))
-
-    def delete_rc(self, indices) -> "Matrix":
-        """Remove the same 1-based rows and columns (Pfaffian minors Y(i,j))."""
-        if not self.is_square():
-            raise ShapeError("delete_rc needs a square matrix")
-        drop = set(_as_positions(self.nrows, indices))
-        keep = [i + 1 for i in range(self.nrows) if i not in drop]
-        return self.submatrix(keep, keep)
-
-    def columns_at(self, which) -> "Matrix":
-        """All rows, 1-based columns `which` (A^I in minor-sum notation)."""
-        return self.submatrix(range(1, self.nrows + 1), which)
-
-    # -- predicates -----------------------------------------------------
-
-    def is_skew_symmetric(self) -> bool:
-        return _skew_defect(self) is None
 
 
 def _skew_defect(M: Matrix):
@@ -255,36 +229,6 @@ def require_skew(Y: Matrix, what: str) -> None:
 # -- structured matrices -------------------------------------------------
 
 
-def upper_ones(n: int, ring: Ring) -> Matrix:
-    """U_n: 1 strictly above the diagonal, 0 elsewhere."""
-    one, zero = ring.one, ring.zero
-    return _wrap(ring, (tuple(one if i < j else zero for j in range(n)) for i in range(n)), n)
-
-
-def all_ones(n: int, ring: Ring) -> Matrix:
-    return _wrap(ring, ((ring.one,) * n for _ in range(n)), n)
-
-
-def identity(n: int, ring: Ring) -> Matrix:
-    one, zero = ring.one, ring.zero
-    return _wrap(ring, (tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
-
-
-def concat_columns(blocks: Sequence[Matrix]) -> Matrix:
-    """Column concatenation of matrices with equal row counts and ring."""
-    blocks = list(blocks)
-    if not blocks:
-        raise ShapeError("concat_columns needs at least one block")
-    first = blocks[0]
-    for b in blocks[1:]:
-        if b.ring != first.ring:
-            raise RingMismatchError("concat_columns blocks over different rings")
-        if b.nrows != first.nrows:
-            raise ShapeError("concat_columns blocks with different row counts")
-    rows = (tuple(x for b in blocks for x in b._rows[r]) for r in range(first.nrows))
-    return _wrap(first.ring, rows, sum(b.ncols for b in blocks))
-
-
 def augment_hat(A: Matrix) -> Matrix:
     """(m+1) x (n+1) augmentation: A in the top-left block, 1 in the new
     bottom-right corner, 0 elsewhere.  Preserves the sum of maximal minors
@@ -304,31 +248,36 @@ def outer_product(ring: Ring, a: Sequence, b: Sequence) -> Matrix:
 
 
 def _form(A: Matrix, X: Matrix, B: Matrix, rank_one: bool) -> Matrix:
-    """P - P^t with P = AXB^t, plus (B 1)(A 1)^t when `rank_one`: a row of
-    AX is the dots of a row of A with X's columns, and _form_rows does the
-    rest.  Raises the errors of A @ X @ B.T - its transpose."""
+    """P - P^t with P = AXB^t, plus (B 1)(A 1)^t when `rank_one`: AX is
+    A @ X, and _form_rows does the rest.  Raises the errors of
+    A @ X @ B.T - its transpose."""
     A._check_same_ring(X)
     A._check_same_ring(B)
     if A.ncols != X.nrows or X.ncols != B.ncols or A.nrows != B.nrows:
         raise ShapeError(f"cannot form AXB^t from {A.nrows}x{A.ncols}, "
                          f"{X.nrows}x{X.ncols} and {B.nrows}x{B.ncols} blocks")
-    ring, dot = A.ring, A.ring.dot
-    columns = list(zip(*X._rows)) if X._rows else [()] * X.ncols
-    AX = [[dot(a, col) for col in columns] for a in A._rows]
-    return _form_rows(ring, AX, B._rows, A._rows if rank_one else None)
+    return _form_rows(A.ring, (A @ X)._rows, B._rows, A._rows if rank_one else None)
 
 
 def _form_rows(ring: Ring, AX, B, A=None) -> Matrix:
     """P - P^t with P = AXB^t from the rows of AX and of B (an entry of P is
-    the dot of a row of each), plus (B 1)(A 1)^t given the rows of A, in
-    one pass.  Unchecked: AX and B have as many rows, of one length."""
+    the dot of a row of each), plus (B 1)(A 1)^t given the rows of A.  Each
+    pair i < j is formed once: v = P_ij - P_ji goes to (i, j) and -v to
+    (j, i), and the diagonal is zero, so m(m - 1) dots in all.  Unchecked:
+    AX and B have as many rows, of one length."""
     dot, m = ring.dot, len(AX)
-    P = [[dot(ax, b) for b in B] for ax in AX]
+    Y = [[ring.zero] * m for _ in range(m)]
+    for i in range(m):
+        ax, b, y = AX[i], B[i], Y[i]
+        for j in range(i + 1, m):
+            v = dot(ax, B[j]) - dot(AX[j], b)
+            y[j] = v
+            Y[j][i] = -v
     if A is None:
-        rows = (tuple(P[i][j] - P[j][i] for j in range(m)) for i in range(m))
+        rows = map(tuple, Y)
     else:
         a1, b1 = ([sum(r, ring.zero) for r in block] for block in (A, B))
-        rows = (tuple(P[i][j] - P[j][i] + b1[i] * a1[j] for j in range(m)) for i in range(m))
+        rows = (tuple(y + bi * aj for y, aj in zip(row, a1)) for row, bi in zip(Y, b1))
     return _wrap(ring, rows, m)
 
 

@@ -286,8 +286,7 @@ def count_fixed(p: PathProblem, ends: Union[IndexSet, Iterable[int]]) -> int:
     sel, points = _end_selection(p, ends)
     _require_staircase(p.starts, "starts")
     _require_staircase(points, "selected endpoints")
-    sub = lindstrom_matrix(p).columns_at(sel)
-    return det(sub)
+    return det(lindstrom_matrix(p).submatrix(range(1, len(p.starts) + 1), sel))
 
 
 def _live_columns(counts: Sequence[Sequence[int]]) -> Optional[list]:

@@ -2,12 +2,15 @@
 
 Everything in this module is deliberately written from first principles
 (tableau enumeration, naive path walks) so that it shares no code with the
-library implementations it is used to check.
+library implementations it is used to check; the 0/1 reference matrices
+use only the `Matrix` constructor, to hold their entries.
 """
 
 import functools
 import itertools
 from fractions import Fraction
+
+from minorsum import Matrix
 
 
 # -- semistandard tableau enumeration ----------------------------------------
@@ -322,6 +325,31 @@ def ref_chain_sum(first, second, weak_within):
             ]
             total = total + leibniz_det(square)
     return total
+
+
+# -- 0/1 matrices by their definitions ---------------------------------------
+# U, Id, J and the zero matrix for the literal products that the skew forms,
+# the running sums and the checkers are tested against; the package itself
+# builds none of them.
+
+
+def zeros(ring, m, n):
+    return Matrix(ring, [[ring.zero] * n for _ in range(m)], ncols=n)
+
+
+def upper_ones(n, ring):
+    """U_n: 1 strictly above the diagonal, 0 elsewhere."""
+    return Matrix(ring, [[ring.one if i < j else ring.zero for j in range(n)]
+                         for i in range(n)], ncols=n)
+
+
+def identity(n, ring):
+    return Matrix(ring, [[ring.one if i == j else ring.zero for j in range(n)]
+                         for i in range(n)], ncols=n)
+
+
+def all_ones(n, ring):
+    return Matrix(ring, [[ring.one] * n for _ in range(n)], ncols=n)
 
 
 # -- misc ---------------------------------------------------------------------

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from oracles import expansion_pfaffian, tableau_schur
+from oracles import expansion_pfaffian, identity, tableau_schur, upper_ones
 from minorsum import (
     Matrix,
     ParityError,
@@ -16,7 +16,7 @@ from minorsum import (
     xy_ring,
 )
 from minorsum.identities import _chain_route, _chain_sum, _sweep_is_cheaper
-from minorsum.matrix import identity, skew_form, upper_ones
+from minorsum.matrix import skew_form
 from minorsum.symfun import _h_matrix, _h_table
 
 
