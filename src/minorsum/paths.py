@@ -10,10 +10,10 @@ into a single Pfaffian or determinant.  The exhaustive route that
 cross-checks them counts vertex-disjoint families over all endpoint
 subsets in one depth-first walk, with each path a bitmask of its vertices
 and each start's paths to all its ends listed in one forward pass.  The
-last start's paths are indexed by vertex instead (the numbers of the paths
-through each vertex, as one bitmask), and every other path keeps the set of
-the last start's paths it blocks, so that a partial family's extensions
-are counted with one bitmask operation.
+last start's paths are counted instead, into the numbers of its paths
+through each vertex (as one bitmask, from two passes of path counts), and
+every other path carries the set of the last start's paths it blocks, so
+that a partial family's extensions are counted with one bitmask operation.
 
 Endpoint subsets are 1-based column selections, matching the matrix module.
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .combinat import IndexSet
@@ -241,21 +241,26 @@ def _count_paths(start: Point, ends: Sequence[Point], steps: Tuple[Point, ...], 
     return [counts.get(e, 0) for e in ends]
 
 
-def _start_masks(start: Point, ends: Sequence[Point], steps: Sequence[Point], bounds, bit) -> list:
-    """Every path from start to each of ends, as the bitmask of its
-    vertices, one list per end, where bit(u) is the bit of vertex u and
-    bounds is _step_bounds(steps).  One forward pass over the union of the
-    ends' regions keeps the masks of the paths from start to each point,
-    so the ends share the listing of their paths' common prefixes."""
-    prefixes: dict = {}
+def _start_masks(start: Point, ends: Sequence[Point], steps: Sequence[Point], bounds, bit,
+                 through: dict) -> list:
+    """Every path from start to each of ends, as (masks, blocked) per end:
+    the bitmask of each path's vertices (bit(u) is the bit of vertex u) and
+    the union of through[v] over its vertex bits v, with
+    bounds = _step_bounds(steps).
+    One forward pass over the union of the ends' regions keeps both for the
+    paths to each point, so the ends share their paths' common prefixes."""
+    masks, blocks = {}, {}
     for u in reversed(_walk_region(start, ends, steps, bounds)):
         # every point of the region after start is a step from one before it
-        heads = [0] if u == start else [
-            h for sx, sy in steps for h in prefixes.get((u[0] - sx, u[1] - sy), ())
-        ]
+        preds = [w for w in ((u[0] - sx, u[1] - sy) for sx, sy in steps) if w in masks]
         b = bit(u)
-        prefixes[u] = [b | h for h in heads]
-    return [prefixes.get(e, []) for e in ends]
+        t = through.get(b)
+        masks[u] = [b | h for w in preds for h in masks[w]] if preds else [b]
+        # blocks lacks the points whose paths' sets are all empty
+        if t or any(w in blocks for w in preds):
+            bls = [x for w in preds for x in blocks.get(w) or [0] * len(masks[w])] or [0]
+            blocks[u] = [t | x for x in bls] if t else bls
+    return [(masks.get(e, []), blocks.get(e) or [0] * len(masks.get(e, ()))) for e in ends]
 
 
 def lindstrom_matrix(p: PathProblem) -> Matrix:
@@ -321,13 +326,13 @@ def _disjoint_families(p: PathProblem, counts: Sequence[Sequence[int]]) -> int:
     One depth-first walk over (start k, column c_k, path of start k to c_k
     disjoint from the paths already chosen) serves every selection: a path
     is the bitmask of its vertices, so disjointness is one `&`.  Only live
-    columns (_live_columns) are visited, and each start's paths to all of
-    them are listed in one forward pass (_start_masks): the last start's
-    up front, into a vertex index (_PathIndex), each other start's when the
-    walk first reaches it.  Each listed path of an earlier start keeps the
-    set of the last start's paths it blocks, so a partial family carries
-    the union of its paths' sets down the walk and its extensions are
-    counted with one bitmask operation.
+    columns (_live_columns) are visited.  The last start's paths are
+    numbered up front from path counts (_PathIndex); each other start's
+    paths to all its columns are listed in one forward pass (_start_masks)
+    when the walk first reaches it, each with the set of the last start's
+    paths it blocks.  A partial family carries the union of its paths' sets
+    down the walk, and its extensions are counted with one bitmask
+    operation.
     """
     live = _live_columns(counts)
     if live is None:
@@ -338,14 +343,14 @@ def _disjoint_families(p: PathProblem, counts: Sequence[Sequence[int]]) -> int:
     def bit(u: Point) -> int:
         return 1 << numbering.setdefault(u, len(numbering))
 
-    def listing(k: int) -> list:
+    def listing(k: int, through: dict) -> list:
         ends = [p.candidate_ends[c] for c in live[k]]
-        return _start_masks(p.starts[k], ends, p.steps, bounds, bit)
+        return _start_masks(p.starts[k], ends, p.steps, bounds, bit, through)
 
     last = len(live) - 1
     if last == 0:
-        return sum(map(len, listing(0)))
-    index = _PathIndex(live[last], listing(last))
+        return sum(len(masks) for masks, _ in listing(0, {}))
+    index = _PathIndex(p, live[last], bounds, bit)
     listed: dict = {}
 
     def paths(k: int) -> list:
@@ -353,9 +358,10 @@ def _disjoint_families(p: PathProblem, counts: Sequence[Sequence[int]]) -> int:
         # their blocked sets) for each live column of start k
         if k not in listed:
             columns = listed[k] = []
-            for c, masks in zip(live[k], listing(k)):
+            for c, (masks, bls) in zip(live[k], listing(k, index.through)):
                 later = index.later(c)
-                columns.append((c, later, masks, [index.blocked(b, later) for b in masks]))
+                below = (1 << later) - 1
+                columns.append((c, later, masks, [bl & below for bl in bls]))
         return listed[k]
 
     # a recursive closure would be a reference cycle holding the path lists
@@ -388,57 +394,50 @@ def _extensions(k: int, prev: int, used: int, blocked: int, penult: int, paths) 
 
 class _PathIndex:
     """The paths of the last start to its live columns, numbered from the
-    last column down, so that the paths to the columns after any column
-    are the lowest numbers.  through[v] is the set of numbers of the paths
-    through vertex bit v and touched the vertices of every path; each set
-    is an int bitmask."""
+    last column down and, within a column, in _start_masks order, so that
+    the paths to the columns after any column are the lowest numbers.
+    tail[i] is the number of paths to columns[i:], and through[v] the set
+    of numbers of the paths through vertex bit v (an int bitmask).
 
-    __slots__ = ("columns", "tail", "through", "touched")
+    Nothing is listed.  As the paths to w are those to each w - s over the
+    steps s in order, the paths that go on from v to an end one same way
+    have consecutive numbers, P(v) of them, with P(v) the number of paths
+    to v.  With D(v) the numbers that begin such blocks, base(e) the number
+    of paths to the columns after end e and off(w, s) the sum of P(w - s')
+    over the steps s' before s, D(v) = [v is an end] 2^base(v) +
+    sum_s D(v + s) << off(v + s, s), and through[v] = D(v) (2^P(v) - 1).
+    """
 
-    def __init__(self, columns: list, listed: list):
-        # listed[i]: the masks of the paths to columns[i]; tail[i]: the
-        # number of paths to columns[i:]
-        tail = [0]
-        for masks in reversed(listed):
-            tail.append(tail[-1] + len(masks))
+    __slots__ = ("columns", "tail", "through")
+
+    def __init__(self, p: PathProblem, columns: list, bounds, bit):
+        start, ends = p.starts[-1], [p.candidate_ends[c] for c in columns]
+        region = _walk_region(start, ends, p.steps, bounds)
+        count: dict = {}  # P(u)
+        for u in reversed(region):
+            # every point of the region after start is a step from one before it
+            count[u] = 1 if u == start else sum(count.get((u[0] - sx, u[1] - sy), 0)
+                                                 for sx, sy in p.steps)
         self.columns = columns
-        self.tail = tail[::-1]
-        # the numbers of the paths through each vertex, as one bytearray
-        # per vertex, so that setting a bit does not copy a big int
-        width, touched, rows, j = (tail[-1] + 7) >> 3, 0, {}, 0
-        for masks in listed:
-            for b in masks:
-                touched |= b
-        self.touched = hit = touched
-        while hit:
-            v = hit & -hit
-            rows[v] = bytearray(width)
-            hit ^= v
-        for masks in reversed(listed):
-            for b in masks:
-                byte, flag = j >> 3, 1 << (j & 7)
-                while b:
-                    v = b & -b
-                    rows[v][byte] |= flag
-                    b ^= v
-                j += 1
-        self.through = {v: int.from_bytes(row, "little") for v, row in rows.items()}
+        self.tail = list(accumulate((count[e] for e in reversed(ends)), initial=0))[::-1]
+        # begins[u]: D(u) so far; every step from w lands before it, so D(w) is whole
+        begins = {e: 1 << t for e, t in zip(ends, self.tail[1:])}
+        through = self.through = {}
+        for w in region:
+            d = begins.pop(w, 0)
+            if d:
+                through[bit(w)] = (d << count[w]) - d
+                off = 0
+                for sx, sy in p.steps:
+                    u = (w[0] - sx, w[1] - sy)
+                    if u in count:
+                        begins[u] = begins.get(u, 0) | d << off
+                        off += count[u]
 
     def later(self, c: int) -> int:
         """The number of paths to columns after column c: they are the
         numbers below it."""
         return self.tail[bisect.bisect_right(self.columns, c)]
-
-    def blocked(self, b: int, below: int) -> int:
-        """The numbers below `below` of the paths that share a vertex
-        with b."""
-        through, blocked = self.through, 0
-        hit = b & self.touched
-        while hit:
-            v = hit & -hit
-            blocked |= through[v]
-            hit ^= v
-        return blocked & ((1 << below) - 1)
 
 
 def _most_tuples(mat: Matrix) -> int:

@@ -164,6 +164,31 @@ def walk_region(start, end, steps, bounds):
     return sorted(seen, key=lambda u: a * u[0] + b * u[1], reverse=True)
 
 
+class ListedPathIndex:
+    """Reference for the exhaustive route's index of the last start's
+    paths, built from the listed paths.  listed[i] holds the vertex
+    bitmasks of the paths to columns[i]; the paths are numbered from the
+    last column down, in listed order within a column.  tail[i] is the
+    number of paths to columns[i:], through[v] the numbers of the paths
+    through vertex bit v, and touched the vertices of every path, each set
+    an int bitmask, set one bit per (path, vertex)."""
+
+    def __init__(self, columns, listed):
+        self.columns = columns
+        self.tail = [sum(map(len, listed[i:])) for i in range(len(listed) + 1)]
+        self.touched = 0
+        self.through = {}
+        number = 0
+        for masks in reversed(listed):
+            for b in masks:
+                self.touched |= b
+                while b:
+                    v = b & -b
+                    self.through[v] = self.through.get(v, 0) | 1 << number
+                    b ^= v
+                number += 1
+
+
 # -- edges that meet between lattice points ---------------------------------
 
 

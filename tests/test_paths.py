@@ -1,11 +1,13 @@
 import gc
 import math
 import random
+import time
 from itertools import combinations, product
 
 import pytest
 
 from oracles import (
+    ListedPathIndex,
     count_disjoint_families,
     count_free_families,
     lattice_paths,
@@ -26,8 +28,10 @@ from minorsum import (
 )
 from minorsum.paths import (
     NE_STEPS,
+    _PathIndex,
     _disjoint_families,
     _live_columns,
+    _start_masks,
     _step_bounds,
     _walk_region,
     count_free_routes,
@@ -457,19 +461,38 @@ def seeded_staircases(seed, steps, highest_end):
     ]
 
 
+def pinned_staircases():
+    """The seeded staircases the exhaustive route's pins run on, north-east
+    and Delannoy."""
+    return [p for steps, seed, highest_end in ((NE_STEPS, 14, 5), (DELANNOY, 15, 4))
+            for p in seeded_staircases(seed, steps, highest_end)]
+
+
 def listing_passes(monkeypatch, p):
-    """The (start, ends) of each listing pass count_free_routes makes, in
-    order, and the routes it returns."""
+    """The (start, ends) of each region pass the exhaustive route makes, in
+    order (the last start's for its path index, then each other start's
+    listing), and the routes count_free_routes returns."""
     import minorsum.paths
 
-    passes, start_masks = [], minorsum.paths._start_masks
+    passes, inside = [], []
+    walk_region, families = minorsum.paths._walk_region, minorsum.paths._disjoint_families
 
     def record(start, ends, *rest):
-        passes.append((start, tuple(ends)))
-        return start_masks(start, ends, *rest)
+        if inside:
+            passes.append((start, tuple(ends)))
+        return walk_region(start, ends, *rest)
+
+    def exhaustive(*args):
+        # the Lindstrom matrix walks regions too, outside the route
+        inside.append(True)
+        try:
+            return families(*args)
+        finally:
+            inside.pop()
 
     with monkeypatch.context() as patch:
-        patch.setattr(minorsum.paths, "_start_masks", record)
+        patch.setattr(minorsum.paths, "_walk_region", record)
+        patch.setattr(minorsum.paths, "_disjoint_families", exhaustive)
         routes = count_free_routes(p)
     return passes, routes
 
@@ -486,27 +509,27 @@ def selection_pairs(p):
 
 
 def test_brute_route_lists_the_pinned_pairs(monkeypatch):
-    # the exhaustive route lists the paths of each start in at most one
-    # pass, over exactly the ends it meets on a selection whose path counts
-    # are all nonzero; a start the walk never reaches is not listed, and
-    # when some family exists the walk reaches every start
+    # the exhaustive route walks the region of each start in at most one
+    # pass (the last start's to build its index, each other's to list its
+    # paths), over exactly the ends it meets on a selection whose path
+    # counts are all nonzero; a start the walk never reaches is not walked,
+    # and when some family exists the walk reaches every start
     trimmed = unreached = 0
-    for steps, seed, highest_end in ((NE_STEPS, 14, 5), (DELANNOY, 15, 4)):
-        for p in seeded_staircases(seed, steps, highest_end):
-            passes, routes = listing_passes(monkeypatch, p)
-            starts = [start for start, _ in passes]
-            assert len(starts) == len(set(starts))
-            pairs = selection_pairs(p)
-            for start, ends in passes:
-                assert ends == tuple(e for e in p.candidate_ends if (start, e) in pairs)
-            if routes["brute"]:
-                assert sorted(starts) == sorted(p.starts)
-            elif not pairs:
-                assert passes == []
-            unreached += len(starts) < len(p.starts)
-            nonzero = sum(1 for s in p.starts for e in p.candidate_ends
-                          if count_paths(s, e, steps))
-            trimmed += nonzero > len(pairs)
+    for p in pinned_staircases():
+        passes, routes = listing_passes(monkeypatch, p)
+        starts = [start for start, _ in passes]
+        assert len(starts) == len(set(starts))
+        pairs = selection_pairs(p)
+        for start, ends in passes:
+            assert ends == tuple(e for e in p.candidate_ends if (start, e) in pairs)
+        if routes["brute"]:
+            assert sorted(starts) == sorted(p.starts)
+        elif not pairs:
+            assert passes == []
+        unreached += len(starts) < len(p.starts)
+        nonzero = sum(1 for s in p.starts for e in p.candidate_ends
+                      if count_paths(s, e, p.steps))
+        trimmed += nonzero > len(pairs)
     # some instances have nonzero pairs on no such selection, and some
     # starts the walk never reaches
     assert trimmed > 0 and unreached > 0
@@ -533,6 +556,103 @@ def test_brute_route_lists_no_path_when_a_later_start_reaches_no_end(
     assert count_paths(starts[big[0]], ends[big[1]]) > 10**14
     assert listing_passes(monkeypatch, p) == ([], {"okada": 0, "byun": 0, "brute": 0})
     assert brute_on_selection(p, range(1, len(starts) + 1)) == 0
+
+
+def listed_in_start_masks_order(start, end, steps, bit):
+    """The vertex bitmasks of the paths start -> end, the paths to end - s
+    over the steps s in order, each of those in this order again: by the
+    step numbers read from the end back."""
+    def key(path):
+        return [steps.index((b[0] - a[0], b[1] - a[1])) for a, b in zip(path, path[1:])][::-1]
+
+    return [sum(map(bit, path)) for path in sorted(lattice_paths(start, end, steps), key=key)]
+
+
+def test_path_index_from_counts_matches_the_listed_index():
+    # the index counts the last start's paths; the reference lists them and
+    # sets one bit per (path, vertex), and both must number them alike
+    problems = pinned_staircases() + collinear_problems(NE_STEPS, (2, 3, 4)) \
+        + collinear_problems(DELANNOY, (2, 3, 4))
+    compared = set()
+    for p in problems:
+        live = _live_columns(lindstrom_matrix(p)._rows)
+        if len(p.starts) < 2 or live is None:
+            continue
+        numbering = {}
+
+        def bit(u):
+            return 1 << numbering.setdefault(u, len(numbering))
+
+        index = _PathIndex(p, live[-1], _step_bounds(p.steps), bit)
+        listed = [listed_in_start_masks_order(p.starts[-1], p.candidate_ends[c], p.steps, bit)
+                  for c in live[-1]]
+        expect = ListedPathIndex(live[-1], listed)
+        assert index.tail == expect.tail
+        assert index.through == expect.through
+        assert sum(index.through) == expect.touched
+        compared.add((p.steps, len(live[-1]) > 1, expect.tail[0] > len(live[-1])))
+    # both step sets, with several columns and with more paths than columns
+    assert {(NE_STEPS, True, True), (DELANNOY, True, True)} <= compared
+
+
+def union_through(b, through):
+    """The union of through[v] over the vertex bits v of the mask b."""
+    union = 0
+    while b:
+        union |= through.get(b & -b, 0)
+        b &= b - 1
+    return union
+
+
+def test_start_masks_lists_the_paths_in_index_order():
+    # the index numbers the paths of a column as _start_masks lists them,
+    # and each listed path carries the union of through over its vertices
+    rng = random.Random(8)
+    through = {1 << v: rng.getrandbits(12) for v in range(0, 60, 2)}
+    for p in pinned_staircases() + collinear_problems(DELANNOY, (1, 4)):
+        numbering = {}
+
+        def bit(u):
+            return 1 << numbering.setdefault(u, len(numbering))
+
+        start, ends = p.starts[-1], p.candidate_ends
+        walk = _start_masks(start, ends, p.steps, _step_bounds(p.steps), bit, through)
+        for end, (masks, bls) in zip(ends, walk):
+            assert masks == listed_in_start_masks_order(start, end, p.steps, bit)
+            assert bls == [union_through(b, through) for b in masks]
+
+
+def test_exhaustive_route_counts_its_own_paths(monkeypatch):
+    # the last start's path counts come from the index's own pass, not from
+    # the Lindstrom matrix that the okada and byun routes read
+    import minorsum.paths
+
+    problems = pinned_staircases() + collinear_problems(DELANNOY, (1, 2, 3, 4))
+    rows = [lindstrom_matrix(p)._rows for p in problems]
+    expect = [count_free_families(p.starts, p.candidate_ends, p.steps) for p in problems]
+
+    def refuse(*args):
+        raise AssertionError("the exhaustive route read a path count")
+
+    with monkeypatch.context() as patch:
+        for name in ("_count_paths", "count_paths", "lindstrom_matrix"):
+            patch.setattr(minorsum.paths, name, refuse)
+        got = [_disjoint_families(p, r) for p, r in zip(problems, rows)]
+    assert got == expect
+    assert sum(1 for p, n in zip(problems, got) if n and len(p.starts) > 1) > 10
+
+
+def test_brute_route_is_prompt_when_the_last_start_has_many_paths():
+    # C(21, 8) = 203,490 paths of the last start, each on a family with each
+    # of the first start's two paths; indexing them one bit per (path,
+    # vertex) takes over a second
+    p = PathProblem(starts=((0, 10), (1, 0)), candidate_ends=((1, 11), (14, 8)))
+    assert count_paths(p.starts[1], p.candidate_ends[1]) == 203490
+    t0 = time.process_time()
+    routes = count_free_routes(p)
+    elapsed = time.process_time() - t0
+    assert routes == {"okada": 406980, "byun": 406980, "brute": 406980}
+    assert elapsed < 0.25
 
 
 def test_live_columns_are_the_columns_of_nonzero_selections():
@@ -583,27 +703,33 @@ def test_exhaustive_walk_tests_every_pair_of_paths(starts, ends):
 
 TWO_ONE = ((1, 0), (0, 1), (2, 1))
 ONE_TWO = ((1, 0), (0, 1), (1, 2))
+# ends in a row and then a column, so that paths to one end pass through
+# others, and ends some of which are starts too
+COLLINEAR_STARTS = ((0, 3), (1, 2), (2, 1), (3, 0))
+COLLINEAR_ENDS = ((2, 4), (3, 4), (4, 4), (4, 3), (4, 2))
+ON_ENDS = ((1, 4), (1, 2), (2, 1), (3, 1), (4, 1), (4, 0))
+
+
+def collinear_problems(steps, ms):
+    return [
+        PathProblem(starts=COLLINEAR_STARTS[:m], candidate_ends=ends, steps=steps)
+        for m in ms
+        for ends in (COLLINEAR_ENDS, COLLINEAR_ENDS[:m + 1], ON_ENDS)
+    ]
 
 
 @pytest.mark.parametrize("steps", [NE_STEPS, DELANNOY, TWO_ONE, ONE_TWO],
                          ids=["ne", "delannoy", "two-one", "one-two"])
 def test_brute_route_on_collinear_ends_and_a_start_on_an_end(steps):
-    # ends in a row and then a column, so that paths to one end pass
-    # through others, and starts that are themselves candidate ends; the
-    # (2, 1) and (1, 2) steps let paths cross between lattice points, so
-    # they run with one start only
-    starts = ((0, 3), (1, 2), (2, 1), (3, 0))
-    ends = ((2, 4), (3, 4), (4, 4), (4, 3), (4, 2))
-    on_ends = ((1, 4), (1, 2), (2, 1), (3, 1), (4, 1), (4, 0))
+    # the (2, 1) and (1, 2) steps let paths cross between lattice points,
+    # so they run with one start only
     ms = (1, 2, 3, 4) if steps in (NE_STEPS, DELANNOY) else (1,)
     counted = set()
-    for m in ms:
-        for problem_ends in (ends, ends[:m + 1], on_ends):
-            p = PathProblem(starts=starts[:m], candidate_ends=problem_ends, steps=steps)
-            brute = count_free_routes(p)["brute"]
-            assert brute == count_free_families(p.starts, p.candidate_ends, steps)
-            if brute:
-                counted.add(m)
+    for p in collinear_problems(steps, ms):
+        brute = count_free_routes(p)["brute"]
+        assert brute == count_free_families(p.starts, p.candidate_ends, steps)
+        if brute:
+            counted.add(len(p.starts))
     assert counted == set(ms)
 
 
