@@ -77,8 +77,6 @@ from .identities import (
     g_AB,
     minor_sum,
     sign_from_binom2,
-    x1_closed_form,
-    x2_closed_form,
 )
 __version__ = "0.1.0"
 
@@ -88,7 +86,7 @@ __version__ = "0.1.0"
 # minorsum.cli` does not find the command line module already imported.
 # A name, once read, is bound here, so later reads cost no call.
 _LAZY = {
-    "symfun": ("check_cauchy", "h_complete", "skew_schur", "xy_ring"),
+    "symfun": ("check_cauchy", "skew_schur", "xy_ring"),
     "paths": ("PathProblem", "count_fixed", "count_free", "count_paths", "lindstrom_matrix"),
     "cli": ("RunReport", "VerifyConfig", "run_verify"),
 }
@@ -167,9 +165,6 @@ __all__ = [
     "g_AB",
     "minor_sum",
     "sign_from_binom2",
-    "x1_closed_form",
-    "x2_closed_form",
-    "h_complete",
     "skew_schur",
     "xy_ring",
     "PathProblem",

@@ -10,8 +10,9 @@ Conventions, fixed once for the whole module:
   * matrices A, B are m x n; X is n x n; skew inputs Y are square;
   * Y(A, X, B) = AXB^t - BX^tA^t (`matrix.skew_form`) is the skew matrix
     of the Pfaffian sides, and AXB^t + B(J - X^t)A^t = Y(A, X, B) +
-    (B 1)(A 1)^t (`matrix.rank_one_form`, J all ones, 1 the ones vector)
-    is the skew-plus-rank-one matrix of the determinant sides;
+    (B 1)(A 1)^t (J all ones, 1 the ones vector) is the skew-plus-rank-one
+    matrix of the determinant sides, which `matrix._form_rows` builds from
+    the rows of AX, B and A for `main1`, `ab` and `byun`;
   * A^I is the m x |I| matrix of A-columns picked by the 1-based set I,
     and det(A^I B^J) is the determinant of the column concatenation;
   * sign_from_binom2(k) is (-1)^binom(k,2), read off k mod 4.
@@ -29,7 +30,6 @@ from .combinat import IndexSet, inv_word
 from .errors import ParityError, RingMismatchError, ShapeError
 from .matrix import (
     Matrix,
-    _as_positions,
     _extend_minors,
     _form_rows,
     _pfaffian_minors,
@@ -127,16 +127,6 @@ class IdentityReport:
     def details(self) -> dict:
         self._format()
         return self._details
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity_id,
-            "digest": self.input_digest,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "pass": self.passed,
-            "details": self.details,
-        }
 
 
 def input_digest(payload: dict) -> str:
@@ -617,14 +607,13 @@ def g_AB(A: Matrix, B: Matrix, X: Matrix):
 # -- closed forms for near-triangular minors ---------------------------------
 
 
-def _chain_product(ring: Ring, diag: Sequence, I: tuple, J: tuple,
-                   coerce: bool = False):
-    """Product over the interleaved word i1 j1 i2 j2 ... (ending in i_(l+1)
-    when |I| = |J| + 1) of d_w at each step i_k = j_k = w and 1 - d_w at
-    each step j_k = i_(k+1) = w; 0 unless the word is weakly increasing.
-    Unchecked: I and J are strictly increasing within 1..len(diag), and
-    the entries of diag are ring elements unless `coerce`, which coerces
-    each entry the product reads."""
+def _chain_product(ring: Ring, diag: Sequence, I: tuple, J: tuple):
+    """Closed form for det(X_IJ), X with diagonal diag and ones strictly
+    above it: the product over the interleaved word i1 j1 i2 j2 ...
+    (ending in i_(l+1) when |I| = |J| + 1) of d_w at each step
+    i_k = j_k = w and 1 - d_w at each step j_k = i_(k+1) = w; 0 unless the
+    word is weakly increasing.  Unchecked: I and J are strictly increasing
+    within 1..len(diag), and the entries of diag are ring elements."""
     word = [0] * (len(I) + len(J))
     word[::2], word[1::2] = I, J
     if word != sorted(word):
@@ -633,40 +622,17 @@ def _chain_product(ring: Ring, diag: Sequence, I: tuple, J: tuple,
     for t in range(1, len(word)):
         if word[t - 1] == word[t]:
             d = diag[word[t] - 1]
-            if coerce:
-                d = ring.coerce(d)
             val = val * (d if t % 2 else ring.one - d)
     return val
 
 
 def _bordered_chain_product(ring: Ring, diag: Sequence, I: tuple, J: tuple):
-    """x2_closed_form, unchecked as _chain_product is."""
+    """Closed form for det(1 X_IJ) with |I| = |J| + 1, X as in
+    _chain_product and 1 a first column of ones: (-1)^|J| times the chain
+    product over i1 <= j1 <= i2 <= ... <= i_(l+1), else 0.  Unchecked as
+    _chain_product is."""
     val = _chain_product(ring, diag, I, J)
     return -val if len(J) % 2 else val
-
-
-def x1_closed_form(ring: Ring, diag: Sequence, I, J):
-    """Closed form for det(X_IJ) where X has the given diagonal and ones
-    strictly above it: the chain product over i1 <= j1 <= i2 <= ... <= j_l,
-    else 0."""
-    idx_i, idx_j = tuple(I), tuple(J)
-    if len(idx_i) != len(idx_j):
-        raise ShapeError("index sets must have equal size")
-    for idx in (idx_i, idx_j):
-        _as_positions(len(diag), idx)
-    return _chain_product(ring, diag, idx_i, idx_j, coerce=True)
-
-
-def x2_closed_form(ring: Ring, diag: Sequence, I, J):
-    """Closed form for det(1 X_IJ) with |I| = |J| + 1: (-1)^|J| times the
-    chain product over i1 <= j1 <= i2 <= ... <= i_{l+1}, else 0."""
-    idx_i, idx_j = tuple(I), tuple(J)
-    if len(idx_i) != len(idx_j) + 1:
-        raise ShapeError("need |I| = |J| + 1")
-    for idx in (idx_i, idx_j):
-        _as_positions(len(diag), idx)
-    val = _chain_product(ring, diag, idx_i, idx_j, coerce=True)
-    return -val if len(idx_j) % 2 else val
 
 
 def ones_above_diagonal(ring: Ring, diag: Sequence) -> Matrix:
@@ -941,7 +907,7 @@ def check_lemma_iswa(Y: Matrix, I) -> IdentityReport:
 
 def check_ab(A: Matrix, B: Matrix) -> IdentityReport:
     """Interlacing-chain factorization of det(AUB^t + BUA^t + AB^t), which
-    is rank_one_form(A, U + Id, B) since J - U^t - Id = U:
+    is Y(A, U + Id, B) + (B 1)(A 1)^t since J - U^t - Id = U:
     (weak-within chain sum, A leading) times (strict-within chain sum,
     B leading).  Each factor is also cross-checked against f/g's pair-route
     sums at X = U + Id and X = U (or U^t), whose H = B X^t are suffix or

@@ -1,9 +1,9 @@
 """Dense matrices over an exact ring, with fraction-free determinants and
 Pfaffians.
 
-Public index arguments (entry, row, column, submatrix, IndexSet) are
-1-based throughout, matching the determinant/Pfaffian notation the
-package verifies.  Internal storage is a 0-based tuple of row tuples.
+Public index arguments (submatrix, IndexSet) are 1-based throughout,
+matching the determinant/Pfaffian notation the package verifies.
+Internal storage is a 0-based tuple of row tuples.
 
 Every kernel is one loop for every ring: arithmetic is the entries' own
 operators, zero tests are `not x`, and the two fraction-free eliminations
@@ -35,13 +35,13 @@ division-free Pfaffian expansion; the checkers that read many Pfaffian
 minors of one matrix read them from one such memo.
 
 Every identity in the paper is about one skew matrix,
-Y(A, X, B) = AXB^t - BX^tA^t: `skew_form` builds it as P - P^t with
-P = AXB^t, and `rank_one_form` builds the determinant side
-AXB^t + B(J - X^t)A^t = Y(A, X, B) + (B 1)(A 1)^t, a skew matrix plus a
-rank-one matrix.  One body, `_form_rows`, takes the rows of AX and of B
-and forms each pair i < j once, P_ij - P_ji from two dots, written at
-(i, j) and negated at (j, i); the diagonal is zero before the rank-one
-term.  Both forms give it the rows of A @ X.  At X = U, U + Id and Id,
+Y(A, X, B) = AXB^t - BX^tA^t, and the determinant sides of `main1`, `ab`
+and `byun` are AXB^t + B(J - X^t)A^t = Y(A, X, B) + (B 1)(A 1)^t, a skew
+matrix plus a rank-one matrix.  One body, `_form_rows`, takes the rows of
+AX and of B and forms each pair i < j once, P_ij - P_ji from two dots
+(P = AXB^t), written at (i, j) and negated at (j, i); the diagonal is
+zero before the rank-one term, which it adds given the rows of A.
+`skew_form` gives it the rows of A @ X.  At X = U, U + Id and Id,
 AX needs no dot: AU and A(U + Id) are running sums of A's rows
 (`_running_sums`), so `okada_pfaffian` and `byun_determinant` (the
 Pfaffian and the determinant that compress a sum of maximal minors) and
@@ -110,22 +110,6 @@ class Matrix:
         self._rows = tuple(rows)
 
     # -- basic accessors ----------------------------------------------
-
-    def entry(self, i: int, j: int):
-        """Entry at 1-based position (i, j)."""
-        if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
-            raise IndexRangeError(f"({i}, {j}) outside {self.nrows}x{self.ncols}")
-        return self._rows[i - 1][j - 1]
-
-    def row(self, i: int) -> tuple:
-        if not 1 <= i <= self.nrows:
-            raise IndexRangeError(f"row {i} outside 1..{self.nrows}")
-        return self._rows[i - 1]
-
-    def column(self, j: int) -> tuple:
-        if not 1 <= j <= self.ncols:
-            raise IndexRangeError(f"column {j} outside 1..{self.ncols}")
-        return tuple(r[j - 1] for r in self._rows)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -247,18 +231,6 @@ def outer_product(ring: Ring, a: Sequence, b: Sequence) -> Matrix:
     return _wrap(ring, (tuple(x * y for y in bv) for x in av), len(bv))
 
 
-def _form(A: Matrix, X: Matrix, B: Matrix, rank_one: bool) -> Matrix:
-    """P - P^t with P = AXB^t, plus (B 1)(A 1)^t when `rank_one`: AX is
-    A @ X, and _form_rows does the rest.  Raises the errors of
-    A @ X @ B.T - its transpose."""
-    A._check_same_ring(X)
-    A._check_same_ring(B)
-    if A.ncols != X.nrows or X.ncols != B.ncols or A.nrows != B.nrows:
-        raise ShapeError(f"cannot form AXB^t from {A.nrows}x{A.ncols}, "
-                         f"{X.nrows}x{X.ncols} and {B.nrows}x{B.ncols} blocks")
-    return _form_rows(A.ring, (A @ X)._rows, B._rows, A._rows if rank_one else None)
-
-
 def _form_rows(ring: Ring, AX, B, A=None) -> Matrix:
     """P - P^t with P = AXB^t from the rows of AX and of B (an entry of P is
     the dot of a row of each), plus (B 1)(A 1)^t given the rows of A.  Each
@@ -293,14 +265,15 @@ def _running_sums(rows, zero, strict: bool = False, backward: bool = False) -> l
 
 def skew_form(A: Matrix, X: Matrix, B: Matrix) -> Matrix:
     """Y(A, X, B) = AXB^t - BX^tA^t, the skew matrix of every identity in
-    the paper, formed as P - P^t with P = AXB^t since (AXB^t)^t = BX^tA^t."""
-    return _form(A, X, B, False)
-
-
-def rank_one_form(A: Matrix, X: Matrix, B: Matrix) -> Matrix:
-    """AXB^t + B(J - X^t)A^t = Y(A, X, B) + (B 1)(A 1)^t: the skew form
-    plus the rank-one matrix of the row sums, since BJA^t = (B 1)(A 1)^t."""
-    return _form(A, X, B, True)
+    the paper, formed as P - P^t with P = AXB^t since (AXB^t)^t = BX^tA^t:
+    AX is A @ X, and _form_rows does the rest.  Raises the errors of
+    A @ X @ B.T - its transpose."""
+    A._check_same_ring(X)
+    A._check_same_ring(B)
+    if A.ncols != X.nrows or X.ncols != B.ncols or A.nrows != B.nrows:
+        raise ShapeError(f"cannot form AXB^t from {A.nrows}x{A.ncols}, "
+                         f"{X.nrows}x{X.ncols} and {B.nrows}x{B.ncols} blocks")
+    return _form_rows(A.ring, (A @ X)._rows, B._rows)
 
 
 # -- determinants ----------------------------------------------------------
@@ -554,8 +527,8 @@ def okada_pfaffian(A: Matrix):
 
 def byun_determinant(A: Matrix):
     """det(A(2U + Id)A^t), the square of the sum of A's maximal minors
-    (Byun); as 2U + Id = U + J - U^t it is rank_one_form(A, U, A), formed
-    from A's strict running sums (the rows of AU) and its row sums."""
+    (Byun); as 2U + Id = U + J - U^t it is Y(A, U, A) + (A 1)(A 1)^t,
+    formed from A's strict running sums (the rows of AU) and its row sums."""
     AU = _running_sums(A._rows, A.ring.zero, strict=True)
     return det(_form_rows(A.ring, AU, A._rows, A._rows))
 

@@ -272,11 +272,6 @@ class Poly:
             return hash(mons[0])
         return hash((self.vars, frozenset(mons.items())))
 
-    def leading(self) -> tuple:
-        """(exponent tuple, coefficient) of the graded-lex leading term."""
-        e = max(self._mons)
-        return _unpack(len(self.vars), e), self._mons[e]
-
     def exact_div(self, other: "Poly") -> "Poly":
         """Exact quotient self/other; raises InexactDivisionError otherwise."""
         other = self._coerce_other(other)

@@ -1,11 +1,12 @@
 """Symmetric polynomials in finitely many variables.
 
-Complete homogeneous symmetric polynomials, skew Schur polynomials through
-the Jacobi-Trudi determinant (`matrix.det`, division-free on polynomials),
-and a checker for the Cauchy-type Pfaffian identity that couples an
-x-variable block with a y-variable block.  Its coupled matrix is the
-paper's skew form Y(H(x), U + Id, H(y)) (`matrix._form_rows`), where
-H(x) is the m x n matrix with entries h_{k-i}(x).
+Skew Schur polynomials through the Jacobi-Trudi determinant (`matrix.det`,
+division-free on polynomials), and a checker for the Cauchy-type Pfaffian
+identity that couples an x-variable block with a y-variable block.  Both
+read the complete homogeneous polynomials h_0..h_d of a block from one
+table (`_h_table`).  The checker's coupled matrix is the paper's skew form
+Y(H(x), U + Id, H(y)) (`matrix._form_rows`), where H(x) is the m x n
+matrix with entries h_{k-i}(x).
 
 Everything is truncated to a declared finite variable set, so both sides of
 the coupled identity are ordinary polynomials and comparison is exact.  The
@@ -50,18 +51,6 @@ def _h_table(ring: PolynomialRing, degree: int, block: Sequence[Poly]) -> list:
         for d in range(1, degree + 1):
             h[d] = h[d] + g * h[d - 1]
     return h
-
-
-def h_complete(ring: PolynomialRing, degree: int, block: Sequence[Poly]) -> Poly:
-    """Complete homogeneous symmetric polynomial of the given degree.
-
-    Sum of all monomials x_{i_1}...x_{i_d} with i_1 <= ... <= i_d drawn
-    from the block.  degree 0 gives 1; negative degree gives 0 (the
-    convention the Jacobi-Trudi determinant relies on).
-    """
-    if degree < 0:
-        return ring.zero
-    return _h_table(ring, degree, block)[degree]
 
 
 def _h_matrix(ring: PolynomialRing, h: list, m: int, n: int) -> Matrix:

@@ -79,19 +79,40 @@ def tableau_schur(ring, lam, mu, block):
 
 
 # -- naive lattice path counting ----------------------------------------------
-# Steps must have nonnegative coordinates and at least one positive entry,
-# so pruning on overshoot is sound and every walk terminates.
+# Steps must lie in one open half-plane, so some functional grows along
+# every step: pruning once it passes its value at the end is sound, and
+# every walk terminates.
+
+
+def _ascending_functional(steps):
+    """A small integer (a, b) with a*sx + b*sy > 0 for every step, found by
+    trying every pair with |a|, |b| <= 2 max|step coordinate|: steps in an
+    open half-plane have one there (the sum of the normals of the two
+    outermost steps).  Raises ValueError when the steps have none."""
+    reach = 2 * max(abs(c) for step in steps for c in step)
+    pairs = sorted(itertools.product(range(-reach, reach + 1), repeat=2),
+                   key=lambda w: abs(w[0]) + abs(w[1]))
+    for a, b in pairs:
+        if all(a * sx + b * sy > 0 for sx, sy in steps):
+            return a, b
+    raise ValueError(f"steps {steps} lie in no open half-plane")
 
 
 def lattice_paths(start, end, steps=((1, 0), (0, 1))):
-    """All paths start -> end as tuples of visited points (inclusive)."""
+    """All paths start -> end as tuples of visited points (inclusive).  A
+    walk stops once a functional that every step increases passes its value
+    at end, and once it passes end in a coordinate that no step decreases."""
     out = []
+    end = tuple(end)
+    a, b = _ascending_functional(steps)
+    top = a * end[0] + b * end[1]
+    cuts = [k for k in (0, 1) if all(step[k] >= 0 for step in steps)]
 
     def walk(pt, acc):
         if pt == end:
             out.append(tuple(acc))
             return
-        if pt[0] > end[0] or pt[1] > end[1]:
+        if a * pt[0] + b * pt[1] >= top or any(pt[k] > end[k] for k in cuts):
             return
         for dx, dy in steps:
             nxt = (pt[0] + dx, pt[1] + dy)
@@ -378,6 +399,19 @@ def all_ones(n, ring):
 
 
 # -- misc ---------------------------------------------------------------------
+
+
+def report_json(report):
+    """The six-key JSON form of an IdentityReport whose bytes the golden
+    digests pin."""
+    return {
+        "identity": report.identity_id,
+        "digest": report.input_digest,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "pass": report.passed,
+        "details": report.details,
+    }
 
 
 def binomial(n, k):

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import minorsum
-from oracles import count_free_families
+from oracles import count_free_families, report_json
 from minorsum import (
     ConfigError,
     IDENTITY_IDS,
@@ -249,7 +249,7 @@ def test_generated_inputs_match_golden(ring, ident):
             for trial in range(5 if ring == "int" else 1):
                 rng = _trial_rng(3, ident, m, n, trial)
                 report = entry.run(ring, rng, m, n, cfg.bound, trial)
-                cases.append([report.inputs, report.input_digest, report.to_json_dict()])
+                cases.append([report.inputs, report.input_digest, report_json(report)])
     blob = json.dumps(cases, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_INPUTS[ring, ident]
 

@@ -3,10 +3,11 @@
 `run_verify` keeps only failed reports, so a change to how values are
 formatted, or to the per-route values a passed report carries in its
 details, would not show in a passing run.  These tests hash the full
-`to_json_dict()` of passed symbolic and integer reports, the failure lines
-`verify` writes when every trial is made to fail, the canonical text of
-skew Schur polynomials, and the `paths` command's output with the route
-values behind it, against digests taken from a known-good tree.
+JSON form (`oracles.report_json`) of passed symbolic and integer reports,
+the failure lines `verify` writes when every trial is made to fail, the
+canonical text of skew Schur polynomials, and the `paths` command's output
+with the route values behind it, against digests taken from a known-good
+tree.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import random
 
 import pytest
 from click.testing import CliRunner
+from oracles import report_json
 from test_acceptance import CAUCHY_SHAPES, symbolic_suite
 from test_paths import DELANNOY, seeded_staircases
 from test_symfun import box_partitions, sub_partitions
@@ -47,7 +49,7 @@ def digest(lines):
 
 
 def report_lines(reports):
-    return [json.dumps(r.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    return [json.dumps(report_json(r), sort_keys=True, separators=(",", ":"))
             for r in reports]
 
 

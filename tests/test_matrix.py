@@ -49,7 +49,6 @@ from minorsum.matrix import (
     byun_determinant,
     det_minors,
     okada_pfaffian,
-    rank_one_form,
     require_skew,
     skew_form,
 )
@@ -101,14 +100,15 @@ def test_construction_validation():
 
 
 def test_entry_row_column_one_based():
+    # submatrix is the one public read, and its indices are 1-based
     M = Matrix(ZZ, [[1, 2, 3], [4, 5, 6]])
-    assert M.entry(1, 1) == 1
-    assert M.entry(2, 3) == 6
-    assert M.row(2) == (4, 5, 6)
-    assert M.column(2) == (2, 5)
+    assert M.submatrix((1,), (1,)) == Matrix(ZZ, [[1]])
+    assert M.submatrix((2,), (3,)) == Matrix(ZZ, [[6]])
+    assert M.submatrix((2,), (1, 2, 3)) == Matrix(ZZ, [[4, 5, 6]])
+    assert M.submatrix((1, 2), (2,)) == Matrix(ZZ, [[2], [5]])
     for bad in ((0, 1), (1, 0), (3, 1), (1, 4)):
         with pytest.raises(IndexRangeError):
-            M.entry(*bad)
+            M.submatrix((bad[0],), (bad[1],))
 
 
 def test_arithmetic_and_shape_checks():
@@ -133,7 +133,7 @@ def test_matmul_generic_ring_path():
     a, b = ring.gens()
     M = Matrix(ring, [[a, b]])
     N = Matrix(ring, [[a], [b]])
-    assert (M @ N).entry(1, 1) == a * a + b * b
+    assert (M @ N)._rows == ((a * a + b * b,),)
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, KERNEL_POLY], ids=["int", "rat", "poly"])
@@ -165,7 +165,7 @@ def test_submatrix_and_selection():
 def test_structured_builders():
     assert upper_ones(3, ZZ) == Matrix(ZZ, [[0, 1, 1], [0, 0, 1], [0, 0, 0]])
     assert all_ones(2, ZZ) == Matrix(ZZ, [[1, 1], [1, 1]])
-    assert identity(3, ZZ).entry(2, 2) == 1
+    assert identity(3, ZZ)._rows[1] == (0, 1, 0)
 
 
 def test_augment_hat_and_outer_product():
@@ -175,16 +175,22 @@ def test_augment_hat_and_outer_product():
     assert outer_product(ZZ, (1, 2), (3, 4)) == Matrix(ZZ, [[3, 4], [6, 8]])
 
 
+def rank_one_rows(A, X, B):
+    """AXB^t + B(J - X^t)A^t as the determinant sides of main1, ab and byun
+    build it: _form_rows on the rows of A @ X, of B and of A."""
+    return _form_rows(A.ring, (A @ X)._rows, B._rows, A._rows)
+
+
 def assert_builders_match_literal_products(A, B, X):
     """The skew and rank-one builders against the products they stand for,
     at every site the checkers and the path routes build them."""
     ring, n = A.ring, A.ncols
     U, Id, J = upper_ones(n, ring), identity(n, ring), all_ones(n, ring)
     assert skew_form(A, X, B) == A @ X @ B.T - B @ X.T @ A.T
-    assert rank_one_form(A, X, B) == A @ X @ B.T + B @ (J - X.T) @ A.T
-    assert rank_one_form(A, U, A) == A @ (U + U + Id) @ A.T
-    assert rank_one_form(A, U + Id, B) == A @ U @ B.T + B @ U @ A.T + A @ B.T
-    assert rank_one_form(A, X, A) == A @ (X + J - X.T) @ A.T
+    assert rank_one_rows(A, X, B) == A @ X @ B.T + B @ (J - X.T) @ A.T
+    assert rank_one_rows(A, U, A) == A @ (U + U + Id) @ A.T
+    assert rank_one_rows(A, U + Id, B) == A @ U @ B.T + B @ U @ A.T + A @ B.T
+    assert rank_one_rows(A, X, A) == A @ (X + J - X.T) @ A.T
     assert skew_form(A, X, A) == A @ (X - X.T) @ A.T
 
 
@@ -219,7 +225,7 @@ def test_forms_raise_the_errors_of_the_literal_products():
     rng = random.Random(191)
     A, B, X = rand_int_matrix(rng, 2, 3), rand_int_matrix(rng, 2, 3), rand_int_matrix(rng, 3, 3)
     for bad_X, bad_B in ((Matrix(QQ, X._rows), B), (X, Matrix(QQ, B._rows))):
-        for build in (skew_form, rank_one_form, literal_forms):
+        for build in (skew_form, literal_forms):
             with pytest.raises(RingMismatchError):
                 build(A, bad_X, bad_B)
     shapes = {
@@ -229,10 +235,20 @@ def test_forms_raise_the_errors_of_the_literal_products():
         "B of a different height": (X, rand_int_matrix(rng, 3, 3)),
     }
     for name, (bad_X, bad_B) in shapes.items():
-        for build in (skew_form, rank_one_form, literal_forms):
+        for build in (skew_form, literal_forms):
             with pytest.raises(ShapeError):
                 build(A, bad_X, bad_B)
                 pytest.fail(f"{build.__name__} accepted a {name}")
+
+
+def test_skew_form_checks_its_blocks():
+    # skew_form checks the ring and the shape of its blocks itself, before
+    # the unchecked _form_rows sees their rows
+    A = Matrix(ZZ, [[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ShapeError, match=r"cannot form AXB\^t from 2x3, 2x2 and 2x3 blocks"):
+        skew_form(A, Matrix(ZZ, [[1, 0], [0, 1]]), A)
+    with pytest.raises(RingMismatchError):
+        skew_form(A, Matrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), A)
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, KERNEL_POLY], ids=["int", "rat", "poly"])
@@ -243,7 +259,7 @@ def test_empty_forms_equal_the_literal_products(ring, m, n):
                for r, c in ((m, n), (m, n), (n, n)))
     skew, rank_one = literal_forms(A, X, B)
     assert skew_form(A, X, B) == skew
-    assert rank_one_form(A, X, B) == rank_one
+    assert rank_one_rows(A, X, B) == rank_one
     assert (skew.nrows, skew.ncols, rank_one.nrows) == (m, m, m)
 
 
@@ -280,7 +296,7 @@ def test_running_sums_are_the_products_with_U_and_Id(ring):
                 assert all(type(x) is type(zero) for row in rows for x in row)
             for AX, X01 in ((sums[True, False], U), (sums[False, False], U + Id), (A._rows, Id)):
                 assert _form_rows(ring, AX, B._rows) == skew_form(A, X01, B)
-                assert _form_rows(ring, AX, B._rows, A._rows) == rank_one_form(A, X01, B)
+                assert _form_rows(ring, AX, B._rows, A._rows) == rank_one_rows(A, X01, B)
 
             def dots(B, X):
                 return [[ring.dot(b, x) for x in X._rows] for b in B._rows]
@@ -310,8 +326,8 @@ def test_okada_and_byun_take_no_dot_against_U(monkeypatch):
 
 
 # sha256 of every (lhs, rhs, details) of the check_cor7 reports below, on the
-# tree that built both of cor7's determinant sides with rank_one_form and
-# skew_form apart
+# tree that built cor7's two determinant sides apart, the rank-one form and
+# the skew form each from its own products
 COR7_REPORTS_SHA256 = "f9ce4a699b7c2a9e1fd6200e3e0ddd5e90aa3f3badbd7d94c36fdd5be058689c"
 
 
@@ -683,7 +699,7 @@ def test_pfaffian_bareiss_zero_row_at_a_later_step():
     rows[2] = [x + y for x, y in zip(rows[0], rows[1])]
     M = Matrix(ZZ, rows)
     Y = M @ pair_form(n) @ M.T
-    assert Y.entry(1, 2) != 0
+    assert Y._rows[0][1] != 0
     assert all(any(r) for r in Y._rows)
     assert pfaffian_bareiss(Y) == 0 == expansion_pfaffian(Y._rows)
 
@@ -763,7 +779,7 @@ def test_kernels_agree_over_every_ring(ring):
         for i in range(n):
             for j in range(k):
                 for t in range(n):
-                    expect[i][j] = expect[i][j] + M.entry(i + 1, t + 1) * N.entry(t + 1, j + 1)
+                    expect[i][j] = expect[i][j] + M._rows[i][t] * N._rows[t][j]
         assert M @ N == Matrix(ring, expect, ncols=k)
     for _ in range(15):
         n = 2 * rng.randint(0, 3)

@@ -57,3 +57,45 @@ def test_importing_the_package_loads_only_the_checkers_modules():
         f"minorsum.{name}" for name in ("combinat", "errors", "identities", "matrix", "ring")
     ]
     assert "hashlib" not in loaded
+
+
+def references(node, shadowed=frozenset()):
+    """(node, name) for every attribute and every name read under node,
+    leaving out a name that a function around it binds as a parameter or
+    a local, such as a parameter `identity` beside a function `identity`."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        args = node.args
+        shadowed = shadowed | {
+            arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                args.vararg, args.kwarg) if arg
+        } | {
+            inner.id for inner in ast.walk(node)
+            if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Store)
+        }
+    if isinstance(node, ast.Name) and node.id not in shadowed:
+        yield node, node.id
+    elif isinstance(node, ast.Attribute):
+        yield node, node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from references(child, shadowed)
+
+
+def test_every_unexported_public_definition_has_a_caller_in_the_package():
+    # a public module-level function or class that the package neither
+    # exports nor registers by a decorator is there for the package's own
+    # use, so code elsewhere in the package must name it
+    exported = set(minorsum.__all__)
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    own = {
+        node.name: {id(inner) for inner in ast.walk(node)}
+        for tree in trees for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not node.decorator_list
+        and node.name not in exported
+    }
+    called = {
+        name for tree in trees for node, name in references(tree)
+        if name in own and id(node) not in own[name]
+    }
+    assert sorted(set(own) - called) == []

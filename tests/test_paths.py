@@ -275,7 +275,7 @@ def test_lindstrom_matrix_against_enumeration():
     M = lindstrom_matrix(p)
     for i, s in enumerate(p.starts, start=1):
         for j, e in enumerate(p.candidate_ends, start=1):
-            assert M.entry(i, j) == len(lattice_paths(s, e))
+            assert M._rows[i - 1][j - 1] == len(lattice_paths(s, e))
 
 
 # -- fixed endpoints -------------------------------------------------------------
@@ -444,6 +444,46 @@ def test_count_free_random_staircases_three_routes():
         got = count_free(p)
         if k % 3 == 0:
             assert got == count_free_families(p.starts, p.candidate_ends)
+
+
+# a step that lowers y: every pair of these steps spans a parallelogram of
+# area 1, so the step set takes many starts
+DOWN_STEP = ((1, 0), (0, 1), (1, -1))
+
+
+def test_oracle_follows_a_walk_above_its_end():
+    # (3, 3) lies above the row of (6, 1), which only the (1, -1) step comes
+    # down to; an oracle that cut every walk above its end's row counted 0
+    p = PathProblem(starts=((3, 3),), candidate_ends=((1, 4), (4, 1), (6, 1)),
+                    steps=DOWN_STEP)
+    assert count_free_families(p.starts, p.candidate_ends, p.steps) == 7
+    assert count_free_routes(p) == {"okada": 7, "byun": 7, "brute": 7}
+
+
+def test_two_start_staircases_with_a_down_step_against_the_oracle():
+    # every path count is the oracle's.  The oracle counts the disjoint
+    # families of every assignment of starts to ends, the exhaustive route
+    # those in staircase order: where the routes agree they give the
+    # oracle's count, and where they disagree a down step has let two
+    # disjoint paths reach their ends out of order, so the oracle counts more
+    rng = random.Random(32)
+    agreed = 0
+    for _ in range(12):
+        p = staircase_instance(rng, 2, rng.randint(2, 5), lowest_end=0, highest_end=4,
+                               steps=DOWN_STEP)
+        assert lindstrom_matrix(p)._rows == tuple(
+            tuple(len(lattice_paths(s, e, DOWN_STEP)) for e in p.candidate_ends)
+            for s in p.starts
+        )
+        oracle = count_free_families(p.starts, p.candidate_ends, DOWN_STEP)
+        try:
+            routes = count_free_routes(p)
+        except RouteMismatchError as exc:
+            assert exc.routes["brute"] < oracle
+        else:
+            assert set(routes.values()) == {oracle}
+            agreed += 1
+    assert agreed
 
 
 # -- what the exhaustive route lists, and what it leaves behind -------------------
